@@ -1,12 +1,11 @@
 """Exact engine for non-symmetric and m-symmetric Macdonald polynomials."""
 
-from .qt_field import QtPoly, QtRational, qt_arith, qt_eval, parse_qt
-from .polyring import MultiPoly, poly_arith
-from .combinatorics import (Cell, MPartition, bruhat_less, diagram_stats,
-                            dominance_leq, enumerate_mpartitions,
-                            rearrange_and_w)
-from .hecke_ops import (OperatorContext, apply_T, apply_Tbar, apply_omega,
-                        apply_Y, apply_Phi, apply_D, symmetrize_t)
+from .qt_field import QtRational, parse_qt
+from .polyring import MultiPoly
+from .combinatorics import (Cell, MPartition, bruhat_less, dominance_leq,
+                            enumerate_mpartitions)
+from .hecke_ops import (apply_T, apply_Tbar, apply_omega, apply_Y, apply_Phi,
+                        apply_D, symmetrize_t)
 from .macdonald import (LabeledPoly, EigenvalueVector, nonsym_E,
                         hall_littlewood_H, msym_P, integral_J, eigenvalues,
                         psi_box_raise, invert_qt)

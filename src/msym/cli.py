@@ -14,18 +14,17 @@ import time
 from fractions import Fraction
 
 from .qt_field import QtRational, ONE, ZERO
-from .polyring import MultiPoly
+from .polyring import MultiPoly, DegreeGuardError
 from .combinatorics import (MPartition, enumerate_mpartitions, bruhat_less,
-                            compositions_of, inversions)
-from .hecke_ops import (apply_T, apply_Tbar, apply_Y, apply_D, apply_R,
-                        apply_L, apply_Lprime, symmetrize_t)
-from .macdonald import (nonsym_E, msym_P, integral_J, check_E, eta_bar,
-                        invert_qt, psi_box_raise, apply_Psi, eigenvalues)
-from .structure import (monomial_m, powersum_t, expand_in_basis,
+                            compositions_of)
+from .hecke_ops import (apply_T, apply_Tbar, apply_Y, apply_R, apply_L,
+                        symmetrize_t)
+from .macdonald import nonsym_E, msym_P, eta_bar, invert_qt
+from .structure import (monomial_m, expand_in_basis, pair_p_coeffs,
                         scalar_product_m, norm_formula, inclusion_coeffs,
                         restriction, restrict_poly, principal_specialization,
                         principal_specialization_e, principal_point,
-                        evaluation_u, gram_schmidt_basis, sesquilinear_product)
+                        evaluation_u, gram_schmidt_basis)
 from . import kernels
 
 
@@ -250,7 +249,6 @@ def suite_orthogonality(b, cmp):
         labels = [lab for d in range(dmax + 1)
                   for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
         exps = {}
-        from .structure import p_weight
         for lab in labels:
             exps[lab] = expand_in_basis(msym_P(lab, N).poly, m,
                                         "p_Lambda_t", verify=False).coeffs
@@ -260,13 +258,7 @@ def suite_orthogonality(b, cmp):
         for d, labs in bydeg.items():
             for i, A in enumerate(labs):
                 for B in labs[i:]:
-                    tot = ZERO
-                    ea, eb = exps[A], exps[B]
-                    small, big = (ea, eb) if len(ea) <= len(eb) else (eb, ea)
-                    for lab, c in small.items():
-                        cb = big.get(lab)
-                        if cb:
-                            tot = tot + c * cb * p_weight(lab)
+                    tot = pair_p_coeffs(exps[A], exps[B])
                     want = norm_formula(A) if A == B else ZERO
                     if not cmp.scalars(tot, want):
                         ok = False
@@ -510,7 +502,11 @@ def cmd_norm(args):
     val = norm_formula(lab)
     status = 0
     if args.check:
-        N = args.N if args.N is not None else lab.m + lab.degree()
+        faithful = lab.m + lab.degree()
+        N = args.N if args.N is not None else faithful
+        if N < faithful:
+            # below it P_Lambda may vanish or the expansion is not faithful
+            _usage_error("--check needs --N >= m + |Lambda| = %d" % faithful)
         P = msym_P(lab, N).poly
         direct = scalar_product_m(P, P, lab.m, verify=False)
         if direct != val:
@@ -723,7 +719,7 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, DegreeGuardError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

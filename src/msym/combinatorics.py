@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-import itertools
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +49,6 @@ def circle_rows(comp):
         1 + sum(1 for j in range(n) if comp[j] > comp[i])
         + sum(1 for j in range(i) if comp[j] == comp[i])
         for i in range(n))
-
-
-def rearrange_and_w(eta):
-    """Return (eta+, w, r): the decreasing rearrangement, the minimal-length
-    sorting permutation in one-line notation (w[i-1] = destination row of
-    entry i), and the circle-row function r (equal to w here)."""
-    r = circle_rows(eta)
-    return sort_desc(eta), r, r
 
 
 def dominance_leq_partition(mu, lam):
@@ -301,31 +292,6 @@ class MPartition:
         return cell.row - 1
 
 
-def diagram_stats(mpart, cell, stat):
-    """Statistic dispatcher; stat in {arm, arm_tilde, leg, leg_tilde,
-    coarm, coleg}."""
-    if not mpart.contains(cell):
-        raise ValueError("cell %r outside diagram of %s" % (cell, mpart))
-    if stat == "arm":
-        return mpart.arm(cell)
-    if stat == "arm_tilde":
-        return mpart.arm_tilde(cell)
-    if stat == "leg":
-        return mpart.leg(cell)
-    if stat == "leg_tilde":
-        return mpart.leg_tilde(cell)
-    if stat == "coarm":
-        return MPartition.coarm(cell)
-    if stat == "coleg":
-        return MPartition.coleg(cell)
-    raise ValueError("unknown statistic %r" % stat)
-
-
-def composition_diagram(eta):
-    """The composition eta viewed as the len(eta)-partition (eta; empty)."""
-    return MPartition(eta, ())
-
-
 def dominance_leq(omega, lam):
     """Omega <= Lambda in m-partition dominance: Omega^(i) <= Lambda^(i)
     for every i = 0..m."""
@@ -391,11 +357,6 @@ def enumerate_mpartitions(m, degree, max_sym_length=None):
     return out
 
 
-def enumerate_compositions(length, degree):
-    """All weak compositions of the given degree and length."""
-    return compositions_of(degree, length)
-
-
 def unique_permutations(seq):
     """Distinct permutations of seq in lexicographic order."""
     seq = sorted(seq)
@@ -412,19 +373,3 @@ def unique_permutations(seq):
                 break
         seq[k], seq[i] = seq[i], seq[k]
         seq[k + 1:] = reversed(seq[k + 1:])
-
-
-def scalar_stats(obj, stat):
-    """Integer statistics dispatcher: Inv/coInv on compositions, n on
-    partitions or m-partitions, degree/length on m-partitions."""
-    if stat == "inv":
-        return inversions(obj)
-    if stat == "coinv":
-        return coinversions(obj)
-    if stat == "n":
-        return obj.n_stat() if isinstance(obj, MPartition) else n_stat(obj)
-    if stat == "degree":
-        return obj.degree() if isinstance(obj, MPartition) else sum(obj)
-    if stat == "length":
-        return obj.length() if isinstance(obj, MPartition) else len(obj)
-    raise ValueError("unknown statistic %r" % stat)

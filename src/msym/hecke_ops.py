@@ -12,24 +12,10 @@ or y alphabet of a two-alphabet polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polyring import MultiPoly
+from .polyring import MultiPoly, _bump
 from .qt_field import QtRational, ONE
 
 _T = QtRational.monomial(1, 0, 1)
-
-
-def _bump(acc, e, v):
-    prev = acc.get(e)
-    if prev is None:
-        acc[e] = v
-    else:
-        s = prev + v
-        if s:
-            acc[e] = s
-        else:
-            del acc[e]
 
 
 def apply_T(f, i):
@@ -187,6 +173,20 @@ def longest_word(k):
     return word
 
 
+def apply_tau_K_Tbar(f, m):
+    """tau_1..tau_m K_{w_m} Tbar_{w_m} f: the longest-element inverse
+    generators on x_1..x_m, the reversal of x_1..x_m, then x_i -> q x_i for
+    i <= m."""
+    N = f.nvars
+    h = apply_Tbar_word(f, longest_word(m))
+    if m >= 2:
+        perm = tuple(range(m, 0, -1)) + tuple(range(m + 1, N + 1))
+        h = h.permute_vars(perm)
+    for i in range(1, m + 1):
+        h = h.qshift(i)
+    return h
+
+
 def symmetrize_t(f, m, naive=False):
     """S^t_{m+1,N} f = sum over S_{N-m} of T_sigma f (generator indices
     shifted by m).  Default: the recursive one-sided factorization, O((N-m)^2)
@@ -242,47 +242,3 @@ def apply_Lprime(f, m, n):
         h = apply_T(h, j)
         acc = acc + h
     return acc
-
-
-@dataclass(frozen=True)
-class OperatorContext:
-    """Variable count and symmetrization threshold for the operator family."""
-    nvars: int
-    m: int = 0
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.nvars:
-            raise ValueError("need 0 <= m <= nvars")
-
-    def _check(self, f):
-        if f.nvars != self.nvars:
-            raise ValueError("polynomial has %d variables, context expects %d"
-                             % (f.nvars, self.nvars))
-
-    def T(self, i, f):
-        self._check(f)
-        return apply_T(f, i)
-
-    def Tbar(self, i, f):
-        self._check(f)
-        return apply_Tbar(f, i)
-
-    def omega(self, f):
-        self._check(f)
-        return apply_omega(f)
-
-    def Y(self, i, f):
-        self._check(f)
-        return apply_Y(f, i)
-
-    def Phi(self, f):
-        self._check(f)
-        return apply_Phi(f)
-
-    def D(self, f):
-        self._check(f)
-        return apply_D(f, self.m)
-
-    def symmetrize(self, f, naive=False):
-        self._check(f)
-        return symmetrize_t(f, self.m, naive=naive)

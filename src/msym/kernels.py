@@ -10,18 +10,15 @@ no closed (a;q)-infinity manipulation is ever needed.
 
 from __future__ import annotations
 
-import itertools
-
-from .qt_field import QtRational, ONE, ZERO
-from .polyring import MultiPoly
+from .qt_field import QtRational, ONE
+from .polyring import MultiPoly, _bump
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H
-from .structure import z_lambda_qt, norm_formula, powersum
-from .hecke_ops import apply_T, apply_Tbar, apply_Y, apply_D, longest_word
+from .structure import z_lambda_qt, norm_formula, powersum_t
+from .hecke_ops import apply_T, apply_Y, apply_D, longest_word
 
 _T = QtRational.monomial(1, 0, 1)
-_Q = QtRational.monomial(1, 1, 0)
 
 
 class BiPoly:
@@ -87,13 +84,7 @@ class BiPoly:
             for eb, xb, yb, cb in b:
                 if xa + xb > maxdeg or ya + yb > maxdeg:
                     continue
-                e = tuple(u + v for u, v in zip(ea, eb))
-                prev = out.get(e)
-                s = ca * cb if prev is None else prev + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                _bump(out, tuple(u + v for u, v in zip(ea, eb)), ca * cb)
         return BiPoly(self.nx, self.ny, MultiPoly._raw(self.poly.nvars, out))
 
     def scale_y_block_q(self, upto=None):
@@ -145,23 +136,23 @@ def _xy_geometric(nx, ny, i, j, coeff, maxdeg):
     return BiPoly(nx, ny, MultiPoly(nx + ny, terms))
 
 
+def _pair_sum(Nx, Ny, maxdeg, terms):
+    """sum c f(x) g(y) over the (c, f, g) in terms, truncated; f lives in
+    Nx variables and g in Ny."""
+    acc = BiPoly(Nx, Ny)
+    for c, f, g in terms:
+        term = BiPoly.from_x(f, Ny).mul(BiPoly.from_y(g, Nx), maxdeg)
+        acc = acc + term.scale(c)
+    return acc
+
+
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
-    acc = BiPoly(Nx, Ny)
-    for d in range(maxdeg + 1):
-        for lam in partitions_of(d):
-            px = MultiPoly.one(Nx) if not lam else None
-            if px is None:
-                px = MultiPoly.one(Nx)
-                for part in lam:
-                    px = px * powersum(part, Nx)
-            py = MultiPoly.one(Ny)
-            for part in lam:
-                py = py * powersum(part, Ny)
-            term = BiPoly.from_x(px, Ny).mul(BiPoly.from_y(py, Nx), maxdeg)
-            acc = acc + term.scale(z_lambda_qt(lam).inverse())
-    return acc
+    return _pair_sum(Nx, Ny, maxdeg, (
+        (z_lambda_qt(lam).inverse(), powersum_t(MPartition((), lam), Nx),
+         powersum_t(MPartition((), lam), Ny))
+        for d in range(maxdeg + 1) for lam in partitions_of(d)))
 
 
 def k0_product_truncated(Nx, Ny, maxdeg):
@@ -221,16 +212,19 @@ def km_truncated(m, Nx, Ny, maxdeg):
     return out.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
 
 
+def _P_basis(m, N, maxdeg):
+    """{Lambda: P_Lambda in N variables} over the m-partitions of degree
+    <= maxdeg realized in N variables."""
+    return {lab: msym_P(lab, N).poly for d in range(maxdeg + 1)
+            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)}
+
+
 def km_sum_truncated(m, N, maxdeg):
     """sum_Lambda b_Lambda P_Lambda(x) P_Lambda(y) with
     b_Lambda = 1/<P_Lambda, P_Lambda>_m, both alphabets of size N."""
-    acc = BiPoly(N, N)
-    for d in range(maxdeg + 1):
-        for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-            p = msym_P(lab, N).poly
-            term = BiPoly.from_x(p, N).mul(BiPoly.from_y(p, N), maxdeg)
-            acc = acc + term.scale(norm_formula(lab).inverse())
-    return acc
+    return _pair_sum(N, N, maxdeg, (
+        (norm_formula(lab).inverse(), p, p)
+        for lab, p in _P_basis(m, N, maxdeg).items()))
 
 
 def km_expansion_check(m, maxdeg, N=None):
@@ -246,12 +240,11 @@ def hl_kernel_check(m, maxdeg):
     lhs = _apply_Tx_word(_km_bracket(m, m, m, maxdeg, qinv=False),
                          longest_word(m))
     lhs = lhs.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
-    rhs = BiPoly(m, m)
-    for d in range(maxdeg + 1):
-        for a in compositions_of(d, m):
-            h = hall_littlewood_H(a).poly
-            term = BiPoly.from_x(h, m).mul(BiPoly.from_y(h, m), maxdeg)
-            rhs = rhs + term.scale(QtRational.monomial(1, 0, -inversions(a)))
+    hs = {a: hall_littlewood_H(a).poly
+          for d in range(maxdeg + 1) for a in compositions_of(d, m)}
+    rhs = _pair_sum(m, m, maxdeg, (
+        (QtRational.monomial(1, 0, -inversions(a)), h, h)
+        for a, h in hs.items()))
     return lhs == rhs
 
 
@@ -284,13 +277,9 @@ def cauchy_identity_check(m, maxdeg, N=None):
       = sum_Lambda a_Lambda P_Lambda(x;q,t) P_Lambda(y;1/q,1/t)."""
     N = m + maxdeg if N is None else N
     lhs = _cauchy_lhs(m, N, N, maxdeg, y_scale_upto=m)
-    rhs = BiPoly(N, N)
-    for d in range(maxdeg + 1):
-        for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-            p = msym_P(lab, N).poly
-            term = BiPoly.from_x(p, N).mul(
-                BiPoly.from_y(p.invert_params(), N), maxdeg)
-            rhs = rhs + term.scale(_inv_tilde_product(lab).inverse())
+    rhs = _pair_sum(N, N, maxdeg, (
+        (_inv_tilde_product(lab).inverse(), p, p.invert_params())
+        for lab, p in _P_basis(m, N, maxdeg).items()))
     return lhs == rhs
 
 
@@ -298,36 +287,12 @@ def nonsym_cauchy_check(m, maxdeg):
     """The same identity on alphabets of length m, expanded over the
     non-symmetric Macdonald polynomials E_eta."""
     lhs = _cauchy_lhs(m, m, m, maxdeg, y_scale_upto=m)
-    rhs = BiPoly(m, m)
-    for d in range(maxdeg + 1):
-        for eta in compositions_of(d, m):
-            diagram = MPartition(eta, ())
-            e = nonsym_E(eta).poly
-            term = BiPoly.from_x(e, m).mul(
-                BiPoly.from_y(e.invert_params(), m), maxdeg)
-            rhs = rhs + term.scale(_inv_tilde_product(diagram).inverse())
-    return lhs == rhs
-
-
-def nonsym_cauchy_variant_check(m, maxdeg):
-    """The older two-alphabet kernel
-    K_0(x,y) prod_{j<i<=m}(1-x_iy_j)/(1-t x_iy_j) prod_i 1/(1-t x_iy_i)
-    expands over the same coefficients a_eta; equivalent to the q,t -> 1/q,1/t
-    plus x -> tx rescaling of the primary identity."""
-    lhs = k0_truncated(m, m, maxdeg)
-    for i in range(1, m + 1):
-        for j in range(1, i):
-            lhs = lhs.mul(_xy_factor(m, m, i, j, -ONE), maxdeg)
-            lhs = lhs.mul(_xy_geometric(m, m, i, j, _T, maxdeg), maxdeg)
-        lhs = lhs.mul(_xy_geometric(m, m, i, i, _T, maxdeg), maxdeg)
-    rhs = BiPoly(m, m)
-    for d in range(maxdeg + 1):
-        for eta in compositions_of(d, m):
-            diagram = MPartition(eta, ())
-            e = nonsym_E(eta).poly
-            term = BiPoly.from_x(e, m).mul(
-                BiPoly.from_y(e.invert_params(), m), maxdeg)
-            rhs = rhs + term.scale(_inv_tilde_product(diagram).inverse())
+    es = {eta: nonsym_E(eta).poly
+          for d in range(maxdeg + 1) for eta in compositions_of(d, m)}
+    rhs = _pair_sum(m, m, maxdeg, (
+        (_inv_tilde_product(MPartition(eta, ())).inverse(), e,
+         e.invert_params())
+        for eta, e in es.items()))
     return lhs == rhs
 
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 from .qt_field import QtRational, ONE, ZERO, t_factorial
 from .polyring import MultiPoly
-from .combinatorics import (MPartition, circle_rows, inversions, bruhat_less,
-                            sort_desc)
-from .hecke_ops import (apply_T, apply_Tbar, apply_Tbar_word, apply_Phi,
-                        apply_Y, apply_Lprime, symmetrize_t, longest_word)
+from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
+from .hecke_ops import (apply_T, apply_Phi, apply_Y, apply_Lprime,
+                        apply_tau_K_Tbar, symmetrize_t)
 
 _T = QtRational.monomial(1, 0, 1)
 
@@ -45,6 +44,11 @@ def eta_bar(eta, i):
 
 
 _E_CACHE = {}
+_H_CACHE = {}
+_P_CACHE = {}
+# Every memo table clear_caches() empties.  structure appends its
+# basis-inverse cache here, because this module cannot import structure.
+_CACHES = [_E_CACHE, _H_CACHE, _P_CACHE]
 
 
 def _build_E(eta):
@@ -91,9 +95,8 @@ def _build_E(eta):
 
 
 def clear_caches():
-    _E_CACHE.clear()
-    _H_CACHE.clear()
-    _P_CACHE.clear()
+    for cache in _CACHES:
+        cache.clear()
 
 
 def check_E(eta, poly):
@@ -124,9 +127,6 @@ def nonsym_E(eta, N=None, check=False):
     if check:
         check_E(eta, poly)
     return LabeledPoly(eta, poly, "E")
-
-
-_H_CACHE = {}
 
 
 def hall_littlewood_H(a):
@@ -181,9 +181,6 @@ def u_normalization(mpart, N):
     for mult in counts.values():
         u = u * t_factorial(mult, inverse=True)
     return u
-
-
-_P_CACHE = {}
 
 
 def msym_P(mpart, N):
@@ -270,13 +267,8 @@ def invert_qt(mpart, N, return_sides=False):
     p = msym_P(mpart, N).poly
     lhs = p.invert_params().scale(
         QtRational.monomial(1, sum(mpart.a), inversions(mpart.a)))
-    rhs = apply_Tbar_word(p, longest_word(m))
-    if m >= 2:
-        perm = tuple(range(m, 0, -1)) + tuple(range(m + 1, N + 1))
-        rhs = rhs.permute_vars(perm)
-    for i in range(1, m + 1):
-        rhs = rhs.qshift(i)
-    rhs = rhs.scale(QtRational.monomial(1, 0, m * (m - 1) // 2))
+    rhs = apply_tau_K_Tbar(p, m).scale(
+        QtRational.monomial(1, 0, m * (m - 1) // 2))
     if return_sides:
         return lhs, rhs
     if lhs != rhs:

@@ -30,6 +30,19 @@ class DegreeGuardError(RuntimeError):
     pass
 
 
+def _bump(acc, e, v):
+    """acc[e] += v in a sparse {key: coefficient} dict, dropping zeros."""
+    prev = acc.get(e)
+    if prev is None:
+        acc[e] = v
+    else:
+        s = prev + v
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+
+
 class MultiPoly:
     """Immutable sparse polynomial over QtRational."""
 
@@ -131,15 +144,7 @@ class MultiPoly:
             return self
         out = dict(self.terms)
         for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = c
-            else:
-                s = prev + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+            _bump(out, e, c)
         return MultiPoly._raw(self.nvars, out)
 
     def __neg__(self):
@@ -153,15 +158,7 @@ class MultiPoly:
             return self
         out = dict(self.terms)
         for e, c in other.terms.items():
-            prev = out.get(e)
-            if prev is None:
-                out[e] = -c
-            else:
-                s = prev - c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+            _bump(out, e, -c)
         return MultiPoly._raw(self.nvars, out)
 
     def __mul__(self, other):
@@ -185,13 +182,7 @@ class MultiPoly:
         out = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(e)
-                s = ca * cb if prev is None else prev + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                _bump(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return MultiPoly._raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -365,32 +356,3 @@ class MultiPoly:
     def to_json(self):
         return [{"exponents": list(e), "coeff": str(c)}
                 for e, c in self.sorted_terms()]
-
-
-def poly_arith(f, g, kind):
-    """Dispatcher: kind in {'add','sub','mul','scalar_mul'}."""
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    if kind == "scalar_mul":
-        return f.scale(g) if isinstance(g, QtRational) else g.scale(f)
-    raise ValueError("unknown arithmetic kind %r" % kind)
-
-
-def exchange(f, i, j):
-    return f.exchange(i, j)
-
-
-def qshift(f, i):
-    return f.qshift(i)
-
-
-def set_var_zero(f, i):
-    return f.set_var_zero(i)
-
-
-def coefficient_of(f, expvec):
-    return f.coefficient_of(expvec)

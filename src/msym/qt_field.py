@@ -152,15 +152,8 @@ def _p_eval(a, q0, t0):
 
 
 # -- univariate helpers (dicts {exp: int}) ----------------------------------
-
-def _ucontent(u):
-    g = 0
-    for c in u.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
+# _pcontent_int, _pscale and _psub above do not depend on the key type, so
+# they serve univariate dicts as well.
 
 def _umul(u, v):
     out = {}
@@ -172,21 +165,6 @@ def _umul(u, v):
                 out[k] = s
             else:
                 out.pop(k, None)
-    return out
-
-
-def _uscale(u, c):
-    return {e: c * v for e, v in u.items()} if c != 1 else dict(u)
-
-
-def _usub(u, v):
-    out = dict(u)
-    for e, c in v.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
     return out
 
 
@@ -254,14 +232,14 @@ def _ugcd_modp_deg(u, v):
 def _ugcd(u, v):
     """gcd in Z[x] with positive content, via primitive PRS."""
     if not u:
-        return dict(v) if _ucontent(v) >= 0 else _uscale(v, -1)
+        return dict(v)
     if not v:
         return dict(u)
     mu, mv = min(u), min(v)
     mono = min(mu, mv)
     u0 = {e - mu: c for e, c in u.items()}
     v0 = {e - mv: c for e, c in v.items()}
-    cu, cv = _ucontent(u0), _ucontent(v0)
+    cu, cv = _pcontent_int(u0), _pcontent_int(v0)
     c = math.gcd(cu, cv)
     u0 = _udivexact(u0, {0: cu})
     v0 = _udivexact(v0, {0: cv})
@@ -281,14 +259,14 @@ def _ugcd(u, v):
             while r and max(r) >= db:
                 dr = max(r)
                 lr = r[dr]
-                r = _usub(_uscale(r, lb), _umul({dr - db: lr}, b))
+                r = _psub(_pscale(r, lb), _umul({dr - db: lr}, b))
             if r:
-                cr = _ucontent(r)
+                cr = _pcontent_int(r)
                 r = _udivexact(r, {0: cr})
             a, b = b, r
         g = a
     if g[max(g)] < 0:
-        g = _uscale(g, -1)
+        g = _pscale(g, -1)
     out = {e + mono: d * c for e, d in g.items()}
     return out
 
@@ -373,7 +351,7 @@ def _pseudo_rem_q(la, lb):
         shift = dr - db
         nr = [_umul(u, lcb) for u in r[:dr]]
         for i in range(db):
-            nr[i + shift] = _usub(nr[i + shift], _umul(lb[i], lcr))
+            nr[i + shift] = _psub(nr[i + shift], _umul(lb[i], lcr))
         r = _qlist_trim(nr)
     return r
 
@@ -485,53 +463,6 @@ def _p_str(a):
 # public types
 # ---------------------------------------------------------------------------
 
-class QtPoly:
-    """Immutable polynomial in Z[q,t]."""
-
-    __slots__ = ("terms", "_hash")
-
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for (e0, e1), c in terms.items():
-                if c:
-                    if e0 < 0 or e1 < 0:
-                        raise ValueError("negative exponent in QtPoly")
-                    t[(e0, e1)] = c
-        self.terms = t
-        self._hash = None
-
-    @classmethod
-    def _raw(cls, terms):
-        p = object.__new__(cls)
-        p.terms = terms
-        p._hash = None
-        return p
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, QtPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
-    def __str__(self):
-        return _p_str(self.terms)
-
-    def __repr__(self):
-        return "QtPoly(%s)" % self
-
-    def degree_q(self):
-        return max((e[0] for e in self.terms), default=-1)
-
-    def degree_t(self):
-        return max((e[1] for e in self.terms), default=-1)
-
-
 _ONE_TERMS = {(0, 0): 1}
 
 
@@ -541,11 +472,8 @@ class QtRational:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=None):
-        n = num.terms if isinstance(num, QtPoly) else dict(num)
-        if den is None:
-            d = dict(_ONE_TERMS)
-        else:
-            d = den.terms if isinstance(den, QtPoly) else dict(den)
+        n = dict(num)
+        d = dict(_ONE_TERMS) if den is None else dict(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n:
@@ -586,11 +514,6 @@ class QtRational:
         nq, nt = max(qexp, 0), max(texp, 0)
         dq, dt = max(-qexp, 0), max(-texp, 0)
         return cls._raw({(nq, nt): coeff}, {(dq, dt): 1})
-
-    @classmethod
-    def from_fraction(cls, fr):
-        fr = Fraction(fr)
-        return cls({(0, 0): fr.numerator}, {(0, 0): fr.denominator})
 
     # -- predicates ------------------------------------------------------
 
@@ -761,36 +684,6 @@ ZERO = _ZERO
 ONE = _ONE
 Q = QtRational._raw({(1, 0): 1}, dict(_ONE_TERMS))
 T = QtRational._raw({(0, 1): 1}, dict(_ONE_TERMS))
-
-
-def qt_arith(lhs, rhs, kind):
-    """Field operation dispatcher: kind in {'add','sub','mul','div'}."""
-    if kind == "add":
-        return lhs + rhs
-    if kind == "sub":
-        return lhs - rhs
-    if kind == "mul":
-        return lhs * rhs
-    if kind == "div":
-        return lhs / rhs
-    raise ValueError("unknown arithmetic kind %r" % kind)
-
-
-def qt_eval(x, q0, t0):
-    """Exact rational value of x at (q0, t0)."""
-    return x.eval(q0, t0)
-
-
-def t_power(k):
-    return QtRational.monomial(1, 0, k)
-
-
-def q_power(k):
-    return QtRational.monomial(1, k, 0)
-
-
-def monomial(coeff=1, qexp=0, texp=0):
-    return QtRational.monomial(coeff, qexp, texp)
 
 
 def t_factorial(k, inverse=False):

@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import math
 
 from .qt_field import QtRational, ONE, ZERO, t_factorial
-from .polyring import MultiPoly
+from .polyring import MultiPoly, _bump
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
                             sort_desc, unique_permutations, dominance_key)
-from .macdonald import msym_P, integral_c, hall_littlewood_H
-from .hecke_ops import apply_Tbar_word, longest_word
-
-_T = QtRational.monomial(1, 0, 1)
-_Q = QtRational.monomial(1, 1, 0)
+from .macdonald import msym_P, integral_c, hall_littlewood_H, _CACHES
+from .hecke_ops import apply_tau_K_Tbar
 
 
 @dataclass
@@ -86,10 +83,6 @@ def powersum_t(mpart, N):
     return f
 
 
-def _representative(mpart, N):
-    return mpart.a + mpart.lam + (0,) * (N - mpart.m - len(mpart.lam))
-
-
 def m_coords(f, m, verify=True):
     """Coefficients of f on the m_Lambda basis, read off representative
     exponents; verify=True rejects polynomials outside R_m."""
@@ -110,6 +103,7 @@ def m_coords(f, m, verify=True):
 
 
 _BASIS_INVERSE_CACHE = {}
+_CACHES.append(_BASIS_INVERSE_CACHE)
 
 
 def _basis_poly(basis_kind, label, N):
@@ -182,11 +176,7 @@ def expand_in_basis(f, m, basis_kind, verify=True):
     out = {}
     for om, c in coords.items():
         for lab, v in inverse[om].items():
-            s = out.get(lab, ZERO) + c * v
-            if s:
-                out[lab] = s
-            else:
-                out.pop(lab, None)
+            _bump(out, lab, c * v)
     return Expansion(basis_kind, m, degree, out)
 
 
@@ -223,6 +213,18 @@ def p_weight(mpart):
         * z_lambda_qt(mpart.lam)
 
 
+def pair_p_coeffs(ef, eg):
+    """<f, g>_m from the p_Lambda_t coefficients {label: coeff} of f and g:
+    the sum over common labels of f_L g_L <p_L, p_L>_m."""
+    total = ZERO
+    small, big = (ef, eg) if len(ef) <= len(eg) else (eg, ef)
+    for lab, c in small.items():
+        caff = big.get(lab)
+        if caff:
+            total = total + c * caff * p_weight(lab)
+    return total
+
+
 def scalar_product_m(f, g, m, verify=True):
     """The R_m scalar product, computed through the deformed power sums."""
     if f.nvars != g.nvars:
@@ -236,12 +238,7 @@ def scalar_product_m(f, g, m, verify=True):
             continue
         ef = expand_in_basis(fd, m, "p_Lambda_t", verify=verify)
         eg = expand_in_basis(gd, m, "p_Lambda_t", verify=verify)
-        small, big = (ef.coeffs, eg.coeffs) if len(ef.coeffs) <= len(eg.coeffs) \
-            else (eg.coeffs, ef.coeffs)
-        for lab, c in small.items():
-            caff = big.get(lab)
-            if caff:
-                total = total + c * caff * p_weight(lab)
+        total = total + pair_p_coeffs(ef.coeffs, eg.coeffs)
     return total
 
 
@@ -260,14 +257,7 @@ def norm_formula(mpart):
 def sesquilinear_product(f, g, m, verify=True):
     """<f,g>' = t^{-binom(m,2)} <f, conj(tau_1..tau_m K_w Tbar_w g)>_m with
     conj inverting q and t; diagonal on P_Lambda with value 1/c-type product."""
-    N = g.nvars
-    h = apply_Tbar_word(g, longest_word(m))
-    if m >= 2:
-        perm = tuple(range(m, 0, -1)) + tuple(range(m + 1, N + 1))
-        h = h.permute_vars(perm)
-    for i in range(1, m + 1):
-        h = h.qshift(i)
-    h = h.invert_params()
+    h = apply_tau_K_Tbar(g, m).invert_params()
     val = scalar_product_m(f, h, m, verify=verify)
     return val * QtRational.monomial(1, 0, -(m * (m - 1) // 2))
 

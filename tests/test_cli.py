@@ -130,6 +130,25 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["expand-p", "--m", "2", "--a", "1"])
         assert rc == 2
 
+    def test_degree_guard_is_a_usage_error(self, capsys, monkeypatch):
+        # E_(13) needs a degree-13 product, past a guard of 12: one error
+        # line and exit 2, not a traceback and not the check-failure code
+        monkeypatch.setattr("msym.polyring._DEGREE_GUARD", 12)
+        rc, out, err = run(capsys, ["expand-e", "--eta", "13"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "exceeds guard 12" in err
+        assert len(err.splitlines()) == 1
+
+    def test_norm_check_needs_enough_variables(self, capsys):
+        # P_Lambda vanishes for N < m + length(lambda), so comparing it with
+        # the norm formula would report a false failure
+        argv = ["norm", "--m", "1", "--a", "1", "--lambda", "1", "--check"]
+        for n in ("1", "2"):
+            rc, _, err = run(capsys, argv + ["--N", n])
+            assert rc == 2 and err.startswith("error: ")
+            assert "check failed" not in err
+        assert run(capsys, argv + ["--N", "3"])[0] == 0
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         def broken(bounds, cmp):
             return [{"identity": "made-to-fail", "bounds": "", "status":

@@ -7,7 +7,7 @@ import pytest
 from msym.polyring import MultiPoly
 from msym.qt_field import QtRational, ONE, Q, T, t_factorial
 from msym.combinatorics import bruhat_less, circle_rows
-from msym.hecke_ops import (OperatorContext, apply_T, apply_Tbar, apply_omega,
+from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega,
                             apply_omega_inv, apply_Y, apply_Y_inv, apply_Phi,
                             apply_D, apply_R, apply_L, apply_Lprime,
                             symmetrize_t, reduced_word, longest_word)
@@ -260,18 +260,3 @@ class TestWords:
             arr[i - 1], arr[i] = arr[i], arr[i - 1]
         assert arr == [4, 3, 2, 1]
 
-
-class TestContext:
-    def test_context_validation(self):
-        ctx = OperatorContext(3, 1)
-        with pytest.raises(ValueError):
-            ctx.T(1, x(2, 1))
-        with pytest.raises(ValueError):
-            OperatorContext(2, 3)
-
-    def test_context_dispatch(self):
-        ctx = OperatorContext(2, 0)
-        f = x(2, 2)
-        assert ctx.T(1, f) == apply_T(f, 1)
-        assert ctx.symmetrize(f) == symmetrize_t(f, 0)
-        assert ctx.D(f) == apply_D(f, 0)

@@ -12,8 +12,7 @@ from msym.kernels import (BiPoly, cauchy_identity_check, hl_kernel_check,
                           kernel_eigen_symmetry_check,
                           kernel_hecke_symmetry_check,
                           kernel_xy_symmetry_check, km_expansion_check,
-                          km_sum_truncated, km_truncated, nonsym_cauchy_check,
-                          nonsym_cauchy_variant_check)
+                          km_sum_truncated, km_truncated, nonsym_cauchy_check)
 
 
 class TestBiPoly:
@@ -118,10 +117,6 @@ class TestCauchy:
     def test_nonsym(self):
         assert nonsym_cauchy_check(1, 2)
         assert nonsym_cauchy_check(2, 2)
-
-    def test_nonsym_variant(self):
-        assert nonsym_cauchy_variant_check(1, 2)
-        assert nonsym_cauchy_variant_check(2, 2)
 
 
 class TestOperatorSymmetry:

@@ -354,3 +354,20 @@ class TestGramSchmidt:
                 gs = gram_schmidt_basis(m, d, N)
                 for lab, g in gs.items():
                     assert g == msym_P(lab, N).poly, str(lab)
+
+
+class TestCaches:
+    def test_clear_caches_empties_all_four(self):
+        from msym import macdonald, structure
+        caches = (macdonald._E_CACHE, macdonald._H_CACHE, macdonald._P_CACHE,
+                  structure._BASIS_INVERSE_CACHE)
+        saved = [dict(c) for c in caches]
+        try:
+            P = msym_P(MPartition((1,), (1,)), 3).poly
+            scalar_product_m(P, P, 1)
+            assert all(caches)
+            macdonald.clear_caches()
+            assert not any(caches)
+        finally:
+            for cache, entries in zip(caches, saved):
+                cache.update(entries)
