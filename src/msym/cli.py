@@ -482,7 +482,11 @@ def cmd_expand_e(args):
 
 def cmd_expand_p(args):
     lab = _parse_label(args)
+    faithful = lab.m + lab.degree()
     N = args.N if args.N is not None else lab.m + max(lab.degree(), 1)
+    if N < faithful:
+        # below it P_Lambda may vanish or the m-expansion is not faithful
+        _usage_error("expand-p needs --N >= m + |Lambda| = %d" % faithful)
     p = msym_P(lab, N)
     exp = expand_in_basis(p.poly, lab.m, "m_Lambda") if p.poly else None
     lines = [str(p.poly)]

@@ -12,7 +12,7 @@ or y alphabet of a two-alphabet polynomial.
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, _bump
+from .polyring import MultiPoly, _bump, _settle
 from .qt_field import QtRational, ONE
 
 _T = QtRational.monomial(1, 0, 1)
@@ -44,7 +44,7 @@ def apply_T(f, i):
                 _bump(out, tuple(le), -tc)
                 le[i], le[i + 1] = a - 1 - k, b + 1 + k
                 _bump(out, tuple(le), c)
-    return MultiPoly._raw(n, out)
+    return MultiPoly._raw(n, _settle(out))
 
 
 def apply_Tbar(f, i):
@@ -76,7 +76,7 @@ def apply_omega(f, lo=1, hi=None):
         k = e[lo - 1]
         ne = e[:lo - 1] + e[lo:hi] + (k,) + e[hi:]
         _bump(out, ne, c * QtRational.monomial(1, k, 0) if k else c)
-    return MultiPoly._raw(n, out)
+    return MultiPoly._raw(n, _settle(out))
 
 
 def apply_omega_inv(f, lo=1, hi=None):
@@ -87,7 +87,7 @@ def apply_omega_inv(f, lo=1, hi=None):
         k = e[hi - 1]
         ne = e[:lo - 1] + (k,) + e[lo - 1:hi - 1] + e[hi:]
         _bump(out, ne, c * QtRational.monomial(1, -k, 0) if k else c)
-    return MultiPoly._raw(n, out)
+    return MultiPoly._raw(n, _settle(out))
 
 
 def apply_Y(f, i, lo=1, hi=None):

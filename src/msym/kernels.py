@@ -11,7 +11,7 @@ no closed (a;q)-infinity manipulation is ever needed.
 from __future__ import annotations
 
 from .qt_field import QtRational, ONE
-from .polyring import MultiPoly, _bump
+from .polyring import MultiPoly, _bump, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H
@@ -85,7 +85,8 @@ class BiPoly:
                 if xa + xb > maxdeg or ya + yb > maxdeg:
                     continue
                 _bump(out, tuple(u + v for u, v in zip(ea, eb)), ca * cb)
-        return BiPoly(self.nx, self.ny, MultiPoly._raw(self.poly.nvars, out))
+        return BiPoly(self.nx, self.ny,
+                      MultiPoly._raw(self.poly.nvars, _settle(out)))
 
     def scale_y_block_q(self, upto=None):
         """Substitute y_i -> q y_i for i <= upto (default: all of y)."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 
-from .qt_field import QtRational, ZERO, ONE
+from .qt_field import QtRational, ZERO, ONE, qt_sum
 
 # Operations that can raise the total degree enforce this guard so runaway
 # computations fail fast.  MSYM_MAXDEG overrides it.
@@ -31,16 +31,35 @@ class DegreeGuardError(RuntimeError):
 
 
 def _bump(acc, e, v):
-    """acc[e] += v in a sparse {key: coefficient} dict, dropping zeros."""
+    """Collect the nonzero contribution v to acc[e] in a sparse {key:
+    coefficient} dict; every accumulation ends with _settle(acc).  Nothing
+    is added here: a key with one contribution holds it and a key with more
+    holds their list.  Reduction happens in _settle, once per denominator
+    group of each output coefficient, and gives the same canonical
+    coefficients as adding term by term."""
     prev = acc.get(e)
     if prev is None:
         acc[e] = v
+    elif prev.__class__ is list:
+        prev.append(v)
     else:
-        s = prev + v
-        if s:
-            acc[e] = s
-        else:
-            del acc[e]
+        acc[e] = [prev, v]
+
+
+def _settle(acc):
+    """Finish an accumulation made by _bump, in place, and return acc: each
+    collected list becomes its qt_sum, and sums that cancel are dropped."""
+    zeros = []
+    for e, v in acc.items():
+        if v.__class__ is list:
+            s = qt_sum(v)
+            if s:
+                acc[e] = s
+            else:
+                zeros.append(e)
+    for e in zeros:
+        del acc[e]
+    return acc
 
 
 class MultiPoly:
@@ -145,7 +164,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             _bump(out, e, c)
-        return MultiPoly._raw(self.nvars, out)
+        return MultiPoly._raw(self.nvars, _settle(out))
 
     def __neg__(self):
         return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
@@ -159,7 +178,7 @@ class MultiPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             _bump(out, e, -c)
-        return MultiPoly._raw(self.nvars, out)
+        return MultiPoly._raw(self.nvars, _settle(out))
 
     def __mul__(self, other):
         if isinstance(other, QtRational):
@@ -183,7 +202,7 @@ class MultiPoly:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 _bump(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-        return MultiPoly._raw(self.nvars, out)
+        return MultiPoly._raw(self.nvars, _settle(out))
 
     __rmul__ = __mul__
 

@@ -11,6 +11,11 @@ Canonical form of a fraction num/den:
   * the coefficient of the lexicographically smallest exponent pair of den
     (q-major, then t) is positive.
 Equality and hashing rely on this canonical form being unique.
+
+Every operation returns its result in this form.  A sparse sum of many
+coefficients goes through qt_sum, which reduces once per denominator group
+of the output coefficient instead of once per added term; since the form is
+unique, the result is the one term-by-term addition gives.
 """
 
 from __future__ import annotations
@@ -684,6 +689,59 @@ ZERO = _ZERO
 ONE = _ONE
 Q = QtRational._raw({(1, 0): 1}, dict(_ONE_TERMS))
 T = QtRational._raw({(0, 1): 1}, dict(_ONE_TERMS))
+
+
+def _sum_over(values, den):
+    """Sum of values that all have denominator den: their numerators are
+    added with no gcd, and the sum is reduced once."""
+    num = dict(values[0].num)
+    for v in values[1:]:
+        for e, c in v.num.items():
+            s = num.get(e, 0) + c
+            if s:
+                num[e] = s
+            else:
+                del num[e]
+    if not num:
+        return _ZERO
+    if den == _ONE_TERMS:
+        return QtRational._raw(num, den)
+    return QtRational(num, den)
+
+
+def qt_sum(values):
+    """Sum of a nonempty list of QtRationals, reduced once per denominator.
+
+    The values are grouped by denominator, each group's numerators are added
+    as integer polynomials with no gcd, each group sum is reduced once, and
+    the groups are combined by the Henrici addition of ``+``.  The result is
+    the canonical value the left fold of ``+`` gives, at fewer gcds when
+    several values share a denominator."""
+    if len(values) < 3:
+        return values[0] + values[1] if len(values) == 2 else values[0]
+    # values over one denominator (as in every sum of polynomial
+    # coefficients) form one group, found without hashing it
+    d0 = values[0].den
+    for v in values:
+        if v.den != d0:
+            break
+    else:
+        return _sum_over(values, d0)
+    groups = {}
+    for v in values:
+        d = v.den
+        # a monomial denominator keys by its one (exponent, coefficient) item
+        key = tuple(d.items()) if len(d) == 1 else frozenset(d.items())
+        g = groups.get(key)
+        if g is None:
+            groups[key] = [v]
+        else:
+            g.append(v)
+    total = None
+    for g in groups.values():
+        s = g[0] if len(g) == 1 else _sum_over(g, g[0].den)
+        total = s if total is None else total + s
+    return total
 
 
 def t_factorial(k, inverse=False):

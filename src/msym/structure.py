@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import math
 
 from .qt_field import QtRational, ONE, ZERO, t_factorial
-from .polyring import MultiPoly, _bump
+from .polyring import MultiPoly, _bump, _settle
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
                             sort_desc, unique_permutations, dominance_key)
@@ -177,7 +177,7 @@ def expand_in_basis(f, m, basis_kind, verify=True):
     for om, c in coords.items():
         for lab, v in inverse[om].items():
             _bump(out, lab, c * v)
-    return Expansion(basis_kind, m, degree, out)
+    return Expansion(basis_kind, m, degree, _settle(out))
 
 
 def reconstruct(expansion, N):
@@ -207,10 +207,19 @@ def z_lambda_qt(lam):
     return val
 
 
+_P_WEIGHT_CACHE = {}
+_CACHES.append(_P_WEIGHT_CACHE)
+
+
 def p_weight(mpart):
-    """<p_Lambda, p_Lambda>_m = q^{|a|} t^{Inv(a)} z_lambda(q,t)."""
-    return QtRational.monomial(1, sum(mpart.a), inversions(mpart.a)) \
-        * z_lambda_qt(mpart.lam)
+    """<p_Lambda, p_Lambda>_m = q^{|a|} t^{Inv(a)} z_lambda(q,t), memoized
+    per label."""
+    w = _P_WEIGHT_CACHE.get(mpart)
+    if w is None:
+        w = QtRational.monomial(1, sum(mpart.a), inversions(mpart.a)) \
+            * z_lambda_qt(mpart.lam)
+        _P_WEIGHT_CACHE[mpart] = w
+    return w
 
 
 def pair_p_coeffs(ef, eg):

@@ -149,6 +149,16 @@ class TestExitCodes:
             assert "check failed" not in err
         assert run(capsys, argv + ["--N", "3"])[0] == 0
 
+    def test_expand_p_needs_enough_variables(self, capsys):
+        # P_Lambda vanishes for N < m + length(lambda); printing it as 0
+        # would pass a wrong answer off as a result
+        argv = ["expand-p", "--m", "1", "--a", "1", "--lambda", "1"]
+        for n in ("1", "2"):
+            rc, out, err = run(capsys, argv + ["--N", n])
+            assert rc == 2 and out == "" and err.startswith("error: ")
+        rc, out, _ = run(capsys, argv + ["--N", "3"])
+        assert rc == 0 and out.splitlines()[0] != "0"
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         def broken(bounds, cmp):
             return [{"identity": "made-to-fail", "bounds": "", "status":

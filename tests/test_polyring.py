@@ -71,6 +71,52 @@ class TestArithmetic:
         assert f * (g + h) == f * g + f * h
 
 
+def _random_qt_poly(rng, n, deg, nterms=6):
+    """Like _random_poly, with rational coefficients over a few shared
+    denominators."""
+    dens = [{(0, 0): 1}, {(0, 0): 1, (0, 1): -1}, {(1, 0): 1},
+            {(0, 0): 1, (1, 1): -1}]
+    f = _random_poly(rng, n, deg, nterms)
+    return MultiPoly(n, {e: c * QtRational({(rng.randrange(3), 0): 1},
+                                           rng.choice(dens))
+                         for e, c in f.terms.items()})
+
+
+def _reference_mul(f, g):
+    """Product by the left fold of + per monomial, zeros dropped last."""
+    acc = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc[e] + ca * cb if e in acc else ca * cb
+    return {e: c for e, c in acc.items() if c}
+
+
+class TestCancellation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+    def test_no_zero_coefficient_is_stored(self, s1, s2):
+        rng = random.Random(s1)
+        n = rng.randrange(1, 4)
+        f = _random_qt_poly(rng, n, 2)
+        g = _random_qt_poly(random.Random(s2), n, 2)
+        for h in (f - f, f + (-f), (f + g) - g - f, (f + g) + (-g - f)):
+            assert h.terms == {}
+        for h in (f + g, f - g, f * g):
+            assert all(h.terms.values())
+        assert (f * g).terms == _reference_mul(f, g)
+        # (a x1 + b x2)(c x1 + d x2) with a d + b c = 0: the x1 x2
+        # contributions cancel inside one product
+        a, b, c = (QtRational({(0, 0): k}, den) for k, den in
+                   ((rng.randrange(1, 5), {(0, 1): 1}),
+                    (rng.randrange(1, 5), {(0, 0): 1, (1, 0): -1}),
+                    (rng.randrange(1, 5), {(0, 0): 1, (1, 1): -1})))
+        d = -(b * c) / a
+        u = MultiPoly(2, {(1, 0): a, (0, 1): b})
+        v = MultiPoly(2, {(1, 0): c, (0, 1): d})
+        assert set((u * v).terms) == {(2, 0), (0, 2)}
+
+
 class TestVariableOps:
     def test_exchange_example(self):
         f = x(2, 1) * x(2, 1) * x(2, 2)  # x1^2 x2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
-                           _pgcd, _pmul, _pdivexact)
+                           qt_sum, _pgcd, _pmul, _pdivexact)
 
 
 def frac(num, den):
@@ -229,6 +229,66 @@ class TestFieldAxioms:
         if not a.is_zero():
             assert (a * a.inverse()).is_one()
             assert (ONE / a) * a == ONE
+
+
+def _random_den(rng, kind):
+    if kind == "monomial":
+        return {(rng.randrange(3), rng.randrange(3)): rng.choice((1, 2, 3))}
+    return _random_poly(rng, nterms=3, dmax=3) or {(0, 0): 1}
+
+
+def _random_terms(rng, kind, close):
+    """Nonzero values over one shared denominator, over distinct ones, over
+    monomial ones, or over a mix.  close="zero" appends the negations of a
+    shuffled copy, so the list sums to zero; close="factor" appends values
+    n_i/(A B) whose numerators add up to A r, so their group sum reduces to
+    r/B only after the numerators are added."""
+    if kind == "shared":
+        dens = [_random_den(rng, "poly")]
+    elif kind == "mixed":
+        dens = [_random_den(rng, rng.choice(("poly", "monomial")))
+                for _ in range(3)]
+    else:
+        dens = [_random_den(rng, kind) for _ in range(8)]
+    values = []
+    while len(values) < rng.randrange(1, 9):
+        v = QtRational(_random_poly(rng), rng.choice(dens))
+        if v:
+            values.append(v)
+    if close == "zero":
+        rest = [-v for v in values]
+        rng.shuffle(rest)
+        values += rest
+    elif close == "factor":
+        a = _random_poly(rng, nterms=2, dmax=3) or {(1, 0): 1, (0, 0): 2}
+        den = _pmul(a, _random_poly(rng, nterms=3, dmax=3) or {(0, 1): 1})
+        nums = [_random_poly(rng) for _ in range(3)]
+        last = _pmul(a, _random_poly(rng) or {(0, 0): 1})
+        for n in nums:
+            last = {e: last.get(e, 0) - n.get(e, 0)
+                    for e in set(last) | set(n)}
+        for n in nums + [last]:
+            v = QtRational({e: c for e, c in n.items() if c}, den)
+            if v:
+                values.append(v)
+    return values
+
+
+class TestGroupedSum:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(("shared", "distinct", "monomial", "mixed")),
+           st.sampled_from(("none", "zero", "factor")))
+    def test_equals_left_fold_and_is_canonical(self, seed, kind, close):
+        values = _random_terms(random.Random(seed), kind, close)
+        fold = values[0]
+        for v in values[1:]:
+            fold = fold + v
+        s = qt_sum(values)
+        assert s == fold
+        assert (s.num, s.den) == (s.normalized().num, s.normalized().den)
+        if close == "zero":
+            assert s.is_zero() and s.den == {(0, 0): 1}
 
 
 class TestTextForm:

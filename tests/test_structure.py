@@ -360,7 +360,7 @@ class TestCaches:
     def test_clear_caches_empties_all_four(self):
         from msym import macdonald, structure
         caches = (macdonald._E_CACHE, macdonald._H_CACHE, macdonald._P_CACHE,
-                  structure._BASIS_INVERSE_CACHE)
+                  structure._BASIS_INVERSE_CACHE, structure._P_WEIGHT_CACHE)
         saved = [dict(c) for c in caches]
         try:
             P = msym_P(MPartition((1,), (1,)), 3).poly
