@@ -62,42 +62,47 @@ def _parse_label(args):
     return MPartition(a, lam)
 
 
-class Comparator:
-    """Coefficient comparison strategy: exact, or evaluation at a fixed
-    rational (q0, t0) point (probabilistic-complete fast mode)."""
-
-    def __init__(self, point=None):
-        self.point = point
-
-    @property
-    def mode(self):
-        if self.point is None:
-            return "exact"
-        return "point(q=%s, t=%s)" % self.point
-
-    def scalars(self, x, y):
-        if self.point is None:
-            return x == y
-        return x.eval(*self.point) == y.eval(*self.point)
-
-    def polys(self, f, g):
-        if self.point is None:
-            return f == g
-        if f.nvars != g.nvars:
-            return False
-        for e in set(f.terms) | set(g.terms):
-            if f.coefficient_of(e).eval(*self.point) != \
-                    g.coefficient_of(e).eval(*self.point):
-                return False
-        return True
+def _int_at_least(lo):
+    """argparse type: an integer bound, at least lo."""
+    def parse(s):
+        v = int(s)
+        if v < lo:
+            raise argparse.ArgumentTypeError("must be >= %d, got %s" % (lo, s))
+        return v
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
-def _entry(identity, bounds, ok, t0, witnesses=None):
+def _same(lhs, rhs, point):
+    """Whether the two sides of a case agree.  With point None canonical
+    forms are compared exactly; given a point (q0, t0), a QtRational is
+    compared by its value there and a MultiPoly coefficient by coefficient
+    (Schwartz-Zippel testing of sides that were built exactly).  This is the
+    only code that knows the comparison mode."""
+    if point is None:
+        return lhs == rhs
+    if isinstance(lhs, MultiPoly):
+        return lhs.nvars == rhs.nvars and all(
+            _same(lhs.coefficient_of(e), rhs.coefficient_of(e), point)
+            for e in set(lhs.terms) | set(rhs.terms))
+    if isinstance(lhs, QtRational):
+        return lhs.eval(*point) == rhs.eval(*point)
+    return lhs == rhs
+
+
+def _run(identity, bounds, cases, point):
+    """Report entry of one identity.  cases lazily yields (witness, lhs, rhs),
+    a structural check (witness, bool, True); the clock starts before the
+    first case is built.  The witness of every case whose sides differ is
+    listed (None fails the identity but is not listed)."""
+    t0 = time.time()
+    failed = [w for w, lhs, rhs in cases if not _same(lhs, rhs, point)]
     e = {"identity": identity, "bounds": bounds,
-         "status": "pass" if ok else "fail",
+         "status": "fail" if failed else "pass",
          "time_s": round(time.time() - t0, 3)}
+    witnesses = sorted(str(w) for w in failed if w is not None)
     if witnesses:
-        e["witnesses"] = sorted(str(w) for w in witnesses)
+        e["witnesses"] = witnesses
     return e
 
 
@@ -113,348 +118,260 @@ def _rand_poly(rng, n, deg, nterms=6):
     return MultiPoly(n, terms)
 
 
+def _rand_msym(rng, m, d, N):
+    """Random integer combination of the degree-d m_Lambda in N variables."""
+    f = MultiPoly.zero(N)
+    for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
+        c = rng.randrange(-2, 3)
+        if c:
+            f = f + monomial_m(lab, N).scale(QtRational.from_int(c))
+    return f
+
+
+def _labels(m, dmax, N):
+    """The m-partitions of degree <= dmax realized in N variables."""
+    return [lab for d in range(dmax + 1)
+            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
+
+
+def _compositions(N, dmax):
+    """The compositions of degree <= dmax with at most N parts."""
+    return [eta for n in range(1, N + 1) for d in range(dmax + 1)
+            for eta in compositions_of(d, n)]
+
+
+def _inclusion_rhs(lab, N):
+    """sum psi_{Omega/Lambda} P_Omega in N variables."""
+    rhs = MultiPoly.zero(N)
+    for om, psi in inclusion_coeffs(lab).coeffs.items():
+        rhs = rhs + msym_P(om, N).poly.scale(psi)
+    return rhs
+
+
 # ---------------------------------------------------------------------------
-# verification suites
+# verification suites: each yields (identity, bounds, cases) for _run
 # ---------------------------------------------------------------------------
 
-def suite_braid(b, cmp):
+def suite_braid(b):
     rng = random.Random(b["seed"])
     N = b["N"] or 4
     count = b["count"]
-    entries = []
-
-    t0 = time.time()
-    ok, wit = True, []
-    for k in range(count):
-        n = rng.randrange(2, N + 1)
-        f = _rand_poly(rng, n, 3)
-        i = rng.randrange(1, n)
-        Tf = apply_T(f, i)
-        if not cmp.polys(apply_T(Tf, i) + Tf,
-                         Tf.scale(QtRational.monomial(1, 0, 1))
-                         + f.scale(QtRational.monomial(1, 0, 1))):
-            ok = False
-            wit.append((n, i, k))
-        if not cmp.polys(apply_Tbar(Tf, i), f):
-            ok = False
-            wit.append(("inverse", n, i, k))
-    entries.append(_entry("quadratic-and-inverse", "N<=%d x%d" % (N, count),
-                          ok, t0, wit))
-
-    t0 = time.time()
-    ok, wit = True, []
-    for k in range(count):
-        n = rng.randrange(3, max(4, N + 1))
-        f = _rand_poly(rng, n, 3)
-        i = rng.randrange(1, n - 1)
-        a = apply_T(apply_T(apply_T(f, i), i + 1), i)
-        bb = apply_T(apply_T(apply_T(f, i + 1), i), i + 1)
-        if not cmp.polys(a, bb):
-            ok = False
-            wit.append((n, i, k))
-        if n >= 4:
-            j = i + 2 if i + 2 < n else i - 2
-            if 1 <= j <= n - 1:
-                if not cmp.polys(apply_T(apply_T(f, i), j),
-                                 apply_T(apply_T(f, j), i)):
-                    ok = False
-                    wit.append(("commute", n, i, j, k))
-    entries.append(_entry("braid-and-commutation", "N<=%d x%d" % (N, count),
-                          ok, t0, wit))
-
-    t0 = time.time()
-    ok, wit = True, []
+    if N < 2:
+        _usage_error("verify braid needs --N >= 2")
     tq = QtRational.monomial(1, 0, 1)
-    for k in range(count):
-        n = rng.randrange(2, N + 1)
-        f = _rand_poly(rng, n, 2)
-        i = rng.randrange(1, n)
-        lhs = apply_T(apply_Y(f, i), i)
-        rhs = apply_Y(apply_T(f, i), i + 1) + apply_Y(f, i).scale(tq - ONE)
-        if not cmp.polys(lhs, rhs):
-            ok = False
-            wit.append(("TYi", n, i, k))
-        lhs2 = apply_T(apply_Y(f, i + 1), i)
-        rhs2 = apply_Y(apply_T(f, i), i) - apply_Y(f, i).scale(tq - ONE)
-        if not cmp.polys(lhs2, rhs2):
-            ok = False
-            wit.append(("TYi1", n, i, k))
-        s = apply_T(apply_Y(f, i) + apply_Y(f, i + 1), i)
-        s2 = apply_Y(apply_T(f, i), i) + apply_Y(apply_T(f, i), i + 1)
-        if not cmp.polys(s, s2):
-            ok = False
-            wit.append(("sumYT", n, i, k))
-    entries.append(_entry("cherednik-exchange", "N<=%d x%d" % (N, count),
-                          ok, t0, wit))
 
-    t0 = time.time()
-    ok, wit = True, []
-    for k in range(count):
-        n = rng.randrange(2, N + 1)
-        m = rng.randrange(0, n)
-        f = _rand_poly(rng, n, 2)
-        s1 = symmetrize_t(f, m)
-        if m + 1 <= n and not cmp.polys(s1, symmetrize_t(apply_R(f, m, n), m + 1)):
-            ok = False
-            wit.append(("R", n, m, k))
-        if m + 1 <= n and not cmp.polys(s1, apply_L(symmetrize_t(f, m + 1), m, n)):
-            ok = False
-            wit.append(("L", n, m, k))
-        if not cmp.polys(s1, symmetrize_t(f, m, naive=True)):
-            ok = False
-            wit.append(("naive", n, m, k))
-    entries.append(_entry("symmetrizer-factorizations", "N<=%d x%d" % (N, count),
-                          ok, t0, wit))
-    return entries
+    def quadratic():
+        for k in range(count):
+            n = rng.randrange(2, N + 1)
+            f = _rand_poly(rng, n, 3)
+            i = rng.randrange(1, n)
+            Tf = apply_T(f, i)
+            yield (n, i, k), apply_T(Tf, i) + Tf, Tf.scale(tq) + f.scale(tq)
+            yield ("inverse", n, i, k), apply_Tbar(Tf, i), f
+
+    def braid():
+        for k in range(count):
+            n = rng.randrange(3, max(4, N + 1))
+            f = _rand_poly(rng, n, 3)
+            i = rng.randrange(1, n - 1)
+            yield ((n, i, k), apply_T(apply_T(apply_T(f, i), i + 1), i),
+                   apply_T(apply_T(apply_T(f, i + 1), i), i + 1))
+            j = i + 2 if i + 2 < n else i - 2
+            if n >= 4 and j >= 1:
+                yield (("commute", n, i, j, k), apply_T(apply_T(f, i), j),
+                       apply_T(apply_T(f, j), i))
+
+    def exchange():
+        for k in range(count):
+            n = rng.randrange(2, N + 1)
+            f = _rand_poly(rng, n, 2)
+            i = rng.randrange(1, n)
+            Yf, Tf = apply_Y(f, i), apply_T(f, i)
+            dY = Yf.scale(tq - ONE)
+            yield ("TYi", n, i, k), apply_T(Yf, i), apply_Y(Tf, i + 1) + dY
+            yield (("TYi1", n, i, k), apply_T(apply_Y(f, i + 1), i),
+                   apply_Y(Tf, i) - dY)
+            yield (("sumYT", n, i, k), apply_T(Yf + apply_Y(f, i + 1), i),
+                   apply_Y(Tf, i) + apply_Y(Tf, i + 1))
+
+    def symmetrizer():
+        for k in range(count):
+            n = rng.randrange(2, N + 1)
+            m = rng.randrange(0, n)
+            f = _rand_poly(rng, n, 2)
+            s1 = symmetrize_t(f, m)
+            yield ("R", n, m, k), s1, symmetrize_t(apply_R(f, m, n), m + 1)
+            yield ("L", n, m, k), s1, apply_L(symmetrize_t(f, m + 1), m, n)
+            yield ("naive", n, m, k), s1, symmetrize_t(f, m, naive=True)
+
+    bounds = "N<=%d x%d" % (N, count)
+    yield "quadratic-and-inverse", bounds, quadratic()
+    yield "braid-and-commutation", bounds, braid()
+    yield "cherednik-exchange", bounds, exchange()
+    yield "symmetrizer-factorizations", bounds, symmetrizer()
 
 
-def suite_eigen(b, cmp):
+def suite_eigen(b):
     N = b["N"] or 3
     dmax = b["deg_max"]
-    entries = []
-    t0 = time.time()
-    ok, wit = True, []
-    ncomp = 0
-    for n in range(1, N + 1):
-        for d in range(dmax + 1):
-            for eta in compositions_of(d, n):
-                ncomp += 1
-                poly = nonsym_E(eta).poly
-                if not poly.coefficient_of(eta).is_one():
-                    ok = False
-                    wit.append(("monic", eta))
-                    continue
-                for nu in poly.terms:
-                    if nu != eta and not bruhat_less(nu, eta):
-                        ok = False
-                        wit.append(("triangular", eta, nu))
-                for i in range(1, n + 1):
-                    if not cmp.polys(apply_Y(poly, i),
-                                     poly.scale(eta_bar(eta, i))):
-                        ok = False
-                        wit.append(("eigen", eta, i))
-    entries.append(_entry("nonsym-eigen-triangular",
-                          "N<=%d deg<=%d (%d labels)" % (N, dmax, ncomp),
-                          ok, t0, wit))
-    return entries
+    etas = _compositions(N, dmax)
+
+    def cases():
+        for eta in etas:
+            poly = nonsym_E(eta).poly
+            monic = poly.coefficient_of(eta).is_one()
+            yield ("monic", eta), monic, True
+            if not monic:
+                continue
+            for nu in poly.terms:
+                if nu != eta:
+                    yield ("triangular", eta, nu), bruhat_less(nu, eta), True
+            for i in range(1, len(eta) + 1):
+                yield (("eigen", eta, i), apply_Y(poly, i),
+                       poly.scale(eta_bar(eta, i)))
+
+    yield ("nonsym-eigen-triangular",
+           "N<=%d deg<=%d (%d labels)" % (N, dmax, len(etas)), cases())
 
 
-def suite_orthogonality(b, cmp):
-    entries = []
-    for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
-        dmax = b["deg_max"]
+def suite_orthogonality(b):
+    dmax = b["deg_max"]
+
+    def cases(m):
         N = m + dmax
-        labels = [lab for d in range(dmax + 1)
-                  for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
-        exps = {}
-        for lab in labels:
-            exps[lab] = expand_in_basis(msym_P(lab, N).poly, m,
-                                        "p_Lambda_t", verify=False).coeffs
-        bydeg = {}
-        for lab in labels:
-            bydeg.setdefault(lab.degree(), []).append(lab)
-        for d, labs in bydeg.items():
+        for d in range(dmax + 1):
+            labs = enumerate_mpartitions(m, d, max_sym_length=N - m)
+            exps = [expand_in_basis(msym_P(lab, N).poly, m, "p_Lambda_t",
+                                    verify=False).coeffs for lab in labs]
             for i, A in enumerate(labs):
-                for B in labs[i:]:
-                    tot = pair_p_coeffs(exps[A], exps[B])
-                    want = norm_formula(A) if A == B else ZERO
-                    if not cmp.scalars(tot, want):
-                        ok = False
-                        wit.append((A, B))
-        entries.append(_entry("orthogonality-and-norms",
-                              "m=%d deg<=%d" % (m, dmax), ok, t0, wit))
-    return entries
+                for j in range(i, len(labs)):
+                    yield ((A, labs[j]), pair_p_coeffs(exps[i], exps[j]),
+                           norm_formula(A) if i == j else ZERO)
 
-
-def suite_inclusion(b, cmp):
-    entries = []
     for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
-        for d in range(b["deg_max"] + 1):
+        yield "orthogonality-and-norms", "m=%d deg<=%d" % (m, dmax), cases(m)
+
+
+def suite_inclusion(b):
+    dmax = b["deg_max"]
+
+    def expansion(m):
+        for d in range(dmax + 1):
             for lab in enumerate_mpartitions(m, d):
                 N = m + 1 + max(d, 1)
-                P = msym_P(lab, N).poly
-                rhs = MultiPoly.zero(N)
-                for om, psi in inclusion_coeffs(lab).coeffs.items():
-                    rhs = rhs + msym_P(om, N).poly.scale(psi)
-                if not cmp.polys(rhs, P):
-                    ok = False
-                    wit.append(lab)
-        entries.append(_entry("inclusion-expansion",
-                              "m=%d deg<=%d" % (m, b["deg_max"]), ok, t0, wit))
+                yield lab, _inclusion_rhs(lab, N), msym_P(lab, N).poly
 
-    t0 = time.time()
-    rng = random.Random(b["seed"])
-    ok, wit = True, []
-    for k in range(b["count"]):
-        m = rng.randrange(0, max(1, b["m_max"]))
-        d = rng.randrange(1, b["deg_max"] + 1)
-        N = m + 1 + d
-        f = MultiPoly.zero(N)
-        for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-            c = rng.randrange(-2, 3)
-            if c:
-                f = f + monomial_m(lab, N).scale(QtRational.from_int(c))
-        g = MultiPoly.zero(N)
-        for lab in enumerate_mpartitions(m + 1, d, max_sym_length=N - m - 1):
-            c = rng.randrange(-2, 3)
-            if c:
-                g = g + monomial_m(lab, N).scale(QtRational.from_int(c))
-        va = scalar_product_m(f, g, m + 1, verify=False)
-        vb = scalar_product_m(f.set_var_zero(N), restrict_poly(g, m), m,
-                              verify=False)
-        if not cmp.scalars(va, vb):
-            ok = False
-            wit.append(k)
-    entries.append(_entry("inclusion-restriction-adjointness",
-                          "%d random pairs, seed=%d" % (b["count"], b["seed"]),
-                          ok, t0, wit))
-    return entries
+    def adjointness():
+        rng = random.Random(b["seed"])
+        for k in range(b["count"]):
+            m = rng.randrange(0, max(1, b["m_max"]))
+            d = rng.randrange(1, dmax + 1)
+            N = m + 1 + d
+            f, g = _rand_msym(rng, m, d, N), _rand_msym(rng, m + 1, d, N)
+            yield (k, scalar_product_m(f, g, m + 1, verify=False),
+                   scalar_product_m(f.set_var_zero(N), restrict_poly(g, m), m,
+                                    verify=False))
 
-
-def suite_specialization(b, cmp):
-    entries = []
     for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
-        dmax = b["deg_max"]
-        N = m + dmax
-        for d in range(dmax + 1):
-            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-                P = msym_P(lab, N).poly
-                direct = P.substitute(principal_point(N))
-                if not cmp.scalars(direct, principal_specialization(lab, N)):
-                    ok = False
-                    wit.append(lab)
-        entries.append(_entry("principal-specialization",
-                              "m=%d deg<=%d N=%d" % (m, dmax, N), ok, t0, wit))
-
-    t0 = time.time()
-    ok, wit = True, []
-    nmax = min(b["N"] or 3, 3)
-    for n in range(1, nmax + 1):
-        for d in range(min(b["deg_max"], 3) + 1):
-            for eta in compositions_of(d, n):
-                direct = nonsym_E(eta).poly.substitute(principal_point(n))
-                if not cmp.scalars(direct, principal_specialization_e(eta, n)):
-                    ok = False
-                    wit.append(eta)
-    entries.append(_entry("nonsym-principal-specialization",
-                          "N<=%d deg<=%d" % (nmax, min(b["deg_max"], 3)),
-                          ok, t0, wit))
-    return entries
+        yield "inclusion-expansion", "m=%d deg<=%d" % (m, dmax), expansion(m)
+    yield ("inclusion-restriction-adjointness",
+           "%d random pairs, seed=%d" % (b["count"], b["seed"]), adjointness())
 
 
-def suite_symmetry(b, cmp):
-    entries = []
+def suite_specialization(b):
+    dmax = b["deg_max"]
+    nmax, d3 = min(b["N"] or 3, 3), min(dmax, 3)
+
+    def msym(m, N):
+        for lab in _labels(m, dmax, N):
+            yield (lab, msym_P(lab, N).poly.substitute(principal_point(N)),
+                   principal_specialization(lab, N))
+
+    def nonsym():
+        for eta in _compositions(nmax, d3):
+            n = len(eta)
+            yield (eta, nonsym_E(eta).poly.substitute(principal_point(n)),
+                   principal_specialization_e(eta, n))
+
     for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
-        dmax = b["deg_max"]
+        yield ("principal-specialization",
+               "m=%d deg<=%d N=%d" % (m, dmax, m + dmax), msym(m, m + dmax))
+    yield ("nonsym-principal-specialization", "N<=%d deg<=%d" % (nmax, d3),
+           nonsym())
+
+
+def suite_symmetry(b):
+    dmax = b["deg_max"]
+
+    def cases(m):
         N = m + dmax
-        labels = [lab for d in range(dmax + 1)
-                  for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
+        labels = _labels(m, dmax, N)
         points = {lab: principal_specialization(lab, N) for lab in labels}
         polys = {lab: msym_P(lab, N).poly for lab in labels}
         for A in labels:
             for B in labels:
-                lhs = evaluation_u(B, polys[A]) / points[A]
-                rhs = evaluation_u(A, polys[B]) / points[B]
-                if not cmp.scalars(lhs, rhs):
-                    ok = False
-                    wit.append((A, B))
-        entries.append(_entry("evaluation-symmetry",
-                              "m=%d deg<=%d" % (m, dmax), ok, t0, wit))
-    return entries
+                yield ((A, B), evaluation_u(B, polys[A]) / points[A],
+                       evaluation_u(A, polys[B]) / points[B])
 
-
-def suite_inversion(b, cmp):
-    entries = []
     for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
-        N = b["N"] or (m + 2)
-        for d in range(b["deg_max"] + 1):
+        yield "evaluation-symmetry", "m=%d deg<=%d" % (m, dmax), cases(m)
+
+
+def suite_inversion(b):
+    dmax = b["deg_max"]
+    if b["N"] is not None and b["N"] < b["m_max"]:
+        _usage_error("verify inversion needs --N >= --m-max = %d"
+                     % b["m_max"])
+
+    def cases(m, N):
+        for d in range(dmax + 1):
             for lab in enumerate_mpartitions(m, d):
-                try:
-                    lhs, rhs = invert_qt(lab, N, return_sides=True)
-                except ValueError:
-                    continue
-                if not cmp.polys(lhs, rhs):
-                    ok = False
-                    wit.append(lab)
-        entries.append(_entry("qt-inversion", "m=%d deg<=%d N=%d"
-                              % (m, b["deg_max"], N), ok, t0, wit))
-    return entries
+                yield (lab, *invert_qt(lab, N, return_sides=True))
 
-
-def suite_cauchy(b, cmp):
-    entries = []
-    maxdeg = b["maxdeg"]
-    for m in range(min(b["m_max"], 1) + 1):
-        t0 = time.time()
-        ok = kernels.km_expansion_check(m, maxdeg)
-        entries.append(_entry("kernel-P-expansion", "m=%d maxdeg=%d"
-                              % (m, maxdeg), ok, t0))
-    t0 = time.time()
-    entries.append(_entry("hall-littlewood-kernel", "m=2 maxdeg=%d" % maxdeg,
-                          kernels.hl_kernel_check(2, maxdeg), t0))
     for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok = kernels.cauchy_identity_check(m, min(maxdeg, 2))
-        entries.append(_entry("cauchy-identity", "m=%d maxdeg=%d"
-                              % (m, min(maxdeg, 2)), ok, t0))
-    for m in range(1, b["m_max"] + 1):
-        t0 = time.time()
-        ok = kernels.nonsym_cauchy_check(m, min(maxdeg, 2))
-        entries.append(_entry("nonsym-cauchy-identity", "m=%d maxdeg=%d"
-                              % (m, min(maxdeg, 2)), ok, t0))
-    t0 = time.time()
-    entries.append(_entry("kernel-hecke-symmetry", "m=2 maxdeg=%d" % maxdeg,
-                          kernels.kernel_hecke_symmetry_check(2, maxdeg), t0))
-    t0 = time.time()
-    entries.append(_entry("kernel-xy-symmetry", "m=1 maxdeg=%d" % min(maxdeg, 2),
-                          kernels.kernel_xy_symmetry_check(1, min(maxdeg, 2)),
-                          t0))
-    t0 = time.time()
-    entries.append(_entry("kernel-eigenoperator-symmetry",
-                          "m=1 maxdeg=%d" % min(maxdeg, 2),
-                          kernels.kernel_eigen_symmetry_check(1, min(maxdeg, 2)),
-                          t0))
-    return entries
+        N = b["N"] or (m + 2)
+        yield "qt-inversion", "m=%d deg<=%d N=%d" % (m, dmax, N), cases(m, N)
 
 
-def suite_gram_schmidt(b, cmp):
-    entries = []
-    for m in range(b["m_max"] + 1):
-        t0 = time.time()
-        ok, wit = True, []
+def suite_cauchy(b):
+    d, d2, M = b["maxdeg"], min(b["maxdeg"], 2), b["m_max"]
+    k = kernels
+    table = ([("kernel-P-expansion", m, d, k.km_expansion_check)
+              for m in range(min(M, 1) + 1)]
+             + [("hall-littlewood-kernel", 2, d, k.hl_kernel_check)]
+             + [("cauchy-identity", m, d2, k.cauchy_identity_check)
+                for m in range(M + 1)]
+             + [("nonsym-cauchy-identity", m, d2, k.nonsym_cauchy_check)
+                for m in range(1, M + 1)]
+             + [("kernel-hecke-symmetry", 2, d, k.kernel_hecke_symmetry_check),
+                ("kernel-xy-symmetry", 1, d2, k.kernel_xy_symmetry_check),
+                ("kernel-eigenoperator-symmetry", 1, d2,
+                 k.kernel_eigen_symmetry_check)])
+
+    def case(check, m, maxdeg):
+        yield None, check(m, maxdeg), True
+
+    for identity, m, maxdeg, check in table:
+        yield identity, "m=%d maxdeg=%d" % (m, maxdeg), case(check, m, maxdeg)
+
+
+def suite_gram_schmidt(b):
+    def cases(m):
         for d in range(b["deg_max"] + 1):
             N = m + max(d, 1)
-            gs = gram_schmidt_basis(m, d, N)
-            for lab, g in gs.items():
-                if not cmp.polys(g, msym_P(lab, N).poly):
-                    ok = False
-                    wit.append(lab)
-        entries.append(_entry("gram-schmidt-characterization",
-                              "m=%d deg<=%d" % (m, b["deg_max"]), ok, t0, wit))
-    return entries
+            for lab, g in gram_schmidt_basis(m, d, N).items():
+                yield lab, g, msym_P(lab, N).poly
+
+    for m in range(b["m_max"] + 1):
+        yield ("gram-schmidt-characterization",
+               "m=%d deg<=%d" % (m, b["deg_max"]), cases(m))
 
 
-SUITES = {
-    "braid": suite_braid,
-    "eigen": suite_eigen,
-    "orthogonality": suite_orthogonality,
-    "inclusion": suite_inclusion,
-    "specialization": suite_specialization,
-    "symmetry": suite_symmetry,
-    "inversion": suite_inversion,
-    "cauchy": suite_cauchy,
-    "gram-schmidt": suite_gram_schmidt,
-}
+SUITES = {"braid": suite_braid, "eigen": suite_eigen,
+          "orthogonality": suite_orthogonality, "inclusion": suite_inclusion,
+          "specialization": suite_specialization, "symmetry": suite_symmetry,
+          "inversion": suite_inversion, "cauchy": suite_cauchy,
+          "gram-schmidt": suite_gram_schmidt}
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +446,7 @@ def cmd_inclusion(args):
     status = 0
     if args.check:
         N = lab.m + 1 + max(lab.degree(), 1)
-        P = msym_P(lab, N).poly
-        rhs = MultiPoly.zero(N)
-        for om, psi in exp.coeffs.items():
-            rhs = rhs + msym_P(om, N).poly.scale(psi)
-        if rhs != P:
+        if _inclusion_rhs(lab, N) != msym_P(lab, N).poly:
             print("check failed: inclusion expansion does not reproduce P_%s"
                   % lab, file=sys.stderr)
             status = 1
@@ -551,10 +464,8 @@ def cmd_restrict(args):
     status = 0
     if args.check:
         N = lab.m + lab.degree() + 1
-        P = msym_P(lab, N).poly
-        lhs = restrict_poly(P, lab.m - 1)
-        rhs = msym_P(hat, N - 1).poly.scale(fac)
-        if lhs != rhs:
+        if (restrict_poly(msym_P(lab, N).poly, lab.m - 1)
+                != msym_P(hat, N - 1).poly.scale(fac)):
             print("check failed: operational restriction disagrees with the "
                   "closed form for %s" % lab, file=sys.stderr)
             status = 1
@@ -583,13 +494,10 @@ def cmd_eval(args):
 
 
 def cmd_kernel(args):
-    m = args.m or 0
-    maxdeg = args.maxdeg
+    m, maxdeg = args.m, args.maxdeg
     N = m + maxdeg
-    table = []
-    for d in range(maxdeg + 1):
-        for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-            table.append((lab, norm_formula(lab).inverse()))
+    table = [(lab, norm_formula(lab).inverse())
+             for lab in _labels(m, maxdeg, N)]
     lines = ["b-coefficients of K_%d up to degree %d:" % (m, maxdeg)]
     lines.extend("  %s: %s" % (lab, c) for lab, c in table)
     payload = {"command": "kernel",
@@ -609,24 +517,17 @@ def cmd_verify(args):
     if args.suite not in SUITES:
         _usage_error("unknown suite %r (choose from %s)"
                      % (args.suite, ", ".join(sorted(SUITES))))
-    point = None
-    if args.qt_point:
-        q0, t0 = (Fraction(v) for v in args.qt_point)
-        point = (q0, t0)
-    cmp = Comparator(point)
-    deg_max = args.deg_max if args.deg_max is not None else 3
-    bounds = {
-        "m_max": args.m_max if args.m_max is not None else (args.m or 1),
-        "deg_max": deg_max,
-        "N": args.N,
-        "maxdeg": args.maxdeg if args.maxdeg is not None
-        else min(deg_max, 3),
-        "seed": args.seed,
-        "count": args.count,
-    }
-    entries = SUITES[args.suite](bounds, cmp)
+    point = args.qt_point and tuple(Fraction(v) for v in args.qt_point)
+    mode = "point(q=%s, t=%s)" % point if point else "exact"
+    deg_max = 3 if args.deg_max is None else args.deg_max
+    bounds = {"m_max": (args.m or 1) if args.m_max is None else args.m_max,
+              "maxdeg": min(deg_max, 3) if args.maxdeg is None
+              else args.maxdeg,
+              "deg_max": deg_max, "N": args.N, "seed": args.seed,
+              "count": args.count}
+    entries = [_run(*item, point) for item in SUITES[args.suite](bounds)]
     failed = [e for e in entries if e["status"] != "pass"]
-    lines = ["suite %s (mode: %s)" % (args.suite, cmp.mode)]
+    lines = ["suite %s (mode: %s)" % (args.suite, mode)]
     for e in entries:
         lines.append("  [%s] %-36s %s  (%.3fs)"
                      % ("PASS" if e["status"] == "pass" else "FAIL",
@@ -636,7 +537,7 @@ def cmd_verify(args):
     lines.append("%d/%d identities passed" % (len(entries) - len(failed),
                                               len(entries)))
     payload = {"command": "verify",
-               "params": {"suite": args.suite, "mode": cmp.mode, **bounds},
+               "params": {"suite": args.suite, "mode": mode, **bounds},
                "report": entries}
     _emit(args, payload, lines)
     return 1 if failed else 0
@@ -697,21 +598,19 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("kernel", help="reproducing-kernel data")
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--maxdeg", type=int, default=2)
+    p.add_argument("--m", type=_int_at_least(0), default=0)
+    p.add_argument("--maxdeg", type=_int_at_least(0), default=2)
     p.add_argument("--full", action="store_true",
                    help="also print the truncated kernel")
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite")
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--deg-max", dest="deg_max", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--maxdeg", type=int, default=None)
+    for flag in ("--m", "--m-max", "--deg-max", "--maxdeg"):
+        p.add_argument(flag, type=_int_at_least(0))
+    p.add_argument("--N", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=25)
+    p.add_argument("--count", type=_int_at_least(0), default=25)
     p.add_argument("--qt-point", nargs=2, metavar=("Q0", "T0"), default=None)
     p.set_defaults(fn=cmd_verify)
     return ap

@@ -196,9 +196,6 @@ class MPartition:
         """Row of the i-circle."""
         return self._row_of_circle[i]
 
-    def circle_col(self, i):
-        return self._rows[self._row_of_circle[i] - 1][0] + 1
-
     def cells(self):
         """Squares of the diagram, row by row."""
         for r, (size, _) in enumerate(self._rows, start=1):

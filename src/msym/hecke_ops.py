@@ -13,7 +13,7 @@ or y alphabet of a two-alphabet polynomial.
 from __future__ import annotations
 
 from .polyring import MultiPoly, _bump, _settle
-from .qt_field import QtRational, ONE
+from .qt_field import QtRational, ONE, ZERO
 
 _T = QtRational.monomial(1, 0, 1)
 
@@ -142,7 +142,7 @@ def apply_D(f, m, lo=1, hi=None):
     acc = MultiPoly.zero(n_all)
     for i in range(m + 1, n + 1):
         acc = acc + apply_Y(f, i, lo, hi)
-    scal = ONE - ONE  # zero
+    scal = ZERO
     for i in range(m + 1, n + 1):
         scal = scal + QtRational.monomial(1, 0, 1 - i)
     return acc - f.scale(scal)
@@ -202,15 +202,9 @@ def symmetrize_t(f, m, naive=False):
         for sigma in itertools.permutations(range(1, n - m + 1)):
             acc = acc + apply_T_word(f, reduced_word(sigma), offset=m)
         return acc
-    g = f
     for top in range(m + 2, n + 1):
-        acc = g
-        h = g
-        for j in range(top - 1, m, -1):
-            h = apply_T(h, j)
-            acc = acc + h
-        g = acc
-    return g
+        f = apply_Lprime(f, m, top)
+    return f
 
 
 def apply_R(f, m, n):

@@ -16,7 +16,7 @@ from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H
 from .structure import z_lambda_qt, norm_formula, powersum_t
-from .hecke_ops import apply_T, apply_Y, apply_D, longest_word
+from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
 
 _T = QtRational.monomial(1, 0, 1)
 
@@ -65,12 +65,6 @@ class BiPoly:
     def bidegrees(self):
         nx = self.nx
         return {(sum(e[:nx]), sum(e[nx:])) for e in self.poly.terms}
-
-    def truncate(self, maxdeg):
-        nx = self.nx
-        terms = {e: c for e, c in self.poly.terms.items()
-                 if sum(e[:nx]) <= maxdeg and sum(e[nx:]) <= maxdeg}
-        return BiPoly(self.nx, self.ny, MultiPoly._raw(self.poly.nvars, terms))
 
     def mul(self, other, maxdeg):
         """Product truncated to x-degree <= maxdeg and y-degree <= maxdeg."""
@@ -192,12 +186,6 @@ def _km_bracket(m, Nx, Ny, maxdeg, qinv=True):
     return acc
 
 
-def _apply_Tx_word(bi, word):
-    for i in reversed(word):
-        bi = bi.map_T_x(i)
-    return bi
-
-
 def km_pre_truncated(m, Nx, Ny, maxdeg, qinv=True):
     """The un-symmetrized kernel K-bar_m = K_0 * bracket."""
     return k0_truncated(Nx, Ny, maxdeg).mul(
@@ -208,7 +196,8 @@ def km_truncated(m, Nx, Ny, maxdeg):
     """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated."""
     if Nx < m or Ny < m:
         raise ValueError("alphabets must have at least m letters")
-    bracket = _apply_Tx_word(_km_bracket(m, Nx, Ny, maxdeg), longest_word(m))
+    bracket = _km_bracket(m, Nx, Ny, maxdeg).poly
+    bracket = BiPoly(Nx, Ny, apply_T_word(bracket, longest_word(m)))
     out = k0_truncated(Nx, Ny, maxdeg).mul(bracket, maxdeg)
     return out.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
 
@@ -238,9 +227,9 @@ def hl_kernel_check(m, maxdeg):
     """t-symmetrized Hall-Littlewood kernel:
     t^{-binom(m,2)} T^{(x)}_{w_m}[prod(1-t x_i y_j)/prod(1-x_i y_j)]
       = sum_a t^{-Inv(a)} H_a(x;t) H_a(y;t)."""
-    lhs = _apply_Tx_word(_km_bracket(m, m, m, maxdeg, qinv=False),
-                         longest_word(m))
-    lhs = lhs.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
+    bracket = _km_bracket(m, m, m, maxdeg, qinv=False).poly
+    lhs = BiPoly(m, m, apply_T_word(bracket, longest_word(m))).scale(
+        QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, (
@@ -261,16 +250,13 @@ def _cauchy_lhs(m, Nx, Ny, maxdeg, y_scale_upto):
     return acc
 
 
-def _inv_tilde_product(diagram):
-    """prod over squares of (1-q^{a~+1} t^{l~})/(1-q^{a} t^{l+1}); its
-    inverse is the Cauchy expansion coefficient."""
-    val = ONE
-    for cell in diagram.cells():
-        val = val * (ONE - QtRational.monomial(1, diagram.arm_tilde(cell) + 1,
-                                               diagram.leg_tilde(cell)))
-        val = val / (ONE - QtRational.monomial(1, diagram.arm(cell),
-                                               diagram.leg(cell) + 1))
-    return val
+def _cauchy_coeff(diagram):
+    """The Cauchy expansion coefficient: the product over squares of
+    (1-q^{a}t^{l+1})/(1-q^{a~+1}t^{l~}), the inverse of the norm formula
+    without its q^{|a|} t^{Inv(a)} prefactor."""
+    a = diagram.a
+    return (QtRational.monomial(1, sum(a), inversions(a))
+            / norm_formula(diagram))
 
 
 def cauchy_identity_check(m, maxdeg, N=None):
@@ -279,7 +265,7 @@ def cauchy_identity_check(m, maxdeg, N=None):
     N = m + maxdeg if N is None else N
     lhs = _cauchy_lhs(m, N, N, maxdeg, y_scale_upto=m)
     rhs = _pair_sum(N, N, maxdeg, (
-        (_inv_tilde_product(lab).inverse(), p, p.invert_params())
+        (_cauchy_coeff(lab), p, p.invert_params())
         for lab, p in _P_basis(m, N, maxdeg).items()))
     return lhs == rhs
 
@@ -291,8 +277,7 @@ def nonsym_cauchy_check(m, maxdeg):
     es = {eta: nonsym_E(eta).poly
           for d in range(maxdeg + 1) for eta in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, (
-        (_inv_tilde_product(MPartition(eta, ())).inverse(), e,
-         e.invert_params())
+        (_cauchy_coeff(MPartition(eta, ())), e, e.invert_params())
         for eta, e in es.items()))
     return lhs == rhs
 

@@ -96,12 +96,6 @@ class MultiPoly:
         return cls._raw(nvars, {(0,) * nvars: ONE})
 
     @classmethod
-    def constant(cls, nvars, c):
-        if not c:
-            return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: c})
-
-    @classmethod
     def variable(cls, nvars, i):
         """x_i, 1-based."""
         if not 1 <= i <= nvars:

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from msym import cli
-from msym.qt_field import parse_qt
+from msym.polyring import MultiPoly
+from msym.qt_field import QtRational, parse_qt
 
 
 def run(capsys, argv):
@@ -160,12 +161,45 @@ class TestExitCodes:
         assert rc == 0 and out.splitlines()[0] != "0"
 
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
-        def broken(bounds, cmp):
-            return [{"identity": "made-to-fail", "bounds": "", "status":
-                     "fail", "time_s": 0.0}]
+        def broken(bounds):
+            yield "made-to-fail", "", iter([(None, False, True)])
         monkeypatch.setitem(cli.SUITES, "braid", broken)
         rc, out, _ = run(capsys, ["verify", "braid"])
         assert rc == 1 and "FAIL" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "orthogonality", "--m-max", "-1"],
+        ["verify", "inclusion", "--count", "-3"],
+        ["verify", "eigen", "--deg-max", "-1"],
+        ["verify", "cauchy", "--maxdeg", "-1"],
+        ["verify", "orthogonality", "--m", "-1"],
+        ["verify", "eigen", "--N", "0"],
+        ["verify", "braid", "--N", "0"],
+        ["verify", "braid", "--N", "-2"],
+        ["kernel", "--maxdeg", "-1"],
+        ["kernel", "--m", "-1"],
+    ])
+    def test_out_of_range_bounds_are_usage_errors(self, capsys, argv):
+        # each of these used to pass vacuously, run at a default or crash
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "must be >= " in err
+
+    def test_braid_needs_two_variables(self, capsys):
+        rc, out, err = run(capsys, ["verify", "braid", "--N", "1"])
+        assert rc == 2 and out == ""
+        assert err == "error: verify braid needs --N >= 2\n"
+
+    def test_inversion_needs_n_at_least_m_max(self, capsys):
+        # N < m has no P_Lambda; skipping those labels reported a pass on
+        # nothing
+        argv = ["verify", "inversion", "--m-max", "2", "--deg-max", "1"]
+        rc, out, err = run(capsys, argv + ["--N", "1"])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "--m-max = 2" in err
+        rc, out, _ = run(capsys, argv + ["--N", "2"])
+        assert rc == 0 and "3/3 identities passed" in out
 
 
 class TestVerifySuites:
@@ -192,3 +226,57 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, ["verify", "eigen", "--N", "3",
                                   "--deg-max", "2", "--qt-point", "3", "5"])
         assert rc == 0 and "point(q=3, t=5)" in out
+
+    @pytest.mark.parametrize("suite, argv, k", [
+        ("braid", ["--N", "3", "--count", "3"], 4),
+        ("eigen", ["--N", "2", "--deg-max", "2"], 1),
+        ("orthogonality", ["--m-max", "1", "--deg-max", "2"], 2),
+        ("inclusion", ["--m-max", "1", "--deg-max", "2", "--count", "3"], 3),
+        ("specialization", ["--m-max", "1", "--deg-max", "2"], 3),
+        ("symmetry", ["--m-max", "1", "--deg-max", "2"], 2),
+        ("inversion", ["--m-max", "1", "--deg-max", "2"], 2),
+        ("cauchy", ["--m-max", "1", "--maxdeg", "2"], 9),
+        ("gram-schmidt", ["--m-max", "1", "--deg-max", "2"], 2),
+    ])
+    def test_every_suite_passes(self, capsys, suite, argv, k):
+        rc, out, _ = run(capsys, ["verify", suite] + argv)
+        assert rc == 0
+        assert out.splitlines()[-1] == "%d/%d identities passed" % (k, k)
+
+    def test_failing_identity_lists_its_witnesses(self, capsys, monkeypatch):
+        # with Tbar_i the identity, Tbar_i T_i f = f fails for every sample
+        monkeypatch.setattr(cli, "apply_Tbar", lambda f, i: f)
+        rc, out, _ = run(capsys, ["--json", "verify", "braid", "--N", "3",
+                                  "--count", "3", "--seed", "1"])
+        assert rc == 1
+        report = {e["identity"]: e for e in json.loads(out)["report"]}
+        failed = report.pop("quadratic-and-inverse")
+        assert failed["status"] == "fail"
+        assert len(failed["witnesses"]) == 3
+        assert all(w.startswith("('inverse', ") for w in failed["witnesses"])
+        assert all(e["status"] == "pass" and "witnesses" not in e
+                   for e in report.values())
+
+
+class TestComparison:
+    def test_point_mode_compares_values(self):
+        q, three = QtRational.monomial(1, 1, 0), QtRational.from_int(3)
+        point = (3, 5)
+        assert not cli._same(q, three, None)
+        assert cli._same(q, three, point)
+        assert not cli._same(q, three, (2, 5))
+        f, g = MultiPoly(1, {(1,): q}), MultiPoly(1, {(1,): three})
+        assert not cli._same(f, g, None) and cli._same(f, g, point)
+        assert not cli._same(f, MultiPoly(2, {(1, 0): three}), point)
+        assert cli._same(True, True, point)
+        assert not cli._same(False, True, point)
+
+    def test_runner_compares_at_the_point(self, capsys, monkeypatch):
+        def suite(bounds):
+            yield "q-is-3", "", iter([("w", QtRational.monomial(1, 1, 0),
+                                       QtRational.from_int(3))])
+        monkeypatch.setitem(cli.SUITES, "braid", suite)
+        rc, out, _ = run(capsys, ["verify", "braid"])
+        assert rc == 1 and "witness: w" in out
+        rc, out, _ = run(capsys, ["verify", "braid", "--qt-point", "3", "5"])
+        assert rc == 0 and "1/1 identities passed" in out
