@@ -254,6 +254,8 @@ def suite_orthogonality(b):
 
 def suite_inclusion(b):
     dmax = b["deg_max"]
+    if dmax < 1 and b["count"] > 0:
+        _usage_error("verify inclusion needs --deg-max >= 1 when --count > 0")
 
     def expansion(m):
         for d in range(dmax + 1):
@@ -324,9 +326,8 @@ def suite_inversion(b):
                      % b["m_max"])
 
     def cases(m, N):
-        for d in range(dmax + 1):
-            for lab in enumerate_mpartitions(m, d):
-                yield (lab, *invert_qt(lab, N, return_sides=True))
+        for lab in _labels(m, dmax, N):
+            yield (lab, *invert_qt(lab, N, return_sides=True))
 
     for m in range(b["m_max"] + 1):
         N = b["N"] or (m + 2)
@@ -520,7 +521,8 @@ def cmd_verify(args):
     point = args.qt_point and tuple(Fraction(v) for v in args.qt_point)
     mode = "point(q=%s, t=%s)" % point if point else "exact"
     deg_max = 3 if args.deg_max is None else args.deg_max
-    bounds = {"m_max": (args.m or 1) if args.m_max is None else args.m_max,
+    m_max = args.m if args.m_max is None else args.m_max
+    bounds = {"m_max": 1 if m_max is None else m_max,
               "maxdeg": min(deg_max, 3) if args.maxdeg is None
               else args.maxdeg,
               "deg_max": deg_max, "N": args.N, "seed": args.seed,
@@ -622,7 +624,7 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    except (ValueError, ZeroDivisionError, DegreeGuardError) as exc:
+    except (ValueError, ArithmeticError, DegreeGuardError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -16,21 +16,26 @@ Every operation returns its result in this form.  A sparse sum of many
 coefficients goes through qt_sum, which reduces once per denominator group
 of the output coefficient instead of once per added term; since the form is
 unique, the result is the one term-by-term addition gives.
+
+The gcd in Z[q,t] is the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
+Comp. 7, 1989), one recursive function from t through q down to integers:
+evaluate a variable at an integer x, take the gcd of the images one level
+down, and read it back as the polynomial whose balanced base-x digits it has.
+Exact division of both inputs by the lifted candidate is its certificate: with
+x above twice the smaller input's largest coefficient, a candidate that
+divides both is the gcd.  A rejected candidate makes x grow, and the loop ends
+because the images' spurious common factor stops growing with x (see _hgcd).
+The result is deterministic: no randomness, no retry cap, no fallback.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 # ---------------------------------------------------------------------------
 # raw polynomial dicts {(qexp, texp): int}
 # ---------------------------------------------------------------------------
-
-_PROBE_PRIME = 2147483647  # prime; used for modular gcd-degree probes
-_probe_rng = random.Random(0x9d2c5680)
-
 
 def _padd(a, b):
     if not a:
@@ -49,19 +54,6 @@ def _padd(a, b):
 
 def _pneg(a):
     return {e: -c for e, c in a.items()}
-
-
-def _psub(a, b):
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
 
 
 def _pmul(a, b):
@@ -156,270 +148,88 @@ def _p_eval(a, q0, t0):
     return acc
 
 
-# -- univariate helpers (dicts {exp: int}) ----------------------------------
-# _pcontent_int, _pscale and _psub above do not depend on the key type, so
-# they serve univariate dicts as well.
+# -- gcd ----------------------------------------------------------------------
 
-def _umul(u, v):
+def _peval(a, k, x):
+    """a with variable k (0 = q, 1 = t) set to the integer x."""
+    pw = [1]
+    for _ in range(max(e[k] for e in a)):
+        pw.append(pw[-1] * x)
     out = {}
-    for e, c in u.items():
-        for f, d in v.items():
-            k = e + f
-            s = out.get(k, 0) + c * d
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+    for e, c in a.items():
+        f = (e[0], 0) if k else (0, e[1])
+        out[f] = out.get(f, 0) + c * pw[e[k]]
+    return {f: c for f, c in out.items() if c}
+
+
+def _genpoly(h, x, k):
+    """The polynomial whose coefficients of the powers of variable k are the
+    balanced base-x digits of h's coefficients, so that its value at x is h."""
+    out = {}
+    for e, c in h.items():
+        i = 0
+        while c:
+            d = c % x
+            if 2 * d > x:
+                d -= x
+            if d:
+                out[(e[0], i) if k else (i, e[1])] = d
+            c = (c - d) // x
+            i += 1
     return out
 
 
-def _udivexact(u, v):
-    """Exact division of univariate integer polynomials."""
-    if not u:
-        return {}
-    dv = max(v)
-    lv = v[dv]
-    out = {}
-    rem = dict(u)
-    while rem:
-        dr = max(rem)
-        c, r = divmod(rem[dr], lv)
-        if dr < dv or r:
-            raise ArithmeticError("inexact univariate division")
-        out[dr - dv] = c
-        for e, d in v.items():
-            k = e + dr - dv
-            s = rem.get(k, 0) - c * d
-            if s:
-                rem[k] = s
-            else:
-                rem.pop(k, None)
-    return out
+def _hgcd(a, b, k):
+    """gcd of a and b, up to sign, where a and b involve variables 0..k only
+    (k = -1: integers, which always take a shortcut).
 
+    Each input loses its integer content and its monomial part first, at
+    every level, so the gcd returned one level down is exact: a proper
+    divisor of it would pass the division test below and leave a fraction
+    unreduced.  Then variable k is set to x, starting above
+    2*min(|a|_inf, |b|_inf) + 1, where a candidate that divides both inputs
+    is their gcd (Char, Geddes and Gonnet).
 
-def _ugcd_modp_deg(u, v):
-    """Degree of gcd of the images of u, v in GF(p)[x]; None if a leading
-    coefficient vanishes mod p."""
-    p = _PROBE_PRIME
-
-    def tolist(w):
-        d = max(w)
-        if w[d] % p == 0:
-            return None
-        out = [0] * (d + 1)
-        for e, c in w.items():
-            out[e] = c % p
-        return out
-
-    a, b = tolist(u), tolist(v)
-    if a is None or b is None:
-        return None
-    while b and any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = pow(b[-1], p - 2, p)
-        shift = len(a) - len(b)
-        c = a[-1] * inv % p
-        for i in range(len(b)):
-            a[i + shift] = (a[i + shift] - c * b[i]) % p
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) - 1 if a else 0
-
-
-def _ugcd(u, v):
-    """gcd in Z[x] with positive content, via primitive PRS."""
-    if not u:
-        return dict(v)
-    if not v:
-        return dict(u)
-    mu, mv = min(u), min(v)
-    mono = min(mu, mv)
-    u0 = {e - mu: c for e, c in u.items()}
-    v0 = {e - mv: c for e, c in v.items()}
-    cu, cv = _pcontent_int(u0), _pcontent_int(v0)
-    c = math.gcd(cu, cv)
-    u0 = _udivexact(u0, {0: cu})
-    v0 = _udivexact(v0, {0: cv})
-    if u0 == v0:
-        g = u0
-    elif max(u0) == 0 or max(v0) == 0:
-        g = {0: 1}
-    elif _ugcd_modp_deg(u0, v0) == 0:
-        g = {0: 1}
+    The loop ends.  Write a = g*a1, b = g*b1 with a1, b1 coprime; the
+    images' gcd is g(x)*D with D = gcd(a1(x), b1(x)).  For k = 0, D divides
+    the integer resultant of a1 and b1.  For k = 1, D is an integer once x
+    is past the roots of their resultant with respect to q, and it divides
+    the content of their resultant with respect to t (u*a1 + v*b1 equals
+    it), which does not depend on x.  So once x > 2*|D|*|g|_inf the digits
+    of g(x)*D are the coefficients of D*g, whose primitive part is g."""
+    if not a or not b:
+        return dict(a or b)
+    amq = min(e[0] for e in a)
+    amt = min(e[1] for e in a)
+    bmq = min(e[0] for e in b)
+    bmt = min(e[1] for e in b)
+    ca = _pcontent_int(a)
+    cb = _pcontent_int(b)
+    a0 = _pdiv_int(_pshift(a, -amq, -amt), ca)
+    b0 = _pdiv_int(_pshift(b, -bmq, -bmt), cb)
+    if a0 == b0:
+        g = a0
+    elif len(a0) == 1 or len(b0) == 1:
+        g = _ONE_TERMS
     else:
-        a, b = (u0, v0) if max(u0) >= max(v0) else (v0, u0)
-        while b:
-            # pseudo-remainder of a by b, then primitive part
-            r = dict(a)
-            db = max(b)
-            lb = b[db]
-            while r and max(r) >= db:
-                dr = max(r)
-                lr = r[dr]
-                r = _psub(_pscale(r, lb), _umul({dr - db: lr}, b))
-            if r:
-                cr = _pcontent_int(r)
-                r = _udivexact(r, {0: cr})
-            a, b = b, r
-        g = a
-    if g[max(g)] < 0:
-        g = _pscale(g, -1)
-    out = {e + mono: d * c for e, d in g.items()}
-    return out
-
-
-# -- bivariate gcd -----------------------------------------------------------
-
-def _to_q_list(a):
-    """dict {(q,t):c} -> list over q-degree of t-dicts."""
-    dq = max(e[0] for e in a)
-    out = [dict() for _ in range(dq + 1)]
-    for (e0, e1), c in a.items():
-        out[e0][e1] = c
-    return out
-
-
-def _from_q_list(lst):
-    out = {}
-    for e0, u in enumerate(lst):
-        for e1, c in u.items():
-            out[(e0, e1)] = c
-    return out
-
-
-def _qlist_content(lst):
-    """gcd over Z[t] of the q-coefficients."""
-    g = {}
-    for u in lst:
-        if u:
-            g = _ugcd(g, u)
-            if g == {0: 1}:
-                return g
-    return g
-
-
-def _qlist_divexact(lst, u):
-    return [(_udivexact(w, u) if w else {}) for w in lst]
-
-
-def _qlist_trim(lst):
-    while lst and not lst[-1]:
-        lst.pop()
-    return lst
-
-
-def _probe_gcd_deg_q(a, b):
-    """Sound upper bound on deg_q(gcd(a,b)) via one modular evaluation of t.
-    Returns None if the probe was unlucky."""
-    p = _PROBE_PRIME
-    la = _to_q_list(a)
-    lb = _to_q_list(b)
-    for _ in range(4):
-        t0 = _probe_rng.randrange(2, 1 << 30)
-        ua = {e: sum(c * pow(t0, e1, p) for e1, c in la[e].items()) % p
-              for e in range(len(la)) if la[e]}
-        ub = {e: sum(c * pow(t0, e1, p) for e1, c in lb[e].items()) % p
-              for e in range(len(lb)) if lb[e]}
-        if ua.get(len(la) - 1, 0) == 0 or ub.get(len(lb) - 1, 0) == 0:
-            continue
-        ua = {e: c for e, c in ua.items() if c}
-        ub = {e: c for e, c in ub.items() if c}
-        if not ua or not ub:
-            continue
-        d = _ugcd_modp_deg(ua, ub)
-        if d is not None:
-            return d
-    return None
-
-
-def _swap_qt(a):
-    return {(e1, e0): c for (e0, e1), c in a.items()}
-
-
-def _pseudo_rem_q(la, lb):
-    """Pseudo-remainder of la by lb, both q-lists of Z[t] dicts, deg la >= deg lb."""
-    r = [dict(u) for u in la]
-    db = len(lb) - 1
-    lcb = lb[db]
-    _qlist_trim(r)
-    while r and len(r) - 1 >= db:
-        dr = len(r) - 1
-        lcr = r[dr]
-        shift = dr - db
-        nr = [_umul(u, lcb) for u in r[:dr]]
-        for i in range(db):
-            nr[i + shift] = _psub(nr[i + shift], _umul(lb[i], lcr))
-        r = _qlist_trim(nr)
-    return r
-
-
-def _prs_gcd_q(a, b):
-    """Primitive PRS in q over Z[t]; inputs nonconstant in q."""
-    la, lb = _to_q_list(a), _to_q_list(b)
-    conta, contb = _qlist_content(la), _qlist_content(lb)
-    cont = _ugcd(conta, contb)
-    la = _qlist_divexact(la, conta)
-    lb = _qlist_divexact(lb, contb)
-    if len(la) < len(lb):
-        la, lb = lb, la
-    while lb:
-        r = _pseudo_rem_q(la, lb)
-        if r:
-            cr = _qlist_content(r)
-            if cr != {0: 1}:
-                r = _qlist_divexact(r, cr)
-        la, lb = lb, r
-    g = _from_q_list(la)
-    return _pmul(g, {(0, e): c for e, c in cont.items()})
+        x = 2 * min(max(map(abs, a0.values())),
+                    max(map(abs, b0.values()))) + 29
+        while True:
+            h = _hgcd(_peval(a0, k, x), _peval(b0, k, x), k - 1)
+            g = _genpoly(h, x, k)
+            g = _pdiv_int(g, _pcontent_int(g))
+            try:
+                _pdivexact(a0, g)
+                _pdivexact(b0, g)
+                break
+            except ArithmeticError:
+                x = x * 73794 // 27011
+    return _pshift(_pscale(g, math.gcd(ca, cb)), min(amq, bmq), min(amt, bmt))
 
 
 def _pgcd(a, b):
     """gcd in Z[q,t], normalized so its smallest (lex, q-major) term is positive."""
-    if not a:
-        g = dict(b)
-    elif not b:
-        g = dict(a)
-    else:
-        amq = min(e[0] for e in a)
-        amt = min(e[1] for e in a)
-        bmq = min(e[0] for e in b)
-        bmt = min(e[1] for e in b)
-        mq, mt = min(amq, bmq), min(amt, bmt)
-        a0 = _pshift(a, -amq, -amt)
-        b0 = _pshift(b, -bmq, -bmt)
-        ca, cb = _pcontent_int(a0), _pcontent_int(b0)
-        c = math.gcd(ca, cb)
-        a0 = _pdiv_int(a0, ca)
-        b0 = _pdiv_int(b0, cb)
-        if a0 == b0:
-            g = _pscale(a0, c)
-        elif len(a0) == 1 or len(b0) == 1:
-            g = {(0, 0): c}
-        else:
-            dq = _probe_gcd_deg_q(a0, b0)
-            if dq == 0:
-                gq = _ugcd(_qlist_content(_to_q_list(a0)),
-                           _qlist_content(_to_q_list(b0)))
-                g = _pscale({(0, e): d for e, d in gq.items()}, c)
-            else:
-                dt = _probe_gcd_deg_q(_swap_qt(a0), _swap_qt(b0))
-                if dt == 0:
-                    sa, sb = _swap_qt(a0), _swap_qt(b0)
-                    gt = _ugcd(_qlist_content(_to_q_list(sa)),
-                               _qlist_content(_to_q_list(sb)))
-                    g = _pscale({(e, 0): d for e, d in gt.items()}, c)
-                else:
-                    g = _pscale(_prs_gcd_q(a0, b0), c)
-        if not (not a or not b):
-            g = _pshift(g, mq, mt)
+    g = _hgcd(a, b, 1)
     if g and g[min(g)] < 0:
         g = _pneg(g)
     return g

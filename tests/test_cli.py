@@ -6,7 +6,7 @@ import pytest
 
 from msym import cli
 from msym.polyring import MultiPoly
-from msym.qt_field import QtRational, parse_qt
+from msym.qt_field import ONE, QtRational, parse_qt
 
 
 def run(capsys, argv):
@@ -160,6 +160,24 @@ class TestExitCodes:
         rc, out, _ = run(capsys, argv + ["--N", "3"])
         assert rc == 0 and out.splitlines()[0] != "0"
 
+    def test_arithmetic_error_is_a_usage_error(self, capsys, monkeypatch):
+        def inexact(args):
+            raise ArithmeticError("inexact polynomial division")
+        monkeypatch.setattr(cli, "cmd_kernel", inexact)
+        rc, out, err = run(capsys, ["kernel"])
+        assert rc == 2 and out == ""
+        assert err == "error: inexact polynomial division\n"
+
+    def test_inclusion_needs_positive_degree(self, capsys):
+        # the random adjointness pairs draw a degree from 1..--deg-max
+        argv = ["verify", "inclusion", "--m-max", "1", "--deg-max", "0"]
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == ("error: verify inclusion needs --deg-max >= 1 "
+                       "when --count > 0\n")
+        rc, out, _ = run(capsys, argv + ["--count", "0"])
+        assert rc == 0 and "3/3 identities passed" in out
+
     def test_verify_failure_exit_code(self, capsys, monkeypatch):
         def broken(bounds):
             yield "made-to-fail", "", iter([(None, False, True)])
@@ -221,6 +239,28 @@ class TestVerifySuites:
         rc, out, _ = run(capsys, ["verify", "cauchy", "--m-max", "1",
                                   "--maxdeg", "2"])
         assert rc == 0
+
+    def test_m_zero_runs_only_m_zero(self, capsys):
+        rc, out, _ = run(capsys, ["--json", "verify", "orthogonality",
+                                  "--m", "0", "--deg-max", "1"])
+        assert rc == 0
+        bounds = [e["bounds"] for e in json.loads(out)["report"]]
+        assert bounds and all(b.startswith("m=0 ") for b in bounds)
+
+    def test_inversion_checks_no_vanishing_label(self, capsys, monkeypatch):
+        # lambda = (1,1,1) has P_Lambda = 0 in N = m + 2 variables, where
+        # its inversion check would compare 0 with 0
+        checked = []
+
+        def record(lab, N, return_sides):
+            checked.append((lab, N))
+            return ONE, ONE
+        monkeypatch.setattr(cli, "invert_qt", record)
+        rc, out, _ = run(capsys, ["verify", "inversion", "--m-max", "2",
+                                  "--deg-max", "3"])
+        assert rc == 0 and "3/3 identities passed" in out
+        assert len(checked) == 6 + 13 + 24
+        assert all(cli.msym_P(lab, N).poly for lab, N in checked)
 
     def test_qt_point_mode(self, capsys):
         rc, out, _ = run(capsys, ["verify", "eigen", "--N", "3",

@@ -1,13 +1,15 @@
 """Exact rational-function arithmetic in q and t."""
 
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
-                           qt_sum, _pgcd, _pmul, _pdivexact)
+                           qt_sum, _pgcd, _pmul, _pdivexact, _hgcd, _peval,
+                           _genpoly)
 
 
 def frac(num, den):
@@ -136,6 +138,39 @@ def _random_rational(rng):
     return QtRational(num, den)
 
 
+@st.composite
+def gcd_inputs(draw):
+    """(a, b, g): polynomials in q and t, in q only or in t only, with
+    coefficients up to 5 or up to 10**30, each times a monomial."""
+    shape = draw(st.sampled_from(("qt", "q", "t")))
+    cmax = draw(st.sampled_from((5, 10 ** 30)))
+    dq, dt = (3 if shape != "t" else 0), (3 if shape != "q" else 0)
+
+    def poly(nterms):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, dq), st.integers(0, dt)),
+            st.integers(-cmax, cmax).filter(bool),
+            min_size=1, max_size=nterms))
+        mono = (draw(st.integers(0, min(dq, 2))),
+                draw(st.integers(0, min(dt, 2))))
+        return _pmul(terms, {mono: 1})
+
+    return poly(4), poly(4), poly(3)
+
+
+def _gcd_within(a, b, seconds=10):
+    """_pgcd(a, b), failing instead of hanging if its loop does not end."""
+    def expire(signum, frame):
+        raise TimeoutError("gcd loop still running after %d s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return _pgcd(a, b)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
 class TestGcd:
     def test_divides_both(self):
         rng = random.Random(21)
@@ -166,6 +201,45 @@ class TestGcd:
                       for mon, c in sympy.gcd(pa, pb).terms()}
             neg = {e: -c for e, c in theirs.items()}
             assert mine == theirs or mine == neg
+
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_inputs())
+    def test_common_factor_against_sympy(self, abg):
+        sympy = pytest.importorskip("sympy")
+        qs, ts = sympy.symbols("q t")
+        a, b, g = abg
+        a, b = _pmul(a, g), _pmul(b, g)
+        mine = _gcd_within(a, b)
+        theirs = sympy.gcd(sympy.Poly(a, qs, ts, domain=sympy.ZZ),
+                           sympy.Poly(b, qs, ts, domain=sympy.ZZ))
+        theirs = {tuple(mon): int(c) for mon, c in theirs.terms()}
+        assert mine == theirs or mine == {e: -c for e, c in theirs.items()}
+
+    def test_fixed_divisor(self):
+        # every value of q(q+1)(q+2) and of (q+3)(q+4)(q+5) is a multiple of
+        # 6 (of 2 for (q+1)(q+2), left once q is stripped), so the images
+        # always share an integer the gcd must drop
+        a = _pmul(_pmul({(1, 0): 1}, {(1, 0): 1, (0, 0): 1}),
+                  {(1, 0): 1, (0, 0): 2})
+        b = _pmul(_pmul({(1, 0): 1, (0, 0): 3}, {(1, 0): 1, (0, 0): 4}),
+                  {(1, 0): 1, (0, 0): 5})
+        assert _gcd_within(a, b) == {(0, 0): 1}
+        qt = {(1, 0): 1, (0, 1): 1}
+        assert _gcd_within(_pmul(a, qt), _pmul(b, qt)) == qt
+
+    def test_first_lift_rejected(self):
+        # a = (t+1)(q+t), b = (t+33)(q+t) start at x = 2*1 + 29 = 31, where
+        # the images 32(q+31) and 64(q+31) share the spurious factor 32; the
+        # lift of 32(q+31) is (t+1)(q+t), which divides a but not b, so x
+        # must grow (to 84: 85(q+84) and 117(q+84) lift to q+t)
+        qt = {(1, 0): 1, (0, 1): 1}
+        a = _pmul(qt, {(0, 1): 1, (0, 0): 1})
+        b = _pmul(qt, {(0, 1): 1, (0, 0): 33})
+        lift = _genpoly(_hgcd(_peval(a, 1, 31), _peval(b, 1, 31), 0), 31, 1)
+        assert lift == a
+        with pytest.raises(ArithmeticError):
+            _pdivexact(b, lift)
+        assert _gcd_within(a, b) == qt
 
     def test_canonical_form_against_sympy(self):
         # after random field operations, num/den is coprime in Z[q,t]
