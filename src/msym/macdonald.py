@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import qt_ring
 from .qt_field import QtRational, ONE, ZERO, t_factorial
 from .polyring import MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
@@ -46,9 +47,10 @@ def eta_bar(eta, i):
 _E_CACHE = {}
 _H_CACHE = {}
 _P_CACHE = {}
-# Every memo table clear_caches() empties.  structure appends its
-# basis-inverse cache here, because this module cannot import structure.
-_CACHES = [_E_CACHE, _H_CACHE, _P_CACHE]
+# Every memo table clear_caches() empties: these, qt_ring's tables of
+# cyclotomic polynomials and expanded denominators, and the two structure
+# appends here, because this module cannot import structure.
+_CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED]
 
 
 def _build_E(eta):

@@ -1,10 +1,9 @@
 """Exact arithmetic in the field Q(q,t).
 
-Scalars are reduced fractions of bivariate integer polynomials.  A polynomial
-is stored sparsely as a dict mapping (q_exponent, t_exponent) to a nonzero
-arbitrary-precision integer; exponents are never negative.  Negative powers of
-q or t (needed for q**-1, t**-1 substitutions) are expressed by clearing the
-monomial into the denominator.
+Scalars are reduced fractions of bivariate integer polynomials, stored as
+qt_ring's dicts {(q_exponent, t_exponent): int} with no negative exponents.
+Negative powers of q or t (needed for q**-1, t**-1 substitutions) are
+expressed by clearing the monomial into the denominator.
 
 Canonical form of a fraction num/den:
   * gcd(num, den) = 1 in Z[q,t] (including integer content),
@@ -12,20 +11,47 @@ Canonical form of a fraction num/den:
     (q-major, then t) is positive.
 Equality and hashing rely on this canonical form being unique.
 
-Every operation returns its result in this form.  A sparse sum of many
-coefficients goes through qt_sum, which reduces once per denominator group
-of the output coefficient instead of once per added term; since the form is
-unique, the result is the one term-by-term addition gives.
+Denominators are kept factored.  Every denominator msym builds divides a
+product of binomials 1 - q^a t^b (Knop, J. reine angew. Math. 482, 1997;
+Sahi, IMRN 1996), and 1 - u^g is the product of the cyclotomic polynomials
+Phi_d(u), d | g.  So next to the expanded den a value keeps its
+factorization c q^i t^j prod Phi_n(q^a t^b)^k with gcd(a, b) = 1, where
+c q^i t^j is den's lowest term and Phi_1(u) is taken as 1 - u.  Each such
+factor is irreducible, so a numerator can share with den only factors den
+already lists, and reduction is trial division by them:
+  * a product merges the exponents and divides each numerator by the other
+    operand's factors;
+  * a sum takes the lcm, the largest exponent of each factor, and divides
+    the new numerator only by factors both operands have to the lcm's
+    power (qt_sum takes one lcm over all its denominator groups);
+  * an inverse factors its new denominator: a binomial in closed form,
+    anything else by trial division over the factors that fit in its
+    bidegree;
+  * q -> 1/q, t -> 1/t maps each factor to itself up to a monomial.
+Phi_n(q^a t^b) divides a polynomial exactly when it divides each class of
+terms along the direction (a, b), a polynomial in u = q^a t^b
+(qt_ring._fdiv), so a trial division that fails costs one pass and no
+exception.
 
-The gcd in Z[q,t] is the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
+A denominator that does not factor this way comes only from
+QtRational(num, den) or parse_qt.  Such a value, and every value computed
+from it, is reduced by the gcd in Z[q,t] instead, once per operation on the
+unreduced result: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
 Comp. 7, 1989), one recursive function from t through q down to integers:
 evaluate a variable at an integer x, take the gcd of the images one level
-down, and read it back as the polynomial whose balanced base-x digits it has.
-Exact division of both inputs by the lifted candidate is its certificate: with
-x above twice the smaller input's largest coefficient, a candidate that
-divides both is the gcd.  A rejected candidate makes x grow, and the loop ends
-because the images' spurious common factor stops growing with x (see _hgcd).
-The result is deterministic: no randomness, no retry cap, no fallback.
+down, and read it back as the polynomial whose balanced base-x digits it
+has.  Exact division of both inputs by the lifted candidate is its
+certificate, and the quotients are the cofactors the fraction is reduced
+to: with x above twice the smaller input's largest coefficient, a candidate
+that divides both is the gcd.  A rejected candidate makes x grow, and the
+loop ends because the images' spurious common factor stops growing with x
+(see _hgcd).  The result is deterministic: no randomness, no retry cap, no
+fallback.
+
+Every operation returns its result in this form.  A sparse sum of many
+coefficients goes through qt_sum, which reduces once per output coefficient
+instead of once per added term; since the form is unique, the result is the
+one term-by-term addition gives.
 """
 
 from __future__ import annotations
@@ -33,122 +59,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .qt_ring import (_ONE_TERMS, _cancel, _den, _fac_of, _factor, _lcm_sum,
+                      _lowest, _p_eval, _p_str, _padd, _parse_poly,
+                      _pcontent_int, _pdiv_int, _pdivexact, _pmul, _pneg,
+                      _pscale, _pshift)
+
 # ---------------------------------------------------------------------------
-# raw polynomial dicts {(qexp, texp): int}
+# gcd, for denominators that do not factor
 # ---------------------------------------------------------------------------
-
-def _padd(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _pneg(a):
-    return {e: -c for e, c in a.items()}
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return {}
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        ((ea, eb), c), = a.items()
-        if c == 1 and ea == 0 and eb == 0:
-            return dict(b)
-        return {(ea + e0, eb + e1): c * d for (e0, e1), d in b.items()}
-    out = {}
-    for (a1, a2), c in a.items():
-        for (b1, b2), d in b.items():
-            e = (a1 + b1, a2 + b2)
-            s = out.get(e, 0) + c * d
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _pscale(a, c):
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(a)
-    return {e: c * v for e, v in a.items()}
-
-
-def _pshift(a, dq, dt):
-    if dq == 0 and dt == 0:
-        return dict(a)
-    return {(e0 + dq, e1 + dt): c for (e0, e1), c in a.items()}
-
-
-def _pcontent_int(a):
-    g = 0
-    for c in a.values():
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
-def _pdiv_int(a, n):
-    if n == 1:
-        return dict(a)
-    return {e: c // n for e, c in a.items()}
-
-
-def _pdivexact(a, b):
-    """Exact division in Z[q,t]; raises ArithmeticError if not exact."""
-    if not a:
-        return {}
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lb = max(b)
-    lcb = b[lb]
-    if len(b) == 1:
-        out = {}
-        for (e0, e1), c in a.items():
-            if e0 < lb[0] or e1 < lb[1] or c % lcb:
-                raise ArithmeticError("inexact polynomial division")
-            out[(e0 - lb[0], e1 - lb[1])] = c // lcb
-        return out
-    quot = {}
-    rem = dict(a)
-    while rem:
-        lr = max(rem)
-        de = (lr[0] - lb[0], lr[1] - lb[1])
-        c, r = divmod(rem[lr], lcb)
-        if de[0] < 0 or de[1] < 0 or r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[de] = c
-        for (b0, b1), d in b.items():
-            e = (b0 + de[0], b1 + de[1])
-            s = rem.get(e, 0) - c * d
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quot
-
-
-def _p_eval(a, q0, t0):
-    acc = Fraction(0)
-    for (e0, e1), c in a.items():
-        acc += c * q0 ** e0 * t0 ** e1
-    return acc
-
-
-# -- gcd ----------------------------------------------------------------------
 
 def _peval(a, k, x):
     """a with variable k (0 = q, 1 = t) set to the integer x."""
@@ -180,15 +98,17 @@ def _genpoly(h, x, k):
 
 
 def _hgcd(a, b, k):
-    """gcd of a and b, up to sign, where a and b involve variables 0..k only
-    (k = -1: integers, which always take a shortcut).
+    """(g, a/g, b/g) with g the gcd of a and b, up to sign, where a and b
+    involve variables 0..k only (k = -1: integers, which always take a
+    shortcut).
 
     Each input loses its integer content and its monomial part first, at
     every level, so the gcd returned one level down is exact: a proper
     divisor of it would pass the division test below and leave a fraction
     unreduced.  Then variable k is set to x, starting above
     2*min(|a|_inf, |b|_inf) + 1, where a candidate that divides both inputs
-    is their gcd (Char, Geddes and Gonnet).
+    is their gcd (Char, Geddes and Gonnet).  The two exact divisions that
+    certify it are the cofactors; a lift of 1 needs no test.
 
     The loop ends.  Write a = g*a1, b = g*b1 with a1, b1 coprime; the
     images' gcd is g(x)*D with D = gcd(a1(x), b1(x)).  For k = 0, D divides
@@ -198,7 +118,9 @@ def _hgcd(a, b, k):
     it), which does not depend on x.  So once x > 2*|D|*|g|_inf the digits
     of g(x)*D are the coefficients of D*g, whose primitive part is g."""
     if not a or not b:
-        return dict(a or b)
+        g = dict(a or b)
+        one = {(0, 0): 1} if g else {}
+        return g, (one if a else {}), (one if b else {})
     amq = min(e[0] for e in a)
     amt = min(e[1] for e in a)
     bmq = min(e[0] for e in b)
@@ -208,110 +130,111 @@ def _hgcd(a, b, k):
     a0 = _pdiv_int(_pshift(a, -amq, -amt), ca)
     b0 = _pdiv_int(_pshift(b, -bmq, -bmt), cb)
     if a0 == b0:
-        g = a0
+        g, qa, qb = a0, _ONE_TERMS, _ONE_TERMS
     elif len(a0) == 1 or len(b0) == 1:
-        g = _ONE_TERMS
+        g, qa, qb = _ONE_TERMS, a0, b0
     else:
         x = 2 * min(max(map(abs, a0.values())),
                     max(map(abs, b0.values()))) + 29
         while True:
-            h = _hgcd(_peval(a0, k, x), _peval(b0, k, x), k - 1)
+            h = _hgcd(_peval(a0, k, x), _peval(b0, k, x), k - 1)[0]
             g = _genpoly(h, x, k)
             g = _pdiv_int(g, _pcontent_int(g))
+            if len(g) == 1 and (0, 0) in g:
+                g, qa, qb = _ONE_TERMS, a0, b0
+                break
             try:
-                _pdivexact(a0, g)
-                _pdivexact(b0, g)
+                qa = _pdivexact(a0, g)
+                qb = _pdivexact(b0, g)
                 break
             except ArithmeticError:
                 x = x * 73794 // 27011
-    return _pshift(_pscale(g, math.gcd(ca, cb)), min(amq, bmq), min(amt, bmt))
+    cg = math.gcd(ca, cb)
+    mq, mt = min(amq, bmq), min(amt, bmt)
+    return (_pshift(_pscale(g, cg), mq, mt),
+            _pshift(_pscale(qa, ca // cg), amq - mq, amt - mt),
+            _pshift(_pscale(qb, cb // cg), bmq - mq, bmt - mt))
 
 
 def _pgcd(a, b):
     """gcd in Z[q,t], normalized so its smallest (lex, q-major) term is positive."""
-    g = _hgcd(a, b, 1)
+    g = _hgcd(a, b, 1)[0]
     if g and g[min(g)] < 0:
         g = _pneg(g)
     return g
 
 
 # ---------------------------------------------------------------------------
-# printing
-# ---------------------------------------------------------------------------
-
-def _pterm_str(c, e0, e1):
-    mono = []
-    if e0 == 1:
-        mono.append("q")
-    elif e0 > 1:
-        mono.append("q^%d" % e0)
-    if e1 == 1:
-        mono.append("t")
-    elif e1 > 1:
-        mono.append("t^%d" % e1)
-    m = "*".join(mono)
-    if not m:
-        return str(c)
-    if c == 1:
-        return m
-    if c == -1:
-        return "-" + m
-    return "%d*%s" % (c, m)
-
-
-def _p_str(a):
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        s = _pterm_str(a[e], e[0], e[1])
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
 
-_ONE_TERMS = {(0, 0): 1}
+def _sign_fixed(num, den):
+    """num, den with den's lowest term made positive."""
+    if den[min(den)] < 0:
+        return _pneg(num), _pneg(den)
+    return num, den
+
+
+def _reduced(t, c, i, j, fac, cands):
+    """The canonical t / (c q^i t^j prod(fac)), cands the factors that may
+    divide t."""
+    t, c, i, j, fac = _cancel(t, c, i, j, fac, cands)
+    den, fac = _den(c, i, j, fac)
+    return QtRational._raw(t, den, fac)
+
+
+def _over(t, den, fac):
+    """The canonical t/den for a canonical den with factorization fac
+    (None: not known)."""
+    if fac is None:
+        _, t, den = _hgcd(t, den, 1)
+        t, den = _sign_fixed(t, den)
+        return QtRational._raw(t, den, None)
+    return _reduced(t, *_lowest(den), fac, fac)
 
 
 class QtRational:
-    """Canonical reduced element of Q(q,t)."""
+    """Canonical reduced element of Q(q,t).
 
-    __slots__ = ("num", "den", "_hash")
+    fac is den's factorization, a sorted tuple of ((n, a, b), k) with
+    den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's lowest term,
+    or None when den is not known to factor so.  num and den are never
+    mutated, so values share them."""
+
+    __slots__ = ("num", "den", "fac", "_hash")
 
     def __init__(self, num, den=None):
         n = dict(num)
-        d = dict(_ONE_TERMS) if den is None else dict(den)
+        d = _ONE_TERMS if den is None else dict(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n:
-            d = dict(_ONE_TERMS)
-        elif d != _ONE_TERMS:
-            g = _pgcd(n, d)
-            if g != _ONE_TERMS:
-                n = _pdivexact(n, g)
-                d = _pdivexact(d, g)
-        if d[min(d)] < 0:
-            n = _pneg(n)
-            d = _pneg(d)
+            d, fac = _ONE_TERMS, ()
+        else:
+            parts = _factor(d)
+            if parts is None:
+                _, n, d = _hgcd(n, d, 1)
+                n, d = _sign_fixed(n, d)
+                fac = None
+            else:
+                c, i, j, fac = parts
+                if c < 0:
+                    n, c = _pneg(n), -c
+                n, c, i, j, fac = _cancel(n, c, i, j, fac, fac)
+                d, fac = _den(c, i, j, fac)
         self.num = n
         self.den = d
+        self.fac = fac
         self._hash = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _raw(cls, num, den):
+    def _raw(cls, num, den, fac):
         x = object.__new__(cls)
         x.num = num
         x.den = den
+        x.fac = fac
         x._hash = None
         return x
 
@@ -319,7 +242,7 @@ class QtRational:
     def from_int(cls, n):
         if n == 0:
             return _ZERO
-        return cls._raw({(0, 0): n}, dict(_ONE_TERMS))
+        return cls._raw({(0, 0): n}, _ONE_TERMS, ())
 
     @classmethod
     def monomial(cls, coeff=1, qexp=0, texp=0):
@@ -328,7 +251,8 @@ class QtRational:
             return _ZERO
         nq, nt = max(qexp, 0), max(texp, 0)
         dq, dt = max(-qexp, 0), max(-texp, 0)
-        return cls._raw({(nq, nt): coeff}, {(dq, dt): 1})
+        return cls._raw({(nq, nt): coeff},
+                        {(dq, dt): 1} if dq or dt else _ONE_TERMS, ())
 
     # -- predicates ------------------------------------------------------
 
@@ -346,39 +270,31 @@ class QtRational:
     def _add_sub(self, other, sub):
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if sub:
-            n2 = _pneg(n2)
-        if not n1:
-            return QtRational._raw(dict(n2), d2)
         if not n2:
             return self
+        if sub:
+            n2 = _pneg(n2)
+        elif not n1:
+            return other
+        if not n1:
+            return QtRational._raw(n2, d2, other.fac)
+        f1, f2 = self.fac, other.fac
         if d1 == d2:
             t = _padd(n1, n2)
             if not t:
                 return _ZERO
             if d1 == _ONE_TERMS:
-                return QtRational._raw(t, dict(_ONE_TERMS))
-            h = _pgcd(t, d1)
-            if h == _ONE_TERMS:
-                return QtRational._raw(t, dict(d1))
-            return QtRational._raw(_pdivexact(t, h), _pdivexact(d1, h))
-        # Henrici: reduce by g = gcd(d1, d2) so growth stays linear
-        g = _pgcd(d1, d2)
-        if g == _ONE_TERMS:
+                return QtRational._raw(t, _ONE_TERMS, ())
+            fac = f2 if f1 is None else f1
+            return _over(t, d1, fac)
+        if f1 is None or f2 is None:
             t = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            if not t:
-                return _ZERO
-            return QtRational._raw(t, _pmul(d1, d2))
-        d1p = _pdivexact(d1, g)
-        d2p = _pdivexact(d2, g)
-        t = _padd(_pmul(n1, d2p), _pmul(n2, d1p))
+            return _over(t, _pmul(d1, d2), None) if t else _ZERO
+        t, c, i, j, fac, cands = _lcm_sum(((n1, d1, f1, True),
+                                           (n2, d2, f2, True)))
         if not t:
             return _ZERO
-        h = _pgcd(t, g)
-        if h == _ONE_TERMS:
-            return QtRational._raw(t, _pmul(d1, d2p))
-        return QtRational._raw(_pdivexact(t, h),
-                               _pmul(_pdivexact(d1, h), d2p))
+        return _reduced(t, c, i, j, fac, cands)
 
     def __add__(self, other):
         if not isinstance(other, QtRational):
@@ -386,7 +302,7 @@ class QtRational:
         return self._add_sub(other, False)
 
     def __neg__(self):
-        return QtRational._raw(_pneg(self.num), self.den)
+        return QtRational._raw(_pneg(self.num), self.den, self.fac)
 
     def __sub__(self, other):
         if not isinstance(other, QtRational):
@@ -395,33 +311,35 @@ class QtRational:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0 or not self.num:
-                return _ZERO
-            return QtRational(_pscale(self.num, other), self.den)
-        if not isinstance(other, QtRational):
+            other = QtRational.from_int(other)
+        elif not isinstance(other, QtRational):
             return NotImplemented
-        if not self.num or not other.num:
+        n1, d1 = self.num, self.den
+        n2, d2 = other.num, other.den
+        if not n1 or not n2:
             return _ZERO
-        if self.den == _ONE_TERMS and other.den == _ONE_TERMS:
-            return QtRational._raw(_pmul(self.num, other.num), dict(_ONE_TERMS))
-        # cross-reduce; the result is then automatically in lowest terms
-        if other.den == _ONE_TERMS:
-            n1, d2 = self.num, other.den
-        else:
-            g1 = _pgcd(self.num, other.den)
-            n1 = self.num if g1 == _ONE_TERMS else _pdivexact(self.num, g1)
-            d2 = other.den if g1 == _ONE_TERMS else _pdivexact(other.den, g1)
-        if self.den == _ONE_TERMS:
-            n2, d1 = other.num, self.den
-        else:
-            g2 = _pgcd(other.num, self.den)
-            n2 = other.num if g2 == _ONE_TERMS else _pdivexact(other.num, g2)
-            d1 = self.den if g2 == _ONE_TERMS else _pdivexact(self.den, g2)
-        num = _pmul(n1, n2)
-        den = _pmul(d1, d2)
-        if den[min(den)] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return QtRational._raw(num, den)
+        if d1 == _ONE_TERMS and d2 == _ONE_TERMS:
+            return QtRational._raw(_pmul(n1, n2), _ONE_TERMS, ())
+        f1, f2 = self.fac, other.fac
+        if f1 is None or f2 is None:
+            return _over(_pmul(n1, n2), _pmul(d1, d2), None)
+        # each numerator is coprime to its own denominator, so only the
+        # other operand's factors can cancel from it
+        c1 = c2 = 1
+        i1 = j1 = i2 = j2 = 0
+        if d2 != _ONE_TERMS:
+            c2, i2, j2 = _lowest(d2)
+            n1, c2, i2, j2, f2 = _cancel(n1, c2, i2, j2, f2, f2)
+        if d1 != _ONE_TERMS:
+            c1, i1, j1 = _lowest(d1)
+            n2, c1, i1, j1, f1 = _cancel(n2, c1, i1, j1, f1, f1)
+        if f1 and f2:
+            exps = dict(f1)
+            for key, k in f2:
+                exps[key] = exps.get(key, 0) + k
+            f1 = _fac_of(exps)
+        den, fac = _den(c1 * c2, i1 + i2, j1 + j2, f1 or f2)
+        return QtRational._raw(_pmul(n1, n2), den, fac)
 
     __rmul__ = __mul__
 
@@ -438,25 +356,40 @@ class QtRational:
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(q,t)")
         num, den = self.den, self.num
-        if den[min(den)] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return QtRational._raw(num, den)
+        parts = _factor(den)
+        if parts is None:
+            num, den = _sign_fixed(num, den)
+            return QtRational._raw(num, den, None)
+        c, i, j, fac = parts
+        if c < 0:
+            num, c = _pneg(num), -c
+        den, fac = _den(c, i, j, fac)
+        return QtRational._raw(num, den, fac)
 
     def normalized(self):
         """Re-canonicalize (idempotent on canonical values)."""
         return QtRational(self.num, self.den)
 
     def invert_params(self):
-        """Substitute q -> 1/q and t -> 1/t."""
+        """Substitute q -> 1/q and t -> 1/t.
+
+        Both polynomials are reflected in their bidegree and the common
+        monomial is dropped.  The substitution is an automorphism of
+        Z[q^+-1, t^+-1], so the reflections stay coprime and keep their
+        content, and it maps each Phi_n(q^a t^b) to itself times a monomial
+        (and -1 for n = 1): the result needs its sign fixed, no gcd, and
+        keeps fac."""
         if not self.num:
             return _ZERO
         nq = max(e[0] for e in self.num)
         nt = max(e[1] for e in self.num)
         dq = max(e[0] for e in self.den)
         dt = max(e[1] for e in self.den)
-        num = {(nq - e0, nt - e1): c for (e0, e1), c in self.num.items()}
-        den = {(dq - e0, dt - e1): c for (e0, e1), c in self.den.items()}
-        return QtRational(_pshift(num, dq, dt), _pshift(den, nq, nt))
+        sq, st = max(dq, nq), max(dt, nt)
+        num = {(sq - e0, st - e1): c for (e0, e1), c in self.num.items()}
+        den = {(sq - e0, st - e1): c for (e0, e1), c in self.den.items()}
+        num, den = _sign_fixed(num, den)
+        return QtRational._raw(num, den, self.fac)
 
     # -- comparisons, hashing, printing -----------------------------------
 
@@ -492,18 +425,17 @@ class QtRational:
         return _p_eval(self.num, q0, t0) / d
 
 
-_ZERO = QtRational._raw({}, dict(_ONE_TERMS))
-_ONE = QtRational._raw({(0, 0): 1}, dict(_ONE_TERMS))
+_ZERO = QtRational._raw({}, _ONE_TERMS, ())
+_ONE = QtRational._raw({(0, 0): 1}, _ONE_TERMS, ())
 
 ZERO = _ZERO
 ONE = _ONE
-Q = QtRational._raw({(1, 0): 1}, dict(_ONE_TERMS))
-T = QtRational._raw({(0, 1): 1}, dict(_ONE_TERMS))
+Q = QtRational._raw({(1, 0): 1}, _ONE_TERMS, ())
+T = QtRational._raw({(0, 1): 1}, _ONE_TERMS, ())
 
 
-def _sum_over(values, den):
-    """Sum of values that all have denominator den: their numerators are
-    added with no gcd, and the sum is reduced once."""
+def _num_sum(values):
+    """The sum of the values' numerators, with no reduction."""
     num = dict(values[0].num)
     for v in values[1:]:
         for e, c in v.num.items():
@@ -512,21 +444,33 @@ def _sum_over(values, den):
                 num[e] = s
             else:
                 del num[e]
+    return num
+
+
+def _sum_over(values):
+    """Sum of values that all have one denominator: their numerators are
+    added with no reduction, and the sum is reduced once."""
+    if len(values) == 1:
+        return values[0]
+    num = _num_sum(values)
+    den, fac = values[0].den, values[0].fac
     if not num:
         return _ZERO
     if den == _ONE_TERMS:
-        return QtRational._raw(num, den)
-    return QtRational(num, den)
+        return QtRational._raw(num, den, ())
+    return _over(num, den, fac)
 
 
 def qt_sum(values):
-    """Sum of a nonempty list of QtRationals, reduced once per denominator.
+    """Sum of a nonempty list of QtRationals, reduced once.
 
-    The values are grouped by denominator, each group's numerators are added
-    as integer polynomials with no gcd, each group sum is reduced once, and
-    the groups are combined by the Henrici addition of ``+``.  The result is
-    the canonical value the left fold of ``+`` gives, at fewer gcds when
-    several values share a denominator."""
+    The values are grouped by denominator and each group's numerators are
+    added as integer polynomials.  Over factored denominators the groups
+    are then brought to one lcm and the total is reduced once, by trial
+    division over the lcm's factors that can cancel; when a denominator
+    does not factor, each group sum is reduced and the groups are added
+    with ``+``.  The result is the canonical value the left fold of ``+``
+    gives."""
     if len(values) < 3:
         return values[0] + values[1] if len(values) == 2 else values[0]
     # values over one denominator (as in every sum of polynomial
@@ -536,7 +480,7 @@ def qt_sum(values):
         if v.den != d0:
             break
     else:
-        return _sum_over(values, d0)
+        return _sum_over(values)
     groups = {}
     for v in values:
         d = v.den
@@ -547,25 +491,31 @@ def qt_sum(values):
             groups[key] = [v]
         else:
             g.append(v)
-    total = None
+    if any(g[0].fac is None for g in groups.values()):
+        total = None
+        for g in groups.values():
+            s = _sum_over(g)
+            total = s if total is None else total + s
+        return total
+    parts = []
     for g in groups.values():
-        s = g[0] if len(g) == 1 else _sum_over(g, g[0].den)
-        total = s if total is None else total + s
-    return total
+        num = _num_sum(g)
+        if num:
+            parts.append((num, g[0].den, g[0].fac, len(g) == 1))
+    t, c, i, j, fac, cands = _lcm_sum(parts)
+    if not t:
+        return _ZERO
+    return _reduced(t, c, i, j, fac, cands)
 
 
 def t_factorial(k, inverse=False):
     """[k]_t! = (1-t)(1-t^2)...(1-t^k) / (1-t)^k, or the same in t**-1."""
     v = T.inverse() if inverse else T
-    one = _ONE
-    num = _ONE
-    den = _ONE
-    vp = one
-    for j in range(1, k + 1):
+    out = vp = _ONE
+    for _ in range(k):
         vp = vp * v
-        num = num * (one - vp)
-        den = den * (one - v)
-    return num / den if k else _ONE
+        out = out * (_ONE - vp) / (_ONE - v)
+    return out
 
 
 def parse_qt(s):
@@ -575,31 +525,3 @@ def parse_qt(s):
         i = s.index(")/(")
         return QtRational(_parse_poly(s[1:i]), _parse_poly(s[i + 3:-1]))
     return QtRational(_parse_poly(s))
-
-
-def _parse_poly(s):
-    s = s.replace(" - ", " +-").replace("- ", "-")
-    out = {}
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff = 1
-        e0 = e1 = 0
-        for f in chunk.split("*"):
-            f = f.strip()
-            if not f:
-                continue
-            if f[0] == "q":
-                e0 = int(f[2:]) if "^" in f else 1
-            elif f[0] == "t":
-                e1 = int(f[2:]) if "^" in f else 1
-            else:
-                coeff = int(f)
-        e = (e0, e1)
-        out[e] = out.get(e, 0) + sign * coeff
-    return {e: c for e, c in out.items() if c}

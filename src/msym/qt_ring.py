@@ -1,0 +1,447 @@
+"""The ring Z[q,t]: integer polynomials in q and t, and their factors
+Phi_n(q^a t^b).
+
+A polynomial is a dict mapping (q_exponent, t_exponent) to a nonzero
+arbitrary-precision integer; exponents are never negative.  Functions here
+return new dicts and never mutate their arguments.
+
+For gcd(a, b) = 1 the polynomial Phi_n(q^a t^b) is irreducible, with Phi_1(u)
+taken as 1 - u so that every factor has constant term 1.  The terms of a
+polynomial whose exponents differ by multiples of (a, b) form a class, a
+monomial times a polynomial in u = q^a t^b, and Phi_n(q^a t^b) divides the
+polynomial exactly when Phi_n(u) divides every class (_fdiv).  A factored
+denominator c q^i t^j prod Phi_n(q^a t^b)^k is kept as its lowest term
+c q^i t^j and a sorted tuple of ((n, a, b), k).
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+_ONE_TERMS = {(0, 0): 1}
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+# ---------------------------------------------------------------------------
+
+def _padd(a, b):
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _pneg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _pmul(a, b):
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ea, eb), c), = a.items()
+        if c == 1 and ea == 0 and eb == 0:
+            return dict(b)
+        return {(ea + e0, eb + e1): c * d for (e0, e1), d in b.items()}
+    out = {}
+    for (a1, a2), c in a.items():
+        for (b1, b2), d in b.items():
+            e = (a1 + b1, a2 + b2)
+            s = out.get(e, 0) + c * d
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _pmul_into(acc, a, b):
+    """acc += a*b in place; zero coefficients stay for the caller to drop."""
+    for (a1, a2), c in a.items():
+        for (b1, b2), d in b.items():
+            e = (a1 + b1, a2 + b2)
+            acc[e] = acc.get(e, 0) + c * d
+
+
+def _pscale(a, c):
+    if c == 0:
+        return {}
+    if c == 1:
+        return dict(a)
+    return {e: c * v for e, v in a.items()}
+
+
+def _pshift(a, dq, dt):
+    if dq == 0 and dt == 0:
+        return dict(a)
+    return {(e0 + dq, e1 + dt): c for (e0, e1), c in a.items()}
+
+
+def _pcontent_int(a):
+    g = 0
+    for c in a.values():
+        g = math.gcd(g, c)
+        if g == 1:
+            return 1
+    return g
+
+
+def _pdiv_int(a, n):
+    if n == 1:
+        return dict(a)
+    return {e: c // n for e, c in a.items()}
+
+
+def _pdivexact(a, b):
+    """Exact division in Z[q,t]; raises ArithmeticError if not exact."""
+    if not a:
+        return {}
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lb = max(b)
+    lcb = b[lb]
+    if len(b) == 1:
+        out = {}
+        for (e0, e1), c in a.items():
+            if e0 < lb[0] or e1 < lb[1] or c % lcb:
+                raise ArithmeticError("inexact polynomial division")
+            out[(e0 - lb[0], e1 - lb[1])] = c // lcb
+        return out
+    quot = {}
+    rem = dict(a)
+    while rem:
+        lr = max(rem)
+        de = (lr[0] - lb[0], lr[1] - lb[1])
+        c, r = divmod(rem[lr], lcb)
+        if de[0] < 0 or de[1] < 0 or r:
+            raise ArithmeticError("inexact polynomial division")
+        quot[de] = c
+        for (b0, b1), d in b.items():
+            e = (b0 + de[0], b1 + de[1])
+            s = rem.get(e, 0) - c * d
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return quot
+
+
+def _p_eval(a, q0, t0):
+    acc = Fraction(0)
+    for (e0, e1), c in a.items():
+        acc += c * q0 ** e0 * t0 ** e1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# the factors Phi_n(q^a t^b)
+# ---------------------------------------------------------------------------
+
+# Memo tables; macdonald.clear_caches() empties them with the others.
+_PHI = {}       # n -> coefficients of Phi_n(u), constant term first
+_EXPANDED = {}  # (c, i, j, factors) -> (den expanded, factors)
+
+
+def _udiv(g, f):
+    """g / f for coefficient lists (constant term first) with f[0] = 1, or
+    None when f does not divide g.  Dividing from the constant term up,
+    the top len(f) - 1 coefficients are what is left over."""
+    m = len(f) - 1
+    nq = len(g) - m
+    if nq <= 0:
+        return None
+    h = list(g)
+    for j in range(nq):
+        c = h[j]
+        if c:
+            for l in range(1, m + 1):
+                h[j + l] -= c * f[l]
+    if any(h[nq:]):
+        return None
+    return h[:nq]
+
+
+def _phi(n):
+    """Phi_n(u), constant term first, with Phi_1 = 1 - u so that every
+    factor has constant term 1: 1 - u^n over Phi_d for each proper d | n."""
+    f = _PHI.get(n)
+    if f is None:
+        f = [1] + [0] * (n - 1) + [-1]
+        for d in range(1, n):
+            if n % d == 0:
+                f = _udiv(f, _phi(d))
+        _PHI[n] = f
+    return f
+
+
+def _classes(p, a, b):
+    """p's terms by class along (a, b): {base: {k: c}} where the term is
+    c q^base0 t^base1 u^k with u = q^a t^b (a or b may be 0, gcd(a, b) = 1)."""
+    classes = {}
+    for (e0, e1), c in p.items():
+        k = e0 // a if a else e1
+        base = (e0 - k * a, e1 - k * b)
+        cl = classes.get(base)
+        if cl is None:
+            classes[base] = {k: c}
+        else:
+            cl[k] = c
+    return classes
+
+
+def _fdiv(p, key):
+    """p / Phi_n(q^a t^b) for key = (n, a, b), or None when it does not
+    divide p.  Phi_n(u) divides p exactly when it divides the polynomial in
+    u of every class, and the quotient is theirs.
+
+    Most failures fail a cheaper test first: p(1, 1) is a multiple of
+    Phi_n(1), which is 0 for n = 1; and for n <= 2, p vanishes where u is
+    the root of Phi_n, such as q = 2^b, t = 2^-a for n = 1, with the sign
+    of q (a odd) or of t (b odd) flipped for n = 2.  Times 2^(a top), that
+    value is an integer."""
+    n, a, b = key
+    f = _phi(n)
+    at_one = sum(f)
+    s = sum(p.values())
+    if s % at_one if at_one else s:
+        return None
+    if n <= 2:
+        top = max(e[1] for e in p)
+        fq = a & 1 if n == 2 else 0   # 1: odd powers of q change sign
+        ft = fq ^ 1 if n == 2 else 0  # 1: odd powers of t change sign
+        if sum((-c if (e0 & fq) ^ (e1 & ft) else c)
+               << (b * e0 + a * (top - e1)) for (e0, e1), c in p.items()):
+            return None
+    out = {}
+    for (b0, b1), cl in _classes(p, a, b).items():
+        lo = min(cl)
+        g = [0] * (max(cl) - lo + 1)
+        for k, c in cl.items():
+            g[k - lo] = c
+        h = _udiv(g, f)
+        if h is None:
+            return None
+        for k, c in enumerate(h, lo):
+            if c:
+                out[(b0 + k * a, b1 + k * b)] = c
+    return out
+
+
+def _orders(bound):
+    """Every n with phi(n) <= bound, ascending (phi(n) >= sqrt(n/2))."""
+    top = 2 * bound * bound + 2
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    return [n for n in range(1, top + 1) if phi[n] <= bound]
+
+
+def _factor(p):
+    """p = c q^i t^j prod Phi_n(q^a t^b)^k as (c, i, j, fac), fac a sorted
+    tuple of ((n, a, b), k), or None when p has any other factor.
+
+    A binomial factors in closed form: 1 - v^g is the product of Phi_d(v),
+    d | g, and 1 + v^g = (1 - v^2g)/(1 - v^g), with v = q^a t^b.  Anything
+    else is divided by each candidate that fits in its bidegree, along each
+    direction whose classes all have two terms or more."""
+    i = min(e[0] for e in p)
+    j = min(e[1] for e in p)
+    c = p.get((i, j))
+    if c is None:
+        return None
+    c = _pcontent_int(p) if c > 0 else -_pcontent_int(p)
+    r = _pdiv_int(_pshift(p, -i, -j), c)
+    if r[(0, 0)] != 1:
+        return None
+    if len(r) == 1:
+        return c, i, j, ()
+    if len(r) == 2:
+        (e, s), = ((e, s) for e, s in r.items() if e != (0, 0))
+        if s not in (1, -1):
+            return None
+        g = math.gcd(*e)
+        return c, i, j, tuple(((d, e[0] // g, e[1] // g), 1)
+                              for d in range(1, 2 * g + 1)
+                              if 2 * g % d == 0 and (g % d == 0) == (s < 0))
+    fac = {}
+    for a in range(max(e[0] for e in r) + 1):
+        for b in range(max(e[1] for e in r) + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            span = min(max(cl) - min(cl) for cl in _classes(r, a, b).values())
+            for n in _orders(span) if span else ():
+                key = (n, a, b)
+                while True:
+                    quot = _fdiv(r, key)
+                    if quot is None:
+                        break
+                    r = quot
+                    fac[key] = fac.get(key, 0) + 1
+                if len(r) == 1:
+                    return c, i, j, tuple(sorted(fac.items()))
+    return None
+
+
+def _den(c, i, j, fac):
+    """The denominator c q^i t^j prod(fac), expanded, and fac, both the
+    shared copies every value over this denominator holds."""
+    key = (c, i, j, fac)
+    hit = _EXPANDED.get(key)
+    if hit is None:
+        p = {(i, j): c}
+        for (n, a, b), k in fac:
+            f = {(s * a, s * b): v for s, v in enumerate(_phi(n)) if v}
+            for _ in range(k):
+                p = _pmul(p, f)
+        hit = _EXPANDED[key] = (p, fac)
+    return hit
+
+
+def _lowest(den):
+    """den's lowest term c q^i t^j as (c, i, j)."""
+    e = min(den)
+    return den[e], e[0], e[1]
+
+
+def _fac_of(exps):
+    return tuple(sorted((key, k) for key, k in exps.items() if k))
+
+
+def _cancel(t, c, i, j, fac, cands):
+    """Divide t and the denominator c q^i t^j prod(fac) by their common
+    factors.  cands lists (factor, most times it may divide t); fac is
+    returned as it came when no factor cancels."""
+    if c != 1:
+        g = math.gcd(_pcontent_int(t), c)
+        if g != 1:
+            t = _pdiv_int(t, g)
+            c //= g
+    if i or j:
+        mi = min(i, min(e[0] for e in t)) if i else 0
+        mj = min(j, min(e[1] for e in t)) if j else 0
+        if mi or mj:
+            t = _pshift(t, -mi, -mj)
+            i -= mi
+            j -= mj
+    exps = None
+    # a factor has two terms or more, so it cannot divide a monomial
+    for key, k in cands if len(t) > 1 else ():
+        while k:
+            quot = _fdiv(t, key)
+            if quot is None:
+                break
+            t = quot
+            k -= 1
+            exps = exps or dict(fac)
+            exps[key] -= 1
+    if exps:
+        fac = _fac_of(exps)
+    return t, c, i, j, fac
+
+
+def _lcm_sum(parts):
+    """sum num/den over parts (num, den, fac, reduced) with factored dens, as
+    (t, c, i, j, fac, cands): t over their lcm c q^i t^j prod(fac), which
+    takes the largest exponent of each factor.  A factor of the lcm can
+    divide t only if two parts have it to the lcm's power, or one part
+    whose num is not known to be coprime to its den (reduced false); cands
+    lists those factors."""
+    lcm, c, i, j = {}, 1, 0, 0
+    exps = []
+    for num, den, fac, reduced in parts:
+        cp, ip, jp = _lowest(den)
+        c = c * cp // math.gcd(c, cp)
+        i, j = max(i, ip), max(j, jp)
+        exps.append((cp, ip, jp, dict(fac), 1 if reduced else 2))
+        for key, k in fac:
+            if k > lcm.get(key, 0):
+                lcm[key] = k
+    acc = {}
+    for (num, *_), (cp, ip, jp, e, _) in zip(parts, exps):
+        cof = _fac_of({key: k - e.get(key, 0) for key, k in lcm.items()})
+        _pmul_into(acc, num, _den(c // cp, i - ip, j - jp, cof)[0])
+    fac = _fac_of(lcm)
+    cands = [(key, k) for key, k in fac
+             if sum(w for *_, e, w in exps if e.get(key) == k) > 1]
+    return {e: v for e, v in acc.items() if v}, c, i, j, fac, cands
+
+
+# ---------------------------------------------------------------------------
+# text form
+# ---------------------------------------------------------------------------
+
+def _pterm_str(c, e0, e1):
+    mono = []
+    if e0 == 1:
+        mono.append("q")
+    elif e0 > 1:
+        mono.append("q^%d" % e0)
+    if e1 == 1:
+        mono.append("t")
+    elif e1 > 1:
+        mono.append("t^%d" % e1)
+    m = "*".join(mono)
+    if not m:
+        return str(c)
+    if c == 1:
+        return m
+    if c == -1:
+        return "-" + m
+    return "%d*%s" % (c, m)
+
+
+def _p_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a):
+        s = _pterm_str(a[e], e[0], e[1])
+        if not parts:
+            parts.append(s)
+        elif s.startswith("-"):
+            parts.append(" - " + s[1:])
+        else:
+            parts.append(" + " + s)
+    return "".join(parts)
+
+
+def _parse_poly(s):
+    s = s.replace(" - ", " +-").replace("- ", "-")
+    out = {}
+    for chunk in s.split("+"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        sign = 1
+        if chunk.startswith("-"):
+            sign = -1
+            chunk = chunk[1:]
+        coeff = 1
+        e0 = e1 = 0
+        for f in chunk.split("*"):
+            f = f.strip()
+            if not f:
+                continue
+            if f[0] == "q":
+                e0 = int(f[2:]) if "^" in f else 1
+            elif f[0] == "t":
+                e1 = int(f[2:]) if "^" in f else 1
+            else:
+                coeff = int(f)
+        e = (e0, e1)
+        out[e] = out.get(e, 0) + sign * coeff
+    return {e: c for e, c in out.items() if c}

@@ -240,3 +240,71 @@ class TestInversion:
         P = msym_P(lab, 2).poly
         lhs = P.invert_params().qshift(1, power=-1).scale(Q)
         assert lhs == P
+
+
+@pytest.fixture
+def cold_caches():
+    """Every memo table emptied for the test and refilled afterwards."""
+    from msym import macdonald
+    saved = [dict(c) for c in macdonald._CACHES]
+    macdonald.clear_caches()
+    yield
+    macdonald.clear_caches()
+    for cache, entries in zip(macdonald._CACHES, saved):
+        cache.update(entries)
+
+
+# the benchmark's construct pool: (m, max degree, N)
+_POOL = ((0, 4, 4), (1, 3, 5), (2, 3, 5))
+
+
+class TestColdConstruction:
+    def test_construct_pool_makes_no_gcd_call(self, cold_caches,
+                                              monkeypatch):
+        # every denominator of a P_Lambda build factors over
+        # Phi_n(q^a t^b), so fractions are reduced by trial division; every
+        # gcd, _pgcd's included, goes through _hgcd
+        from msym import macdonald, qt_field
+        calls = []
+        gcd = qt_field._hgcd
+
+        def counted(a, b, k):
+            calls.append((a, b))
+            return gcd(a, b, k)
+
+        monkeypatch.setattr(qt_field, "_hgcd", counted)
+        built = 0
+        for m, dmax, N in _POOL:
+            for d in range(dmax + 1):
+                for lab in enumerate_mpartitions(m, d,
+                                                 max_sym_length=N - m):
+                    macdonald.clear_caches()
+                    msym_P(lab, N)
+                    built += 1
+        assert built == 51
+        assert calls == []
+
+    def test_concurrent_builds_match_serial(self, cold_caches):
+        # four threads build the same P_Lambda set on shared cold caches,
+        # switching often; each must get what a serial build gives
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        from msym import macdonald
+        labels = [lab for d in range(4)
+                  for lab in enumerate_mpartitions(1, d, max_sym_length=3)]
+
+        def build_all():
+            return [msym_P(lab, 4).poly for lab in labels]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(build_all) for _ in range(4)]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        macdonald.clear_caches()
+        serial = build_all()
+        for result in threaded:
+            assert result == serial

@@ -5,11 +5,12 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
                            qt_sum, _pgcd, _pmul, _pdivexact, _hgcd, _peval,
                            _genpoly)
+from msym.qt_ring import _factor
 
 
 def frac(num, den):
@@ -235,7 +236,8 @@ class TestGcd:
         qt = {(1, 0): 1, (0, 1): 1}
         a = _pmul(qt, {(0, 1): 1, (0, 0): 1})
         b = _pmul(qt, {(0, 1): 1, (0, 0): 33})
-        lift = _genpoly(_hgcd(_peval(a, 1, 31), _peval(b, 1, 31), 0), 31, 1)
+        g = _hgcd(_peval(a, 1, 31), _peval(b, 1, 31), 0)[0]
+        lift = _genpoly(g, 31, 1)
         assert lift == a
         with pytest.raises(ArithmeticError):
             _pdivexact(b, lift)
@@ -380,3 +382,171 @@ class TestTextForm:
         for _ in range(50):
             x = _random_rational(rng)
             assert parse_qt(str(x)) == x
+
+
+def _cyclotomic(n):
+    """Phi_n(u) as integer coefficients, constant term first, by dividing
+    u^n - 1 by Phi_d for every proper divisor d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            g = _cyclotomic(d)
+            quot = [0] * (len(f) - len(g) + 1)
+            for k in range(len(quot) - 1, -1, -1):
+                quot[k] = f[k + len(g) - 1]
+                for j, c in enumerate(g):
+                    f[k + j] -= quot[k] * c
+            assert not any(f)
+            f = quot
+    return f
+
+
+def _in_qt(coeffs, a, b):
+    """sum_k coeffs[k] (q^a t^b)^k as a polynomial dict."""
+    return {(k * a, k * b): c for k, c in enumerate(coeffs) if c}
+
+
+_UNIT = {(0, 0): 1}
+
+
+# factors drawn half the time, so that operands share them; (1, 2, 2) is
+# 1 - q^2 t^2 = (1 - qt)(1 + qt)
+_PALETTE = ((1, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 2))
+
+
+@st.composite
+def factored_leaf(draw):
+    """(value, num, den): an integer, a monomial, f^k / f^j with f one
+    Phi_n(q^a t^b) (n <= 6, a, b <= 3; gcd(a, b) may exceed 1, so that f
+    splits) or one binomial 1 +- q^a t^b, or a fraction over a general
+    denominator."""
+    kind = draw(st.sampled_from(("int", "monomial", "phi", "phi",
+                                 "binomial", "binomial", "general")))
+    if kind == "int":
+        k = draw(st.integers(-3, 3).filter(bool))
+        return QtRational.from_int(k), {(0, 0): k}, _UNIT
+    if kind == "monomial":
+        c = draw(st.sampled_from((1, -1, 2, 3)))
+        i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        return (QtRational.monomial(c, i, j), {(max(i, 0), max(j, 0)): c},
+                {(max(-i, 0), max(-j, 0)): 1})
+    if kind == "general":
+        num = draw(st.dictionaries(st.tuples(st.integers(0, 2),
+                                             st.integers(0, 2)),
+                                   st.integers(-3, 3).filter(bool),
+                                   min_size=1, max_size=3))
+        den = draw(st.sampled_from(({(0, 0): 1, (1, 0): 2, (0, 1): 1},
+                                    {(0, 0): 3, (1, 1): -1},
+                                    {(1, 0): 1, (0, 1): 1})))
+        return QtRational(num, den), num, den
+    n, a, b = draw(st.one_of(
+        st.sampled_from(_PALETTE),
+        st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(0, 3))))
+    assume(a or b)
+    if kind == "phi":
+        f = _in_qt(_cyclotomic(n), a, b)
+    else:
+        f = {(0, 0): 1, (a, b): draw(st.sampled_from((1, -1)))}
+    num, den = _UNIT, _UNIT
+    for _ in range(draw(st.integers(0, 3))):
+        num = _pmul(num, f)
+    for _ in range(draw(st.integers(0, 3))):
+        den = _pmul(den, f)
+    if draw(st.booleans()):
+        return QtRational(num, den), num, den
+    return QtRational(num) / QtRational(den), num, den
+
+
+def _factored_expr(leaves):
+    """Trees of +, -, *, /, q,t-inversion and qt_sum over the leaves; each
+    node evaluates to (value, unreduced num, unreduced den)."""
+    binary = st.tuples(st.sampled_from(("+", "-", "*", "/")), leaves, leaves)
+    return st.one_of(
+        binary,
+        st.tuples(st.just("invert"), leaves),
+        st.tuples(st.just("sum"), st.lists(leaves, min_size=3, max_size=4)))
+
+
+def _evaluate(node):
+    if isinstance(node[0], QtRational):
+        return node
+    op, *args = node
+    if op == "invert":
+        x, n, d = _evaluate(args[0])
+        mq = max(e[0] for e in (*n, *d))
+        mt = max(e[1] for e in (*n, *d))
+        return (x.invert_params(),
+                {(mq - e0, mt - e1): c for (e0, e1), c in n.items()},
+                {(mq - e0, mt - e1): c for (e0, e1), c in d.items()})
+    if op == "sum":
+        parts = [_evaluate(a) for a in args[0]]
+        num, den = {}, _UNIT
+        for _, n, d in parts:
+            num = _padd_dicts(_pmul(num, d), _pmul(n, den))
+            den = _pmul(den, d)
+        return qt_sum([x for x, _, _ in parts]), num, den
+    (x, n1, d1), (y, n2, d2) = _evaluate(args[0]), _evaluate(args[1])
+    if op == "/":
+        assume(y)
+        return x / y, _pmul(n1, d2), _pmul(d1, n2)
+    if op == "*":
+        return x * y, _pmul(n1, n2), _pmul(d1, d2)
+    sign = 1 if op == "+" else -1
+    num = _padd_dicts(_pmul(n1, d2), {e: sign * c
+                                      for e, c in _pmul(n2, d1).items()})
+    return (x + y if op == "+" else x - y), num, _pmul(d1, d2)
+
+
+def _padd_dicts(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _gcd_reduced(num, den):
+    """num/den in canonical form, reduced by the gcd."""
+    if not num:
+        return {}, _UNIT
+    g = _pgcd(num, den)
+    num, den = _pdivexact(num, g), _pdivexact(den, g)
+    if den[min(den)] < 0:
+        num = {e: -c for e, c in num.items()}
+        den = {e: -c for e, c in den.items()}
+    return num, den
+
+
+class TestFactoredDenominators:
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
+    def test_equals_gcd_reduction(self, expr):
+        # a leaf alone checks the constructor and inverse; every tree
+        # combines factored and general operands
+        x, num, den = _evaluate(expr)
+        assert (x.num, x.den) == _gcd_reduced(num, den)
+        if x.fac is not None:
+            # the factorization describes den exactly
+            lowest = min(x.den)
+            expanded = {lowest: x.den[lowest]}
+            for (n, a, b), k in x.fac:
+                phi = _cyclotomic(n)
+                if n == 1:
+                    phi = [-v for v in phi]
+                for _ in range(k):
+                    expanded = _pmul(expanded, _in_qt(phi, a, b))
+            assert expanded == x.den
+
+    def test_factor_examples(self):
+        # 1 - q^2 t^2 = (1 - qt)(1 + qt); -2 - 2q^3 = -2 (1 + q)(1 - q + q^2);
+        # q (1 - t)^3 (1 + t + t^2) by trial division; 1 - 2q and
+        # (1 + q + t)(1 - qt) do not factor
+        assert _factor({(0, 0): 1, (2, 2): -1}) == (
+            1, 0, 0, (((1, 1, 1), 1), ((2, 1, 1), 1)))
+        assert _factor({(0, 0): -2, (3, 0): -2}) == (
+            -2, 0, 0, (((2, 1, 0), 1), ((6, 1, 0), 1)))
+        p = _pmul(_pmul({(1, 0): 1}, _in_qt([1, -3, 3, -1], 0, 1)),
+                  _in_qt([1, 1, 1], 0, 1))
+        assert _factor(p) == (1, 1, 0, (((1, 0, 1), 3), ((3, 0, 1), 1)))
+        assert _factor({(0, 0): 1, (1, 0): -2}) is None
+        assert _factor(_pmul({(0, 0): 1, (1, 0): 1, (0, 1): 1},
+                             {(0, 0): 1, (1, 1): -1})) is None
