@@ -12,46 +12,58 @@ or y alphabet of a two-alphabet polynomial.
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, _bump, _settle
+from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .qt_field import QtRational, ONE, ZERO
 
 _T = QtRational.monomial(1, 0, 1)
+_TINV = _T.inverse()
+_TINV_1 = _TINV - ONE
 
 
-def apply_T(f, i):
-    """T_i f = t f + (t x_i - x_{i+1}) (K_{i,i+1} f - f)/(x_i - x_{i+1})."""
+def apply_T(f, i, alpha=ONE, beta=ZERO):
+    """alpha T_i f + beta f, collected in one accumulation, where
+    T_i f = t f + (t x_i - x_{i+1}) (K_{i,i+1} f - f)/(x_i - x_{i+1}).
+
+    Each term c x^e contributes c (alpha t + beta) to x^e and, unless
+    e_i = e_{i+1}, c alpha t or -c alpha to the monomials between x^e and
+    its exchange; a multiplier equal to one is not applied."""
     n = f.nvars
     if not 1 <= i <= n - 1:
         raise IndexError("T_%d undefined for %d variables" % (i, n))
     i -= 1
+    one_a = alpha.is_one()
+    g1 = _T if one_a else alpha * _T
+    g0 = g1 + beta if beta else g1
+    one0, one1 = g0.is_one(), g1.is_one()
     out = {}
     for e, c in f.terms.items():
+        if g0:
+            c0 = c if one0 else c * g0
+            _bump(out, e, c0)
         a, b = e[i], e[i + 1]
-        _bump(out, e, c * _T)
-        if a == b:
+        if a == b or not alpha:
             continue
-        tc = c * _T
+        tc = c0 if g0 is g1 else (c if one1 else c * g1)
+        ac = c if one_a else c * alpha
         le = list(e)
         if b > a:
             for k in range(b - a):
                 le[i], le[i + 1] = b - k, a + k
                 _bump(out, tuple(le), tc)
                 le[i], le[i + 1] = b - 1 - k, a + 1 + k
-                _bump(out, tuple(le), -c)
+                _bump(out, tuple(le), -ac)
         else:
             for k in range(a - b):
                 le[i], le[i + 1] = a - k, b + k
                 _bump(out, tuple(le), -tc)
                 le[i], le[i + 1] = a - 1 - k, b + 1 + k
-                _bump(out, tuple(le), c)
+                _bump(out, tuple(le), ac)
     return MultiPoly._raw(n, _settle(out))
 
 
 def apply_Tbar(f, i):
-    """Inverse generator: T_i^{-1} = t^{-1} - 1 + t^{-1} T_i."""
-    tinv = _T.inverse()
-    g = apply_T(f, i).scale(tinv)
-    return g + f.scale(tinv - ONE)
+    """Inverse generator: T_i^{-1} = t^{-1} T_i + t^{-1} - 1."""
+    return apply_T(f, i, _TINV, _TINV_1)
 
 
 def apply_T_word(f, word, offset=0):
@@ -139,13 +151,11 @@ def apply_D(f, m, lo=1, hi=None):
     n = hi - lo + 1
     if m >= n:
         raise ValueError("D needs m < window size")
-    acc = MultiPoly.zero(n_all)
-    for i in range(m + 1, n + 1):
-        acc = acc + apply_Y(f, i, lo, hi)
     scal = ZERO
     for i in range(m + 1, n + 1):
         scal = scal + QtRational.monomial(1, 0, 1 - i)
-    return acc - f.scale(scal)
+    ys = [apply_Y(f, i, lo, hi) for i in range(m + 1, n + 1)]
+    return _sum_polys(n_all, ys + [f.scale(-scal)])
 
 
 def reduced_word(perm):
@@ -209,30 +219,26 @@ def symmetrize_t(f, m, naive=False):
 
 def apply_R(f, m, n):
     """R_{m+1,n} = 1 + T_{m+1} + T_{m+1}T_{m+2} + ... + T_{m+1}..T_{n-1}."""
-    acc = f
+    hs = [f]
     for j in range(m + 1, n):
         g = f
         for k in range(j, m, -1):
             g = apply_T(g, k)
-        acc = acc + g
-    return acc
+        hs.append(g)
+    return _sum_polys(f.nvars, hs)
 
 
 def apply_L(f, m, n):
     """L_{m+1,n} = 1 + T_{m+1} + T_{m+2}T_{m+1} + ... + T_{n-1}..T_{m+1}."""
-    acc = f
-    h = f
+    hs = [f]
     for j in range(m + 1, n):
-        h = apply_T(h, j)
-        acc = acc + h
-    return acc
+        hs.append(apply_T(hs[-1], j))
+    return _sum_polys(f.nvars, hs)
 
 
 def apply_Lprime(f, m, n):
     """L'_{m+1,n} = 1 + T_{n-1} + T_{n-2}T_{n-1} + ... + T_{m+1}..T_{n-1}."""
-    acc = f
-    h = f
+    hs = [f]
     for j in range(n - 1, m, -1):
-        h = apply_T(h, j)
-        acc = acc + h
-    return acc
+        hs.append(apply_T(hs[-1], j))
+    return _sum_polys(f.nvars, hs)

@@ -133,12 +133,16 @@ def _xy_geometric(nx, ny, i, j, coeff, maxdeg):
 
 def _pair_sum(Nx, Ny, maxdeg, terms):
     """sum c f(x) g(y) over the (c, f, g) in terms, truncated; f lives in
-    Nx variables and g in Ny."""
-    acc = BiPoly(Nx, Ny)
+    Nx variables and g in Ny.  Every product of a term of f with a term of
+    c g goes into one accumulation, so each coefficient is reduced once."""
+    out = {}
     for c, f, g in terms:
-        term = BiPoly.from_x(f, Ny).mul(BiPoly.from_y(g, Nx), maxdeg)
-        acc = acc + term.scale(c)
-    return acc
+        cg = [(e, v * c) for e, v in g.terms.items() if sum(e) <= maxdeg]
+        for ef, v in f.terms.items():
+            if sum(ef) <= maxdeg:
+                for e, w in cg:
+                    _bump(out, ef + e, v * w)
+    return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, _settle(out)))
 
 
 def k0_truncated(Nx, Ny, maxdeg):

@@ -21,6 +21,7 @@ from .hecke_ops import (apply_T, apply_Phi, apply_Y, apply_Lprime,
                         apply_tau_K_Tbar, symmetrize_t)
 
 _T = QtRational.monomial(1, 0, 1)
+_TINV = _T.inverse()
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,10 @@ def _build_E(eta):
             if delta.is_one():
                 raise ArithmeticError(
                     "degenerate spectral gap at %s, i=%d" % (nu, i))
-            coeff = (_T - ONE) / (ONE - delta.inverse())
-            poly = (apply_T(ev, i) - ev.scale(coeff)).scale(_T.inverse())
+            # E_eta = t^{-1} (T_i - c) E_nu, c = (t-1)/(1-delta^{-1}), so
+            # beta = -c/t
+            beta = (_TINV - ONE) / (ONE - delta.inverse())
+            poly = apply_T(ev, i, _TINV, beta)
             _E_CACHE[cur] = poly
             stack.pop()
         elif any(cur):

@@ -62,6 +62,16 @@ def _settle(acc):
     return acc
 
 
+def _sum_polys(nvars, polys):
+    """The sum of MultiPolys in nvars variables, one accumulation for all of
+    them."""
+    out = {}
+    for p in polys:
+        for e, c in p.terms.items():
+            _bump(out, e, c)
+    return MultiPoly._raw(nvars, _settle(out))
+
+
 class MultiPoly:
     """Immutable sparse polynomial over QtRational."""
 
@@ -155,10 +165,7 @@ class MultiPoly:
             return other
         if not other.terms:
             return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _bump(out, e, c)
-        return MultiPoly._raw(self.nvars, _settle(out))
+        return _sum_polys(self.nvars, (self, other))
 
     def __neg__(self):
         return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})

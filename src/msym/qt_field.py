@@ -509,13 +509,14 @@ def qt_sum(values):
 
 
 def t_factorial(k, inverse=False):
-    """[k]_t! = (1-t)(1-t^2)...(1-t^k) / (1-t)^k, or the same in t**-1."""
-    v = T.inverse() if inverse else T
-    out = vp = _ONE
-    for _ in range(k):
-        vp = vp * v
-        out = out * (_ONE - vp) / (_ONE - v)
-    return out
+    """[k]_t! = prod_{j=2..k} (1 + t + ... + t^{j-1}), or the same in t**-1:
+    that product over t^binom(k,2).  The product has constant term 1, so
+    either fraction is canonical with a monomial denominator."""
+    num = _ONE_TERMS
+    for j in range(2, k + 1):
+        num = _pmul(num, {(0, s): 1 for s in range(j)})
+    den = {(0, k * (k - 1) // 2): 1} if inverse else _ONE_TERMS
+    return QtRational._raw(num, den, ())
 
 
 def parse_qt(s):

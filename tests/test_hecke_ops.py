@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msym.polyring import MultiPoly
-from msym.qt_field import QtRational, ONE, Q, T, t_factorial
+from msym.qt_field import QtRational, ONE, ZERO, Q, T, t_factorial
 from msym.combinatorics import bruhat_less, circle_rows
 from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega,
                             apply_omega_inv, apply_Y, apply_Y_inv, apply_Phi,
@@ -27,6 +28,28 @@ def rand_poly(rng, n, deg, nterms=6):
         if c:
             terms[tuple(e)] = QtRational.from_int(c)
     return MultiPoly(n, terms)
+
+
+def _binomial_fraction(a, b):
+    """(t - 1)/(1 - q^a t^-b)."""
+    return (T - ONE) / (ONE - QtRational.monomial(1, a, -b))
+
+
+scalar_strategy = st.one_of(
+    st.just(ZERO), st.just(ONE),
+    st.builds(lambda a, b: QtRational.monomial(1, a, b),
+              st.integers(-2, 2), st.integers(-2, 2)),
+    st.builds(_binomial_fraction, st.integers(1, 3), st.integers(0, 2)),
+    st.just(QtRational({(0, 0): 2, (1, 1): 1},
+                       {(0, 0): 1, (1, 0): 1, (0, 2): 1})))
+
+
+def poly_strategy(n):
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    coeffs = st.one_of(st.integers(-3, 3).map(QtRational.from_int),
+                       scalar_strategy)
+    return st.dictionaries(exps, coeffs, max_size=5).map(
+        lambda terms: MultiPoly(n, terms))
 
 
 class TestGenerators:
@@ -79,6 +102,23 @@ class TestGenerators:
     def test_index_range(self):
         with pytest.raises(IndexError):
             apply_T(x(2, 1), 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_linear_combination_matches_scale_and_add(self, data):
+        # the one-pass alpha T_i f + beta f against its definition, with
+        # alpha and beta zero, one, monomials, binomial fractions and a
+        # fraction whose denominator does not factor (the gcd path)
+        n = data.draw(st.integers(2, 4))
+        i = data.draw(st.integers(1, n - 1))
+        f = data.draw(poly_strategy(n))
+        alpha = data.draw(scalar_strategy)
+        beta = data.draw(scalar_strategy)
+        Tf = apply_T(f, i)
+        assert apply_T(f, i, alpha, beta) == Tf.scale(alpha) + f.scale(beta)
+        # beta = -alpha t cancels the diagonal, alpha (T_i - t) f
+        assert apply_T(f, i, alpha, -(alpha * T)) == \
+            Tf.scale(alpha) - f.scale(alpha * T)
 
 
 class TestOmega:

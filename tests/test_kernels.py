@@ -7,6 +7,7 @@ from msym.polyring import MultiPoly
 from msym.combinatorics import MPartition, enumerate_mpartitions
 from msym.macdonald import msym_P
 from msym.structure import norm_formula, scalar_product_m
+from msym import kernels
 from msym.kernels import (BiPoly, cauchy_identity_check, hl_kernel_check,
                           k0_product_truncated, k0_truncated,
                           kernel_eigen_symmetry_check,
@@ -48,6 +49,26 @@ class TestK0:
     def test_bihomogeneous(self):
         k = k0_truncated(2, 2, 3)
         assert all(dx == dy for dx, dy in k.bidegrees())
+
+
+def _pair_sum_by_products(Nx, Ny, maxdeg, terms):
+    """The pair sum as truncated BiPoly products, scaled and added one term
+    at a time: the oracle for the one-accumulation _pair_sum."""
+    acc = BiPoly(Nx, Ny)
+    for c, f, g in terms:
+        term = BiPoly.from_x(f, Ny).mul(BiPoly.from_y(g, Nx), maxdeg)
+        acc = acc + term.scale(c)
+    return acc
+
+
+@pytest.mark.parametrize("build,args", [
+    (k0_truncated, (1, 1, 3)), (k0_truncated, (2, 3, 3)),
+    (km_sum_truncated, (0, 2, 2)), (km_sum_truncated, (1, 3, 2)),
+    (km_sum_truncated, (2, 3, 2))])
+def test_pair_sum_matches_product_oracle(monkeypatch, build, args):
+    fused = build(*args)
+    monkeypatch.setattr(kernels, "_pair_sum", _pair_sum_by_products)
+    assert fused == build(*args)
 
 
 class TestKm:

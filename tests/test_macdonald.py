@@ -284,6 +284,24 @@ class TestColdConstruction:
         assert built == 51
         assert calls == []
 
+    def test_construct_pool_canonical_forms_unchanged(self, cold_caches):
+        # a golden hash of every coefficient's canonical num and den over
+        # the pool, each label built from cold caches: a change to any
+        # reduction or accumulation path must leave it as it is
+        import hashlib
+        from msym import macdonald
+        h = hashlib.sha256()
+        for m, dmax, N in _POOL:
+            for d in range(dmax + 1):
+                for lab in enumerate_mpartitions(m, d,
+                                                 max_sym_length=N - m):
+                    macdonald.clear_caches()
+                    for e, c in sorted(msym_P(lab, N).poly.terms.items()):
+                        h.update(repr((e, sorted(c.num.items()),
+                                       sorted(c.den.items()))).encode())
+        assert h.hexdigest() == ("e31cf6f80a20e80d2322fb108189f63d"
+                                 "fc01062b594786a1c35ba1c1107ee7d0")
+
     def test_concurrent_builds_match_serial(self, cold_caches):
         # four threads build the same P_Lambda set on shared cold caches,
         # switching often; each must get what a serial build gives

@@ -124,6 +124,20 @@ class TestFactorials:
             shift = QtRational.monomial(1, 0, -k * (k - 1) // 2)
             assert t_factorial(k, inverse=True) == shift * t_factorial(k)
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_closed_form_matches_division_chain(self, inverse):
+        # the closed product against [k]_v! built as k field divisions
+        # prod (1 - v^j)/(1 - v), v = t or 1/t: the same canonical form,
+        # factorization included
+        v = T.inverse() if inverse else T
+        chain = vp = ONE
+        for k in range(13):
+            got = t_factorial(k, inverse)
+            assert (got.num, got.den, got.fac) == \
+                (chain.num, chain.den, chain.fac), k
+            vp = vp * v
+            chain = chain * (ONE - vp) / (ONE - v)
+
 
 def _random_poly(rng, nterms=4, dmax=4):
     d = {}
