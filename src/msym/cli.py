@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from .qt_field import QtRational, ONE, ZERO
-from .polyring import MultiPoly, DegreeGuardError
+from .polyring import MultiPoly, DegreeGuardError, _sum_polys
 from .combinatorics import (MPartition, enumerate_mpartitions, bruhat_less,
                             compositions_of)
 from .hecke_ops import (apply_T, apply_Tbar, apply_Y, apply_R, apply_L,
@@ -120,12 +120,9 @@ def _rand_poly(rng, n, deg, nterms=6):
 
 def _rand_msym(rng, m, d, N):
     """Random integer combination of the degree-d m_Lambda in N variables."""
-    f = MultiPoly.zero(N)
-    for lab in enumerate_mpartitions(m, d, max_sym_length=N - m):
-        c = rng.randrange(-2, 3)
-        if c:
-            f = f + monomial_m(lab, N).scale(QtRational.from_int(c))
-    return f
+    return _sum_polys(N, [
+        monomial_m(lab, N).scale(QtRational.from_int(rng.randrange(-2, 3)))
+        for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)])
 
 
 def _labels(m, dmax, N):
@@ -142,10 +139,8 @@ def _compositions(N, dmax):
 
 def _inclusion_rhs(lab, N):
     """sum psi_{Omega/Lambda} P_Omega in N variables."""
-    rhs = MultiPoly.zero(N)
-    for om, psi in inclusion_coeffs(lab).coeffs.items():
-        rhs = rhs + msym_P(om, N).poly.scale(psi)
-    return rhs
+    return _sum_polys(N, [msym_P(om, N).poly.scale(psi)
+                          for om, psi in inclusion_coeffs(lab).coeffs.items()])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ Conventions (everything 1-based):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 # ---------------------------------------------------------------------------
@@ -315,20 +314,26 @@ def dominance_key(mpart):
 # enumeration
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Memo table; macdonald.clear_caches() empties it with the others.
+_PARTITIONS = {}  # (n, max_part, max_length) -> partitions_of's result
+
+
 def partitions_of(n, max_part=None, max_length=None):
     """All partitions of n as weakly decreasing tuples."""
     if n == 0:
         return ((),)
     if max_length == 0:
         return ()
-    out = []
-    top = n if max_part is None else min(n, max_part)
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first,
-                                  None if max_length is None else max_length - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    key = (n, max_part, max_length)
+    hit = _PARTITIONS.get(key)
+    if hit is None:
+        top = n if max_part is None else min(n, max_part)
+        hit = _PARTITIONS[key] = tuple(
+            (first,) + rest for first in range(top, 0, -1)
+            for rest in partitions_of(
+                n - first, first,
+                None if max_length is None else max_length - 1))
+    return hit
 
 
 def compositions_of(n, length):

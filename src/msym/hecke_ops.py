@@ -13,7 +13,7 @@ or y alphabet of a two-alphabet polynomial.
 from __future__ import annotations
 
 from .polyring import MultiPoly, _bump, _settle, _sum_polys
-from .qt_field import QtRational, ONE, ZERO
+from .qt_field import QtRational, ONE, ZERO, qt_sum
 
 _T = QtRational.monomial(1, 0, 1)
 _TINV = _T.inverse()
@@ -138,7 +138,8 @@ def apply_Y_inv(f, i, lo=1, hi=None):
 def apply_Phi(f):
     """Raising operator Phi_q = t^{1-N} T_{N-1} ... T_1 x_1."""
     n = f.nvars
-    g = f * MultiPoly.variable(n, 1)
+    g = MultiPoly._raw(n, {(e[0] + 1,) + e[1:]: c
+                           for e, c in f.terms.items()})
     for j in range(1, n):
         g = apply_T(g, j)
     return g.scale(QtRational.monomial(1, 0, 1 - n))
@@ -151,9 +152,8 @@ def apply_D(f, m, lo=1, hi=None):
     n = hi - lo + 1
     if m >= n:
         raise ValueError("D needs m < window size")
-    scal = ZERO
-    for i in range(m + 1, n + 1):
-        scal = scal + QtRational.monomial(1, 0, 1 - i)
+    scal = qt_sum([QtRational.monomial(1, 0, 1 - i)
+                   for i in range(m + 1, n + 1)])
     ys = [apply_Y(f, i, lo, hi) for i in range(m + 1, n + 1)]
     return _sum_polys(n_all, ys + [f.scale(-scal)])
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import qt_ring
-from .qt_field import QtRational, ONE, ZERO, t_factorial
-from .polyring import MultiPoly
+from . import combinatorics, polyring, qt_ring
+from .qt_field import QtRational, ONE, qt_sum, t_factorial
+from .polyring import DegreeGuardError, MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
 from .hecke_ops import (apply_T, apply_Phi, apply_Y, apply_Lprime,
                         apply_tau_K_Tbar, symmetrize_t)
@@ -49,12 +49,19 @@ _E_CACHE = {}
 _H_CACHE = {}
 _P_CACHE = {}
 # Every memo table clear_caches() empties: these, qt_ring's tables of
-# cyclotomic polynomials and expanded denominators, and the two structure
-# appends here, because this module cannot import structure.
-_CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED]
+# cyclotomic polynomials and expanded denominators, combinatorics' table of
+# partitions, and the two structure appends here, because this module
+# cannot import structure.
+_CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED,
+           combinatorics._PARTITIONS]
 
 
 def _build_E(eta):
+    # the raising steps multiply by x_1 without a product, so the degree
+    # guard is checked here, before any Hecke step
+    if sum(eta) > polyring._DEGREE_GUARD:
+        raise DegreeGuardError("degree %d exceeds guard %d"
+                               % (sum(eta), polyring._DEGREE_GUARD))
     cached = _E_CACHE.get(eta)
     if cached is not None:
         return cached
@@ -231,13 +238,12 @@ def eigenvalues(mpart):
     """Joint eigenvalues: Y_i for i=1..m and the operator D."""
     y = tuple(QtRational.monomial(1, mpart.a[i - 1], 1 - mpart.circle_row(i))
               for i in range(1, mpart.m + 1))
-    d = ZERO
     sizes = mpart.row_sizes()
-    for r in range(1, mpart.nrows() + 1):
-        if mpart.row_label(r) is None:
-            d = d + QtRational.monomial(1, sizes[r - 1], 1 - r)
-    for i in range(mpart.m + 1, mpart.m + len(mpart.lam) + 1):
-        d = d - QtRational.monomial(1, 0, 1 - i)
+    d = qt_sum([QtRational.monomial(1, sizes[r - 1], 1 - r)
+                for r in range(1, mpart.nrows() + 1)
+                if mpart.row_label(r) is None]
+               + [QtRational.monomial(-1, 0, 1 - i)
+                  for i in range(mpart.m + 1, mpart.m + len(mpart.lam) + 1)])
     return EigenvalueVector(y, d)
 
 

@@ -12,8 +12,8 @@ import os
 
 from .qt_field import QtRational, ZERO, ONE, qt_sum
 
-# Operations that can raise the total degree enforce this guard so runaway
-# computations fail fast.  MSYM_MAXDEG overrides it.
+# Products, and macdonald._build_E before its first Hecke step, enforce this
+# degree guard so runaway computations fail fast.  MSYM_MAXDEG overrides it.
 _DEGREE_GUARD = int(os.environ.get("MSYM_MAXDEG", "12"))
 
 
@@ -161,10 +161,6 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
         return _sum_polys(self.nvars, (self, other))
 
     def __neg__(self):
@@ -174,12 +170,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _bump(out, e, -c)
-        return MultiPoly._raw(self.nvars, _settle(out))
+        return _sum_polys(self.nvars, (self, -other))
 
     def __mul__(self, other):
         if isinstance(other, QtRational):
@@ -321,7 +312,7 @@ class MultiPoly:
         """Full evaluation: values[i] is a QtRational for x_{i+1}."""
         if len(values) != self.nvars:
             raise ValueError("need one value per variable")
-        acc = ZERO
+        vals = []
         powcache = [{0: ONE} for _ in range(self.nvars)]
         for e, c in self.terms.items():
             v = c
@@ -334,8 +325,8 @@ class MultiPoly:
                             p = p * values[k]
                             pc[j] = p
                     v = v * pc[ek]
-            acc = acc + v
-        return acc
+            vals.append(v)
+        return qt_sum(vals)
 
     # -- printing -----------------------------------------------------------
 

@@ -33,25 +33,28 @@ terms along the direction (a, b), a polynomial in u = q^a t^b
 (qt_ring._fdiv), so a trial division that fails costs one pass and no
 exception.
 
-A denominator that does not factor this way comes only from
-QtRational(num, den) or parse_qt.  Such a value, and every value computed
-from it, is reduced by the gcd in Z[q,t] instead, once per operation on the
-unreduced result: the heuristic gcd of Char, Geddes and Gonnet (J. Symb.
-Comp. 7, 1989), one recursive function from t through q down to integers:
-evaluate a variable at an integer x, take the gcd of the images one level
-down, and read it back as the polynomial whose balanced base-x digits it
-has.  Exact division of both inputs by the lifted candidate is its
-certificate, and the quotients are the cofactors the fraction is reduced
-to: with x above twice the smaller input's largest coefficient, a candidate
-that divides both is the gcd.  A rejected candidate makes x grow, and the
-loop ends because the images' spurious common factor stops growing with x
-(see _hgcd).  The result is deterministic: no randomness, no retry cap, no
-fallback.
+A denominator that does not factor this way comes from QtRational(num, den)
+or parse_qt, and from an inverse or quotient of a value whose numerator does
+not factor: (ONE + Q + T).inverse() is one.  msym's own constructions never
+make one (the verify suites at small bounds make no gcd call).  Such a
+value, and every value computed from it, is reduced by the gcd in Z[q,t]
+instead, once per operation on the unreduced result: the heuristic gcd of
+Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989), one recursive function
+from t through q down to integers: evaluate a variable at an integer x, take
+the gcd of the images one level down, and read it back as the polynomial
+whose balanced base-x digits it has.  Exact division of both inputs by the
+lifted candidate is its certificate, and the quotients are the cofactors
+the fraction is reduced to: with x above twice the smaller input's largest
+coefficient, a candidate that divides both is the gcd.  A rejected
+candidate makes x grow, and the loop ends because the images' spurious
+common factor stops growing with x (see _hgcd).  The result is
+deterministic: no randomness, no retry cap, no fallback.
 
-Every operation returns its result in this form.  A sparse sum of many
-coefficients goes through qt_sum, which reduces once per output coefficient
-instead of once per added term; since the form is unique, the result is the
-one term-by-term addition gives.
+Every operation returns its result in this form.  qt_sum is the one
+addition: a + b is the two-term qt_sum((a, b)), and a sum of many
+coefficients is one qt_sum, which reduces once per sum instead of once per
+added term; since the form is unique, the result is the one term-by-term
+addition gives.
 """
 
 from __future__ import annotations
@@ -267,39 +270,10 @@ class QtRational:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _add_sub(self, other, sub):
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
-        if not n2:
-            return self
-        if sub:
-            n2 = _pneg(n2)
-        elif not n1:
-            return other
-        if not n1:
-            return QtRational._raw(n2, d2, other.fac)
-        f1, f2 = self.fac, other.fac
-        if d1 == d2:
-            t = _padd(n1, n2)
-            if not t:
-                return _ZERO
-            if d1 == _ONE_TERMS:
-                return QtRational._raw(t, _ONE_TERMS, ())
-            fac = f2 if f1 is None else f1
-            return _over(t, d1, fac)
-        if f1 is None or f2 is None:
-            t = _padd(_pmul(n1, d2), _pmul(n2, d1))
-            return _over(t, _pmul(d1, d2), None) if t else _ZERO
-        t, c, i, j, fac, cands = _lcm_sum(((n1, d1, f1, True),
-                                           (n2, d2, f2, True)))
-        if not t:
-            return _ZERO
-        return _reduced(t, c, i, j, fac, cands)
-
     def __add__(self, other):
         if not isinstance(other, QtRational):
             return NotImplemented
-        return self._add_sub(other, False)
+        return qt_sum((self, other))
 
     def __neg__(self):
         return QtRational._raw(_pneg(self.num), self.den, self.fac)
@@ -307,7 +281,7 @@ class QtRational:
     def __sub__(self, other):
         if not isinstance(other, QtRational):
             return NotImplemented
-        return self._add_sub(other, True)
+        return qt_sum((self, -other))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -435,7 +409,10 @@ T = QtRational._raw({(0, 1): 1}, _ONE_TERMS, ())
 
 
 def _num_sum(values):
-    """The sum of the values' numerators, with no reduction."""
+    """The sum of the values' numerators, with no reduction; a lone
+    numerator comes back as it is, not copied."""
+    if len(values) == 1:
+        return values[0].num
     num = dict(values[0].num)
     for v in values[1:]:
         for e, c in v.num.items():
@@ -447,61 +424,59 @@ def _num_sum(values):
     return num
 
 
-def _sum_over(values):
-    """Sum of values that all have one denominator: their numerators are
-    added with no reduction, and the sum is reduced once."""
-    if len(values) == 1:
-        return values[0]
-    num = _num_sum(values)
-    den, fac = values[0].den, values[0].fac
-    if not num:
-        return _ZERO
-    if den == _ONE_TERMS:
-        return QtRational._raw(num, den, ())
-    return _over(num, den, fac)
-
-
 def qt_sum(values):
-    """Sum of a nonempty list of QtRationals, reduced once.
+    """The sum of QtRationals, reduced once: the one addition in Q(q,t).
+    The empty sum is ZERO, a lone nonzero value comes back unchanged, and
+    zeros are skipped.
 
     The values are grouped by denominator and each group's numerators are
-    added as integer polynomials.  Over factored denominators the groups
-    are then brought to one lcm and the total is reduced once, by trial
-    division over the lcm's factors that can cancel; when a denominator
-    does not factor, each group sum is reduced and the groups are added
-    with ``+``.  The result is the canonical value the left fold of ``+``
-    gives."""
-    if len(values) < 3:
-        return values[0] + values[1] if len(values) == 2 else values[0]
-    # values over one denominator (as in every sum of polynomial
-    # coefficients) form one group, found without hashing it
+    added with no reduction.  One group (as in every sum of polynomial
+    coefficients over one denominator) is reduced once over it.  Over
+    factored denominators the groups are brought to one lcm and the total
+    is reduced once, by trial division over the lcm's factors that can
+    cancel.  When a denominator does not factor, the groups are
+    cross-multiplied over the product of their denominators and the total
+    is reduced once by the gcd.  Between several denominators, values over
+    one share its dict (qt_ring._EXPANDED), so groups are keyed by its
+    identity, with no hashing; equal denominators in separate dicts form
+    separate groups, which costs trial divisions that fail but gives the
+    same canonical value: the form is unique, so the result is the one
+    term-by-term addition gives."""
+    for v in values:
+        # zeros are rare, so the list is copied only when one is there
+        if not v.num:
+            values = [v for v in values if v.num]
+            break
+    if len(values) < 2:
+        return values[0] if values else _ZERO
     d0 = values[0].den
     for v in values:
-        if v.den != d0:
+        if v.den is not d0 and v.den != d0:
             break
     else:
-        return _sum_over(values)
+        num = _num_sum(values)
+        if not num:
+            return _ZERO
+        if d0 == _ONE_TERMS:
+            return QtRational._raw(num, _ONE_TERMS, ())
+        return _over(num, d0, values[0].fac)
     groups = {}
     for v in values:
-        d = v.den
-        # a monomial denominator keys by its one (exponent, coefficient) item
-        key = tuple(d.items()) if len(d) == 1 else frozenset(d.items())
-        g = groups.get(key)
-        if g is None:
-            groups[key] = [v]
-        else:
-            g.append(v)
-    if any(g[0].fac is None for g in groups.values()):
-        total = None
-        for g in groups.values():
-            s = _sum_over(g)
-            total = s if total is None else total + s
-        return total
-    parts = []
+        groups.setdefault(id(v.den), []).append(v)
+    parts, general = [], False
     for g in groups.values():
         num = _num_sum(g)
         if num:
             parts.append((num, g[0].den, g[0].fac, len(g) == 1))
+            general = general or g[0].fac is None
+    if not parts:
+        return _ZERO
+    if general:
+        t, den = {}, _ONE_TERMS
+        for num, d, _, _ in parts:
+            t = _padd(_pmul(t, d), _pmul(num, den))
+            den = _pmul(den, d)
+        return _over(t, den, None) if t else _ZERO
     t, c, i, j, fac, cands = _lcm_sum(parts)
     if not t:
         return _ZERO

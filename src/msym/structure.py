@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .qt_field import QtRational, ONE, ZERO, t_factorial
-from .polyring import MultiPoly, _bump, _settle
+from .qt_field import QtRational, ONE, ZERO, qt_sum, t_factorial
+from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
                             sort_desc, unique_permutations, dominance_key)
@@ -93,9 +93,8 @@ def m_coords(f, m, verify=True):
         if e[m:] == suff:
             coords[MPartition(e[:m], suff)] = c
     if verify:
-        recon = MultiPoly.zero(N)
-        for lab, c in coords.items():
-            recon = recon + monomial_m(lab, N).scale(c)
+        recon = _sum_polys(N, [monomial_m(lab, N).scale(c)
+                               for lab, c in coords.items()])
         if recon != f:
             raise ValueError("polynomial is not symmetric in x_%d..x_%d"
                              % (m + 1, N))
@@ -182,10 +181,8 @@ def expand_in_basis(f, m, basis_kind, verify=True):
 
 def reconstruct(expansion, N):
     """Inverse of expand_in_basis."""
-    f = MultiPoly.zero(N)
-    for lab, c in expansion.coeffs.items():
-        f = f + _basis_poly(expansion.basis_kind, lab, N).scale(c)
-    return f
+    return _sum_polys(N, [_basis_poly(expansion.basis_kind, lab, N).scale(c)
+                          for lab, c in expansion.coeffs.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -225,30 +222,20 @@ def p_weight(mpart):
 def pair_p_coeffs(ef, eg):
     """<f, g>_m from the p_Lambda_t coefficients {label: coeff} of f and g:
     the sum over common labels of f_L g_L <p_L, p_L>_m."""
-    total = ZERO
     small, big = (ef, eg) if len(ef) <= len(eg) else (eg, ef)
-    for lab, c in small.items():
-        caff = big.get(lab)
-        if caff:
-            total = total + c * caff * p_weight(lab)
-    return total
+    return qt_sum([c * caff * p_weight(lab) for lab, c in small.items()
+                   if (caff := big.get(lab))])
 
 
 def scalar_product_m(f, g, m, verify=True):
     """The R_m scalar product, computed through the deformed power sums."""
     if f.nvars != g.nvars:
         raise ValueError("operands realized in different variable counts")
-    total = ZERO
-    fc = f.homogeneous_components()
     gc = g.homogeneous_components()
-    for d, fd in fc.items():
-        gd = gc.get(d)
-        if gd is None:
-            continue
-        ef = expand_in_basis(fd, m, "p_Lambda_t", verify=verify)
-        eg = expand_in_basis(gd, m, "p_Lambda_t", verify=verify)
-        total = total + pair_p_coeffs(ef.coeffs, eg.coeffs)
-    return total
+    return qt_sum([
+        pair_p_coeffs(expand_in_basis(fd, m, "p_Lambda_t", verify).coeffs,
+                      expand_in_basis(gc[d], m, "p_Lambda_t", verify).coeffs)
+        for d, fd in f.homogeneous_components().items() if d in gc])
 
 
 def norm_formula(mpart):

@@ -140,6 +140,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and "exceeds guard 12" in err
         assert len(err.splitlines()) == 1
 
+    def test_degree_guard_fails_before_any_hecke_step(self, capsys,
+                                                      monkeypatch):
+        # E_(0,0,0,0,5) is refused from its degree alone: no lower E is
+        # built first, and no generator is applied
+        from msym import hecke_ops, macdonald
+        calls = []
+        apply_T = hecke_ops.apply_T
+
+        def counted(*args):
+            calls.append(args[1])
+            return apply_T(*args)
+
+        monkeypatch.setattr(hecke_ops, "apply_T", counted)
+        monkeypatch.setattr(macdonald, "apply_T", counted)
+        monkeypatch.setattr("msym.polyring._DEGREE_GUARD", 4)
+        saved = [dict(c) for c in macdonald._CACHES]
+        macdonald.clear_caches()
+        try:
+            rc, out, err = run(capsys, ["expand-p", "--m", "0", "--lambda",
+                                        "5", "--N", "5"])
+        finally:
+            for cache, entries in zip(macdonald._CACHES, saved):
+                cache.update(entries)
+        assert rc == 2 and out == ""
+        assert err == "error: degree 5 exceeds guard 4\n"
+        assert calls == []
+
     def test_norm_check_needs_enough_variables(self, capsys):
         # P_Lambda vanishes for N < m + length(lambda), so comparing it with
         # the norm formula would report a false failure
@@ -320,3 +347,46 @@ class TestComparison:
         assert rc == 1 and "witness: w" in out
         rc, out, _ = run(capsys, ["verify", "braid", "--qt-point", "3", "5"])
         assert rc == 0 and "1/1 identities passed" in out
+
+
+# Commands whose --json output, with time_s dropped, is pinned by sha256.
+_GOLDEN = (
+    ["expand-e", "--eta", "2,0,1", "--check"],
+    ["expand-p", "--m", "1", "--a", "1", "--lambda", "2,1", "--N", "5"],
+    ["norm", "--m", "1", "--a", "1", "--lambda", "2", "--check"],
+    ["inclusion", "--m", "1", "--a", "1", "--lambda", "1", "--check"],
+    ["restrict", "--m", "2", "--a", "1,0", "--lambda", "1", "--check"],
+    ["eval", "--m", "1", "--a", "1", "--lambda", "1", "--N", "3", "--check"],
+    ["kernel", "--m", "1", "--maxdeg", "2", "--full"],
+    ["verify", "orthogonality", "--m-max", "1", "--deg-max", "3"],
+    ["verify", "inclusion", "--m-max", "1", "--deg-max", "2", "--count", "3"],
+    ["verify", "specialization", "--m-max", "1", "--deg-max", "2"],
+    ["verify", "symmetry", "--m-max", "1", "--deg-max", "2"],
+    ["verify", "cauchy", "--m-max", "1", "--maxdeg", "2"],
+    ["verify", "gram-schmidt", "--m-max", "1", "--deg-max", "2"],
+)
+
+
+def _drop_time(doc):
+    if isinstance(doc, dict):
+        return {k: _drop_time(v) for k, v in doc.items() if k != "time_s"}
+    if isinstance(doc, list):
+        return [_drop_time(v) for v in doc]
+    return doc
+
+
+class TestGoldenJson:
+    def test_json_outputs_unchanged(self, capsys):
+        # every command from cold caches: a change to any arithmetic,
+        # accumulation or formatting path must leave the bytes as they are
+        import hashlib
+        from msym import macdonald
+        h = hashlib.sha256()
+        for argv in _GOLDEN:
+            macdonald.clear_caches()
+            rc, out, _ = run(capsys, ["--json", *argv])
+            doc = _drop_time(json.loads(out))
+            h.update((json.dumps([argv, rc, doc], sort_keys=True)
+                      + "\n").encode())
+        assert h.hexdigest() == ("8ec2ea860c073f7954ccd756a47313b2"
+                                 "494f8ec704341fd40ee8e791dddb4c3c")

@@ -324,23 +324,43 @@ class TestFieldAxioms:
 def _random_den(rng, kind):
     if kind == "monomial":
         return {(rng.randrange(3), rng.randrange(3)): rng.choice((1, 2, 3))}
+    if kind == "factored":
+        # a monomial times one or two binomials 1 +- q^a t^b
+        den = {(rng.randrange(2), rng.randrange(2)): rng.choice((1, 2))}
+        for _ in range(rng.randrange(1, 3)):
+            a, b = rng.choice(((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
+            den = _pmul(den, {(0, 0): 1, (a, b): rng.choice((1, -1))})
+        return den
+    if kind == "general":
+        # (1 + q + t) does not factor over Phi_n(q^a t^b)
+        return _pmul({(0, 0): 1, (1, 0): 1, (0, 1): 1},
+                     _random_den(rng, "factored"))
     return _random_poly(rng, nterms=3, dmax=3) or {(0, 0): 1}
 
 
 def _random_terms(rng, kind, close):
     """Nonzero values over one shared denominator, over distinct ones, over
-    monomial ones, or over a mix.  close="zero" appends the negations of a
+    monomial ones, over a mix, over binomial products that factor, or over
+    both those and denominators that do not factor ("both", where a value
+    over each comes first).  close="zero" appends the negations of a
     shuffled copy, so the list sums to zero; close="factor" appends values
     n_i/(A B) whose numerators add up to A r, so their group sum reduces to
-    r/B only after the numerators are added."""
+    r/B only after the numerators are added (A and B factor when the other
+    denominators do)."""
     if kind == "shared":
         dens = [_random_den(rng, "poly")]
     elif kind == "mixed":
         dens = [_random_den(rng, rng.choice(("poly", "monomial")))
                 for _ in range(3)]
+    elif kind == "both":
+        dens = [_random_den(rng, k) for k in ("general", "factored",
+                                              "factored")]
     else:
         dens = [_random_den(rng, kind) for _ in range(8)]
     values = []
+    if kind == "both":
+        values = [v for v in (QtRational(_random_poly(rng), d)
+                              for d in dens[:2]) if v]
     while len(values) < rng.randrange(1, 9):
         v = QtRational(_random_poly(rng), rng.choice(dens))
         if v:
@@ -350,8 +370,16 @@ def _random_terms(rng, kind, close):
         rng.shuffle(rest)
         values += rest
     elif close == "factor":
-        a = _random_poly(rng, nterms=2, dmax=3) or {(1, 0): 1, (0, 0): 2}
-        den = _pmul(a, _random_poly(rng, nterms=3, dmax=3) or {(0, 1): 1})
+        if kind in ("factored", "both"):
+            # A along a direction no other denominator has, so only the
+            # group's own sum can cancel it
+            a = {(0, 0): 1, rng.choice(((3, 1), (1, 3), (2, 3))):
+                 rng.choice((1, -1))}
+            den = _pmul(a, _random_den(rng, "factored"))
+        else:
+            a = _random_poly(rng, nterms=2, dmax=3) or {(1, 0): 1, (0, 0): 2}
+            den = _pmul(a, _random_poly(rng, nterms=3, dmax=3)
+                        or {(0, 1): 1})
         nums = [_random_poly(rng) for _ in range(3)]
         last = _pmul(a, _random_poly(rng) or {(0, 0): 1})
         for n in nums:
@@ -367,10 +395,12 @@ def _random_terms(rng, kind, close):
 class TestGroupedSum:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6),
-           st.sampled_from(("shared", "distinct", "monomial", "mixed")),
+           st.sampled_from(("shared", "distinct", "monomial", "mixed",
+                            "factored", "both")),
            st.sampled_from(("none", "zero", "factor")))
     def test_equals_left_fold_and_is_canonical(self, seed, kind, close):
-        values = _random_terms(random.Random(seed), kind, close)
+        rng = random.Random(seed)
+        values = _random_terms(rng, kind, close)
         fold = values[0]
         for v in values[1:]:
             fold = fold + v
@@ -379,6 +409,30 @@ class TestGroupedSum:
         assert (s.num, s.den) == (s.normalized().num, s.normalized().den)
         if close == "zero":
             assert s.is_zero() and s.den == {(0, 0): 1}
+        # + is itself a qt_sum, so the fold above is no independent check:
+        # cross-multiply over the product of the distinct denominators and
+        # reduce by the gcd
+        num, den, dens = {}, _UNIT, []
+        for v in values:
+            if v.den not in dens:
+                dens.append(v.den)
+                den = _pmul(den, v.den)
+        for v in values:
+            cof = _UNIT
+            for d in dens:
+                if d != v.den:
+                    cof = _pmul(cof, d)
+            num = _padd_dicts(num, _pmul(v.num, cof))
+        assert (s.num, s.den) == _gcd_reduced(num, den)
+        # zeros are skipped; the empty sum, a lone value, x - x
+        with_zeros = list(values)
+        for _ in range(rng.randrange(1, 4)):
+            with_zeros.insert(rng.randrange(len(with_zeros) + 1), ZERO)
+        assert qt_sum(with_zeros) == s
+        assert qt_sum([]) is ZERO and qt_sum([ZERO, ZERO]) is ZERO
+        x = values[rng.randrange(len(values))]
+        assert qt_sum([x]) is x and qt_sum([ZERO, x, ZERO]) is x
+        assert (x - x) is ZERO and qt_sum([x, -x]) is ZERO
 
 
 class TestTextForm:

@@ -358,10 +358,10 @@ class TestGramSchmidt:
 
 class TestCaches:
     def test_clear_caches_empties_all_four(self):
-        from msym import macdonald, qt_ring, structure
+        from msym import combinatorics, macdonald, qt_ring, structure
         caches = (macdonald._E_CACHE, macdonald._H_CACHE, macdonald._P_CACHE,
                   structure._BASIS_INVERSE_CACHE, structure._P_WEIGHT_CACHE,
-                  qt_ring._PHI, qt_ring._EXPANDED)
+                  qt_ring._PHI, qt_ring._EXPANDED, combinatorics._PARTITIONS)
         saved = [dict(c) for c in caches]
         try:
             P = msym_P(MPartition((1,), (1,)), 3).poly
