@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .qt_field import QtRational, ONE, ZERO
+from .qt_field import QtRational, ONE, ZERO, T
 from .polyring import MultiPoly, DegreeGuardError, _sum_polys
 from .combinatorics import (MPartition, enumerate_mpartitions, bruhat_less,
                             compositions_of)
@@ -153,7 +153,6 @@ def suite_braid(b):
     count = b["count"]
     if N < 2:
         _usage_error("verify braid needs --N >= 2")
-    tq = QtRational.monomial(1, 0, 1)
 
     def quadratic():
         for k in range(count):
@@ -161,7 +160,7 @@ def suite_braid(b):
             f = _rand_poly(rng, n, 3)
             i = rng.randrange(1, n)
             Tf = apply_T(f, i)
-            yield (n, i, k), apply_T(Tf, i) + Tf, Tf.scale(tq) + f.scale(tq)
+            yield (n, i, k), apply_T(Tf, i) + Tf, Tf.scale(T) + f.scale(T)
             yield ("inverse", n, i, k), apply_Tbar(Tf, i), f
 
     def braid():
@@ -182,7 +181,7 @@ def suite_braid(b):
             f = _rand_poly(rng, n, 2)
             i = rng.randrange(1, n)
             Yf, Tf = apply_Y(f, i), apply_T(f, i)
-            dY = Yf.scale(tq - ONE)
+            dY = Yf.scale(T - ONE)
             yield ("TYi", n, i, k), apply_T(Yf, i), apply_Y(Tf, i + 1) + dY
             yield (("TYi1", n, i, k), apply_T(apply_Y(f, i + 1), i),
                    apply_Y(Tf, i) - dY)

@@ -12,11 +12,10 @@ or y alphabet of a two-alphabet polynomial.
 
 from __future__ import annotations
 
-from .polyring import MultiPoly, _bump, _settle, _sum_polys
-from .qt_field import QtRational, ONE, ZERO, qt_sum
+from .polyring import MultiPoly, _bump, _relabel, _settle, _sum_polys
+from .qt_field import QtRational, ONE, ZERO, T, qt_sum
 
-_T = QtRational.monomial(1, 0, 1)
-_TINV = _T.inverse()
+_TINV = T.inverse()
 _TINV_1 = _TINV - ONE
 
 
@@ -32,7 +31,7 @@ def apply_T(f, i, alpha=ONE, beta=ZERO):
         raise IndexError("T_%d undefined for %d variables" % (i, n))
     i -= 1
     one_a = alpha.is_one()
-    g1 = _T if one_a else alpha * _T
+    g1 = T if one_a else alpha * T
     g0 = g1 + beta if beta else g1
     one0, one1 = g0.is_one(), g1.is_one()
     out = {}
@@ -73,33 +72,26 @@ def apply_T_word(f, word, offset=0):
     return f
 
 
-def apply_Tbar_word(f, word, offset=0):
+def apply_Tbar_word(f, word):
     for j in reversed(word):
-        f = apply_Tbar(f, j + offset)
+        f = apply_Tbar(f, j)
     return f
 
 
 def apply_omega(f, lo=1, hi=None):
-    """omega = K_{hi-1,hi} ... K_{lo,lo+1} tau_lo on the variable window."""
-    n = f.nvars
-    hi = n if hi is None else hi
-    out = {}
-    for e, c in f.terms.items():
-        k = e[lo - 1]
-        ne = e[:lo - 1] + e[lo:hi] + (k,) + e[hi:]
-        _bump(out, ne, c * QtRational.monomial(1, k, 0) if k else c)
-    return MultiPoly._raw(n, _settle(out))
+    """omega = K_{hi-1,hi} ... K_{lo,lo+1} tau_lo on the variable window:
+    x_lo moves to position hi and gains a factor q."""
+    hi = f.nvars if hi is None else hi
+    src = list(range(f.nvars))
+    src.insert(hi - 1, src.pop(lo - 1))
+    return _relabel(f, src, ((lo - 1, 1),))
 
 
 def apply_omega_inv(f, lo=1, hi=None):
-    n = f.nvars
-    hi = n if hi is None else hi
-    out = {}
-    for e, c in f.terms.items():
-        k = e[hi - 1]
-        ne = e[:lo - 1] + (k,) + e[lo - 1:hi - 1] + e[hi:]
-        _bump(out, ne, c * QtRational.monomial(1, -k, 0) if k else c)
-    return MultiPoly._raw(n, _settle(out))
+    hi = f.nvars if hi is None else hi
+    src = list(range(f.nvars))
+    src.insert(lo - 1, src.pop(hi - 1))
+    return _relabel(f, src, ((hi - 1, -1),))
 
 
 def apply_Y(f, i, lo=1, hi=None):
@@ -187,14 +179,9 @@ def apply_tau_K_Tbar(f, m):
     """tau_1..tau_m K_{w_m} Tbar_{w_m} f: the longest-element inverse
     generators on x_1..x_m, the reversal of x_1..x_m, then x_i -> q x_i for
     i <= m."""
-    N = f.nvars
     h = apply_Tbar_word(f, longest_word(m))
-    if m >= 2:
-        perm = tuple(range(m, 0, -1)) + tuple(range(m + 1, N + 1))
-        h = h.permute_vars(perm)
-    for i in range(1, m + 1):
-        h = h.qshift(i)
-    return h
+    src = [*range(m - 1, -1, -1), *range(m, f.nvars)]
+    return _relabel(h, src, [(j, 1) for j in range(m)])
 
 
 def symmetrize_t(f, m, naive=False):
@@ -228,17 +215,20 @@ def apply_R(f, m, n):
     return _sum_polys(f.nvars, hs)
 
 
-def apply_L(f, m, n):
-    """L_{m+1,n} = 1 + T_{m+1} + T_{m+2}T_{m+1} + ... + T_{n-1}..T_{m+1}."""
+def _chain_sum(f, steps):
+    """f + T_{s_1} f + T_{s_2} T_{s_1} f + ... for steps s_1, s_2, ..., in
+    one accumulation."""
     hs = [f]
-    for j in range(m + 1, n):
+    for j in steps:
         hs.append(apply_T(hs[-1], j))
     return _sum_polys(f.nvars, hs)
+
+
+def apply_L(f, m, n):
+    """L_{m+1,n} = 1 + T_{m+1} + T_{m+2}T_{m+1} + ... + T_{n-1}..T_{m+1}."""
+    return _chain_sum(f, range(m + 1, n))
 
 
 def apply_Lprime(f, m, n):
     """L'_{m+1,n} = 1 + T_{n-1} + T_{n-2}T_{n-1} + ... + T_{m+1}..T_{n-1}."""
-    hs = [f]
-    for j in range(n - 1, m, -1):
-        hs.append(apply_T(hs[-1], j))
-    return _sum_polys(f.nvars, hs)
+    return _chain_sum(f, range(n - 1, m, -1))

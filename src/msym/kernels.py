@@ -10,15 +10,13 @@ no closed (a;q)-infinity manipulation is ever needed.
 
 from __future__ import annotations
 
-from .qt_field import QtRational, ONE
-from .polyring import MultiPoly, _bump, _settle
+from .qt_field import QtRational, ONE, T
+from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H
 from .structure import z_lambda_qt, norm_formula, powersum_t
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
-
-_T = QtRational.monomial(1, 0, 1)
 
 
 class BiPoly:
@@ -45,9 +43,7 @@ class BiPoly:
     @classmethod
     def from_y(cls, f, nx):
         """Embed an ny-variable polynomial as a function of the y alphabet."""
-        pad = (0,) * nx
-        terms = {pad + e: c for e, c in f.terms.items()}
-        return cls(nx, f.nvars, MultiPoly._raw(nx + f.nvars, terms))
+        return cls(nx, f.nvars, _relabel(f, [-1] * nx + [*range(f.nvars)], ()))
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.nx == other.nx
@@ -82,22 +78,19 @@ class BiPoly:
         return BiPoly(self.nx, self.ny,
                       MultiPoly._raw(self.poly.nvars, _settle(out)))
 
-    def scale_y_block_q(self, upto=None):
-        """Substitute y_i -> q y_i for i <= upto (default: all of y)."""
-        upto = self.ny if upto is None else upto
+    def scale_y_block_q(self, upto):
+        """Substitute y_i -> q y_i for i <= upto."""
         nx = self.nx
-        out = {}
-        for e, c in self.poly.terms.items():
-            k = sum(e[nx:nx + upto])
-            out[e] = c * QtRational.monomial(1, k, 0) if k else c
-        return BiPoly(self.nx, self.ny, MultiPoly._raw(self.poly.nvars, out))
+        return BiPoly(self.nx, self.ny, _relabel(
+            self.poly, range(self.poly.nvars),
+            [(j, 1) for j in range(nx, nx + upto)]))
 
     def swap_xy(self):
         if self.nx != self.ny:
             raise ValueError("swap needs equal alphabets")
         nx = self.nx
-        terms = {e[nx:] + e[:nx]: c for e, c in self.poly.terms.items()}
-        return BiPoly(self.nx, self.ny, MultiPoly._raw(self.poly.nvars, terms))
+        src = [*range(nx, 2 * nx), *range(nx)]
+        return BiPoly(self.nx, self.ny, _relabel(self.poly, src, ()))
 
     def map_T_x(self, i):
         return BiPoly(self.nx, self.ny, apply_T(self.poly, i))
@@ -109,25 +102,14 @@ class BiPoly:
         return str(self.poly)
 
 
-def _xy_factor(nx, ny, i, j, coeff):
-    """1 + coeff * x_i y_j as a BiPoly."""
-    e = [0] * (nx + ny)
-    e[i - 1] = 1
-    e[nx + j - 1] = 1
-    terms = {(0,) * (nx + ny): ONE, tuple(e): coeff}
-    return BiPoly(nx, ny, MultiPoly(nx + ny, terms))
-
-
-def _xy_geometric(nx, ny, i, j, coeff, maxdeg):
-    """Truncation of 1/(1 - coeff*x_i y_j) = sum_k coeff^k (x_i y_j)^k."""
+def _xy_series(nx, ny, i, j, coeffs):
+    """sum_k coeffs[k] (x_i y_j)^k as a BiPoly."""
     terms = {}
-    c = ONE
-    for k in range(maxdeg + 1):
+    for k, c in enumerate(coeffs):
         e = [0] * (nx + ny)
         e[i - 1] = k
         e[nx + j - 1] = k
         terms[tuple(e)] = c
-        c = c * coeff
     return BiPoly(nx, ny, MultiPoly(nx + ny, terms))
 
 
@@ -161,46 +143,42 @@ def k0_product_truncated(Nx, Ny, maxdeg):
     coeffs = [ONE]
     for n in range(1, maxdeg + 1):
         coeffs.append(coeffs[-1]
-                      * (ONE - _T * QtRational.monomial(1, n - 1, 0))
+                      * (ONE - T * QtRational.monomial(1, n - 1, 0))
                       / (ONE - QtRational.monomial(1, n, 0)))
     acc = BiPoly.one(Nx, Ny)
     for i in range(1, Nx + 1):
         for j in range(1, Ny + 1):
-            terms = {}
-            for n in range(maxdeg + 1):
-                e = [0] * (Nx + Ny)
-                e[i - 1] = n
-                e[Nx + j - 1] = n
-                terms[tuple(e)] = coeffs[n]
-            acc = acc.mul(BiPoly(Nx, Ny, MultiPoly(Nx + Ny, terms)), maxdeg)
+            acc = acc.mul(_xy_series(Nx, Ny, i, j, coeffs), maxdeg)
     return acc
 
 
-def _km_bracket(m, Nx, Ny, maxdeg, qinv=True):
+def _km_bracket(m, Nx, Ny, maxdeg, qinv):
     """prod_{i+j<=m}(1 - t c x_i y_j) * prod_{i+j<=m+1} 1/(1 - c x_i y_j)
     with c = 1/q (qinv) or c = 1, truncated."""
-    c = QtRational.monomial(1, -1, 0) if qinv else ONE
+    s = -1 if qinv else 0
+    factor = [ONE, -(T * QtRational.monomial(1, s, 0))]
+    geometric = [QtRational.monomial(1, s * k, 0) for k in range(maxdeg + 1)]
     acc = BiPoly.one(Nx, Ny)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             if i + j <= m:
-                acc = acc.mul(_xy_factor(Nx, Ny, i, j, -(_T * c)), maxdeg)
+                acc = acc.mul(_xy_series(Nx, Ny, i, j, factor), maxdeg)
             if i + j <= m + 1:
-                acc = acc.mul(_xy_geometric(Nx, Ny, i, j, c, maxdeg), maxdeg)
+                acc = acc.mul(_xy_series(Nx, Ny, i, j, geometric), maxdeg)
     return acc
 
 
-def km_pre_truncated(m, Nx, Ny, maxdeg, qinv=True):
+def km_pre_truncated(m, Nx, Ny, maxdeg):
     """The un-symmetrized kernel K-bar_m = K_0 * bracket."""
     return k0_truncated(Nx, Ny, maxdeg).mul(
-        _km_bracket(m, Nx, Ny, maxdeg, qinv=qinv), maxdeg)
+        _km_bracket(m, Nx, Ny, maxdeg, qinv=True), maxdeg)
 
 
 def km_truncated(m, Nx, Ny, maxdeg):
     """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated."""
     if Nx < m or Ny < m:
         raise ValueError("alphabets must have at least m letters")
-    bracket = _km_bracket(m, Nx, Ny, maxdeg).poly
+    bracket = _km_bracket(m, Nx, Ny, maxdeg, qinv=True).poly
     bracket = BiPoly(Nx, Ny, apply_T_word(bracket, longest_word(m)))
     out = k0_truncated(Nx, Ny, maxdeg).mul(bracket, maxdeg)
     return out.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
@@ -221,9 +199,10 @@ def km_sum_truncated(m, N, maxdeg):
         for lab, p in _P_basis(m, N, maxdeg).items()))
 
 
-def km_expansion_check(m, maxdeg, N=None):
-    """K_m equals its P-basis expansion up to the truncation degree."""
-    N = m + maxdeg if N is None else N
+def km_expansion_check(m, maxdeg):
+    """K_m equals its P-basis expansion up to the truncation degree, on
+    alphabets of size m + maxdeg."""
+    N = m + maxdeg
     return km_truncated(m, N, N, maxdeg) == km_sum_truncated(m, N, maxdeg)
 
 
@@ -242,15 +221,18 @@ def hl_kernel_check(m, maxdeg):
     return lhs == rhs
 
 
-def _cauchy_lhs(m, Nx, Ny, maxdeg, y_scale_upto):
+def _cauchy_lhs(m, N, maxdeg):
     """K_0(x, y~) prod_{i<j<=m} (1-t x_i y_j)/(1-x_i y_j)
-    * prod_{i<=m} 1/(1-x_i y_i), with y_1..y_upto scaled by q."""
-    acc = k0_truncated(Nx, Ny, maxdeg).scale_y_block_q(y_scale_upto)
+    * prod_{i<=m} 1/(1-x_i y_i) on alphabets of size N, with y_1..y_m
+    scaled by q."""
+    factor = [ONE, -T]
+    geometric = [ONE] * (maxdeg + 1)
+    acc = k0_truncated(N, N, maxdeg).scale_y_block_q(m)
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            acc = acc.mul(_xy_factor(Nx, Ny, i, j, -_T), maxdeg)
-            acc = acc.mul(_xy_geometric(Nx, Ny, i, j, ONE, maxdeg), maxdeg)
-        acc = acc.mul(_xy_geometric(Nx, Ny, i, i, ONE, maxdeg), maxdeg)
+            acc = acc.mul(_xy_series(N, N, i, j, factor), maxdeg)
+            acc = acc.mul(_xy_series(N, N, i, j, geometric), maxdeg)
+        acc = acc.mul(_xy_series(N, N, i, i, geometric), maxdeg)
     return acc
 
 
@@ -263,11 +245,12 @@ def _cauchy_coeff(diagram):
             / norm_formula(diagram))
 
 
-def cauchy_identity_check(m, maxdeg, N=None):
+def cauchy_identity_check(m, maxdeg):
     """K_0(x,y~) prod_{i<j<=m}(1-tx_iy_j)/(1-x_iy_j) prod_i 1/(1-x_iy_i)
-      = sum_Lambda a_Lambda P_Lambda(x;q,t) P_Lambda(y;1/q,1/t)."""
-    N = m + maxdeg if N is None else N
-    lhs = _cauchy_lhs(m, N, N, maxdeg, y_scale_upto=m)
+      = sum_Lambda a_Lambda P_Lambda(x;q,t) P_Lambda(y;1/q,1/t), on
+    alphabets of size m + maxdeg."""
+    N = m + maxdeg
+    lhs = _cauchy_lhs(m, N, maxdeg)
     rhs = _pair_sum(N, N, maxdeg, (
         (_cauchy_coeff(lab), p, p.invert_params())
         for lab, p in _P_basis(m, N, maxdeg).items()))
@@ -277,7 +260,7 @@ def cauchy_identity_check(m, maxdeg, N=None):
 def nonsym_cauchy_check(m, maxdeg):
     """The same identity on alphabets of length m, expanded over the
     non-symmetric Macdonald polynomials E_eta."""
-    lhs = _cauchy_lhs(m, m, m, maxdeg, y_scale_upto=m)
+    lhs = _cauchy_lhs(m, m, maxdeg)
     es = {eta: nonsym_E(eta).poly
           for d in range(maxdeg + 1) for eta in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, (
@@ -286,27 +269,27 @@ def nonsym_cauchy_check(m, maxdeg):
     return lhs == rhs
 
 
-def kernel_hecke_symmetry_check(m, maxdeg, N=None):
-    """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1."""
-    N = m if N is None else N
-    kbar = km_pre_truncated(m, N, N, maxdeg)
+def kernel_hecke_symmetry_check(m, maxdeg):
+    """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1, on
+    alphabets of size m."""
+    kbar = km_pre_truncated(m, m, m, maxdeg)
     for i in range(1, m):
         if kbar.map_T_x(i) != kbar.map_T_y(m - i):
             return False
     return True
 
 
-def kernel_xy_symmetry_check(m, maxdeg, N=None):
-    """K_m(x,y) = K_m(y,x)."""
-    N = m + maxdeg if N is None else N
+def kernel_xy_symmetry_check(m, maxdeg):
+    """K_m(x,y) = K_m(y,x) on alphabets of size m + maxdeg."""
+    N = m + maxdeg
     km = km_truncated(m, N, N, maxdeg)
     return km == km.swap_xy()
 
 
-def kernel_eigen_symmetry_check(m, maxdeg, N=None):
+def kernel_eigen_symmetry_check(m, maxdeg):
     """Y_i^{(x)} K_m = Y_i^{(y)} K_m (i <= m) and D^{(x)} K_m = D^{(y)} K_m
-    on truncations, at a fixed finite alphabet size."""
-    N = m + maxdeg if N is None else N
+    on truncations, on alphabets of size m + maxdeg."""
+    N = m + maxdeg
     km = km_truncated(m, N, N, maxdeg)
     f = km.poly
     for i in range(1, m + 1):

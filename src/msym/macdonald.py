@@ -14,14 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import combinatorics, polyring, qt_ring
-from .qt_field import QtRational, ONE, qt_sum, t_factorial
+from .qt_field import QtRational, ONE, T, qt_sum, t_factorial
 from .polyring import DegreeGuardError, MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
-from .hecke_ops import (apply_T, apply_Phi, apply_Y, apply_Lprime,
+from .hecke_ops import (_TINV, apply_T, apply_Phi, apply_Y, apply_Lprime,
                         apply_tau_K_Tbar, symmetrize_t)
-
-_T = QtRational.monomial(1, 0, 1)
-_TINV = _T.inverse()
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def apply_Psi(f, m):
     if m < 1:
         raise ValueError("the raising relation needs m >= 1")
     g = apply_Lprime(apply_Phi(f), m - 1, f.nvars)
-    return g.scale(ONE - _T)
+    return g.scale(ONE - T)
 
 
 def psi_box_raise(mpart, N):

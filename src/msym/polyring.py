@@ -4,26 +4,23 @@ operators (exchange, q-shift, specialization) the Hecke calculus builds on.
 Exponent vectors are tuples of length nvars; no zero coefficients are stored.
 Term order for printing/iteration is lexicographic on exponent vectors,
 x_1-major, leading monomial first.
+
+Every monomial substitution x_j -> q^w x_k (exchange, q-shift, permutation,
+embedding in more variables, and in hecke_ops and kernels the rotation omega,
+tau K_{w_m} and the y-alphabet maps) is one call to _relabel, the single loop
+that moves exponents between positions or scales by a q-power of them.
 """
 
 from __future__ import annotations
 
 import os
+from operator import itemgetter
 
 from .qt_field import QtRational, ZERO, ONE, qt_sum
 
 # Products, and macdonald._build_E before its first Hecke step, enforce this
 # degree guard so runaway computations fail fast.  MSYM_MAXDEG overrides it.
 _DEGREE_GUARD = int(os.environ.get("MSYM_MAXDEG", "12"))
-
-
-def set_degree_guard(n):
-    global _DEGREE_GUARD
-    _DEGREE_GUARD = int(n)
-
-
-def degree_guard():
-    return _DEGREE_GUARD
 
 
 class DegreeGuardError(RuntimeError):
@@ -60,6 +57,23 @@ def _settle(acc):
     for e in zeros:
         del acc[e]
     return acc
+
+
+def _relabel(f, src, qexp):
+    """f with position k of each exponent taken from f's position src[k]
+    (-1: a new variable, exponent 0), each term c x^e also gaining
+    q^(w e_j) for every (j, w) in qexp.  src names each position of f at
+    most once, so terms stay distinct and none is collected.  Exponents are
+    read from e + (0,), where index -1 is the new variable's 0."""
+    pick = itemgetter(*src) if len(src) > 1 else (
+        lambda e: tuple(e[s] for s in src))
+    out = {}
+    for e, c in f.terms.items():
+        k = 0
+        for j, w in qexp:
+            k += w * e[j]
+        out[pick(e + (0,))] = c * QtRational.monomial(1, k, 0) if k else c
+    return MultiPoly._raw(len(src), out)
 
 
 def _sum_polys(nvars, polys):
@@ -225,27 +239,14 @@ class MultiPoly:
         self._check_index(j)
         if i == j:
             return self
-        i -= 1
-        j -= 1
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == e[j]:
-                out[e] = c
-            else:
-                le = list(e)
-                le[i], le[j] = le[j], le[i]
-                out[tuple(le)] = c
-        return MultiPoly._raw(self.nvars, out)
+        src = list(range(self.nvars))
+        src[i - 1], src[j - 1] = j - 1, i - 1
+        return _relabel(self, src, ())
 
     def qshift(self, i, power=1):
         """x_i -> q**power * x_i: each term gains q**(power * e_i)."""
         self._check_index(i)
-        i -= 1
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i] * power
-            out[e] = c * QtRational.monomial(1, k, 0) if k else c
-        return MultiPoly._raw(self.nvars, out)
+        return _relabel(self, range(self.nvars), ((i - 1, power),))
 
     def set_var_zero(self, i):
         """Set x_i = 0; when i == nvars the result lives in nvars-1 variables."""
@@ -276,20 +277,17 @@ class MultiPoly:
             raise ValueError("cannot shrink; use set_var_zero")
         if nvars == self.nvars:
             return self
-        pad = (0,) * (nvars - self.nvars)
-        return MultiPoly._raw(nvars, {e + pad: c for e, c in self.terms.items()})
+        pad = [-1] * (nvars - self.nvars)
+        return _relabel(self, [*range(self.nvars), *pad], ())
 
     def permute_vars(self, perm):
         """perm is a tuple with perm[k] = image of variable k+1 (1-based)."""
         if sorted(perm) != list(range(1, self.nvars + 1)):
             raise ValueError("not a permutation of 1..N")
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for k, ek in enumerate(e):
-                ne[perm[k] - 1] = ek
-            out[tuple(ne)] = c
-        return MultiPoly._raw(self.nvars, out)
+        src = [0] * self.nvars
+        for k, p in enumerate(perm):
+            src[p - 1] = k
+        return _relabel(self, src, ())
 
     def coefficient_of(self, expvec):
         if len(expvec) != self.nvars:

@@ -302,7 +302,7 @@ def _den(c, i, j, fac):
     key = (c, i, j, fac)
     hit = _EXPANDED.get(key)
     if hit is None:
-        p = {(i, j): c}
+        p = _ONE_TERMS if (c, i, j) == (1, 0, 0) else {(i, j): c}
         for (n, a, b), k in fac:
             f = {(s * a, s * b): v for s, v in enumerate(_phi(n)) if v}
             for _ in range(k):

@@ -362,12 +362,9 @@ def evaluation_point(mpart, N):
     return [QtRational.monomial(1, -gamma[i], rows[i] - 1) for i in range(N)]
 
 
-def evaluation_u(mpart, f, N=None):
+def evaluation_u(mpart, f):
     """u_Lambda(f): evaluate f at the m-partition's spectral point."""
-    N = f.nvars if N is None else N
-    if f.nvars != N:
-        raise ValueError("f must be realized in N variables")
-    return f.substitute(evaluation_point(mpart, N))
+    return f.substitute(evaluation_point(mpart, f.nvars))
 
 
 # ---------------------------------------------------------------------------

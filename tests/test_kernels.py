@@ -129,7 +129,7 @@ class TestCauchy:
     def test_m1_coefficient(self):
         # coefficient of x1 y1 on both sides is (1-qt)/(1-q)
         from msym.kernels import _cauchy_lhs
-        lhs = _cauchy_lhs(1, 1, 1, 1, y_scale_upto=1)
+        lhs = _cauchy_lhs(1, 1, 1)
         assert lhs.poly.coefficient_of((1, 1)) == (ONE - Q * T) / (ONE - Q)
 
     def test_m1(self):

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msym.polyring import (MultiPoly, DegreeGuardError, set_degree_guard,
-                           degree_guard)
+from msym.hecke_ops import apply_omega, apply_omega_inv
+from msym.kernels import BiPoly
+from msym.polyring import MultiPoly, DegreeGuardError
 from msym.qt_field import QtRational, ONE, ZERO, Q, T
 
 
@@ -46,16 +47,12 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             x(2, 1) + x(3, 1)
 
-    def test_degree_guard(self):
+    def test_degree_guard(self, monkeypatch):
         f = x(2, 1) ** 6
         g = x(2, 1) ** 6
-        old = degree_guard()
-        try:
-            set_degree_guard(10)
-            with pytest.raises(DegreeGuardError):
-                f * g
-        finally:
-            set_degree_guard(old)
+        monkeypatch.setattr("msym.polyring._DEGREE_GUARD", 10)
+        with pytest.raises(DegreeGuardError):
+            f * g
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
@@ -181,6 +178,94 @@ class TestVariableOps:
         f = x(2, 1) * x(2, 2) + x(2, 2)
         v = f.substitute([Q, T])
         assert v == Q * T + T
+
+
+def _qpow(k):
+    """q**k by repeated multiplication."""
+    out = ONE
+    for _ in range(abs(k)):
+        out = out * (Q if k > 0 else Q.inverse())
+    return out
+
+
+def _termwise(f, nvars, move):
+    """The polynomial in nvars variables with one term move(e) = (e', k),
+    coefficient c q^k, for each term c x^e of f."""
+    out = {}
+    for e, c in f.terms.items():
+        ne, k = move(list(e))
+        assert tuple(ne) not in out
+        out[tuple(ne)] = c * _qpow(k)
+    return MultiPoly(nvars, out)
+
+
+def _swapped(e, i, j):
+    e[i], e[j] = e[j], e[i]
+    return e
+
+
+class TestRelabel:
+    """Each monomial substitution against its definition, term by term."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    def test_multipoly_transforms(self, seed, n):
+        rng = random.Random(seed)
+        f = _random_qt_poly(rng, n, 4)
+        i, j = rng.randrange(n), rng.randrange(n)
+        assert f.exchange(i + 1, j + 1) == _termwise(
+            f, n, lambda e: (_swapped(e, i, j), 0))
+        for power in (1, -1, 2, -2):
+            assert f.qshift(i + 1, power) == _termwise(
+                f, n, lambda e: (e, power * e[i]))
+        perm = rng.sample(range(1, n + 1), n)
+
+        def permuted(e):
+            ne = [0] * n
+            for k, p in enumerate(perm):
+                ne[p - 1] = e[k]
+            return ne, 0
+        assert f.permute_vars(tuple(perm)) == _termwise(f, n, permuted)
+        extra = rng.randrange(3)
+        assert f.extend(n + extra) == _termwise(
+            f, n + extra, lambda e: (e + [0] * extra, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 5))
+    def test_omega_on_windows(self, seed, n):
+        # omega = K_{hi-1,hi} ... K_{lo,lo+1} tau_lo, the rightmost first
+        rng = random.Random(seed)
+        f = _random_qt_poly(rng, n, 4)
+        lo = rng.randrange(1, n + 1)
+        hi = rng.randrange(lo, n + 1)
+
+        def omega(e):
+            k = e[lo - 1]
+            for a in range(lo, hi):
+                _swapped(e, a - 1, a)
+            return e, k
+
+        def omega_inv(e):
+            for a in range(hi - 1, lo - 1, -1):
+                _swapped(e, a - 1, a)
+            return e, -e[lo - 1]
+        assert apply_omega(f, lo, hi) == _termwise(f, n, omega)
+        assert apply_omega_inv(f, lo, hi) == _termwise(f, n, omega_inv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 4))
+    def test_bipoly_transforms(self, seed, ny, upto):
+        rng = random.Random(seed)
+        g = _random_qt_poly(rng, ny, 4)
+        nx = rng.randrange(3)
+        assert BiPoly.from_y(g, nx).poly == _termwise(
+            g, nx + ny, lambda e: ([0] * nx + e, 0))
+        f = BiPoly(ny, ny, _random_qt_poly(rng, 2 * ny, 4))
+        assert f.swap_xy().poly == _termwise(
+            f.poly, 2 * ny, lambda e: (e[ny:] + e[:ny], 0))
+        upto = min(upto, ny)
+        assert f.scale_y_block_q(upto).poly == _termwise(
+            f.poly, 2 * ny, lambda e: (e, sum(e[ny:ny + upto])))
 
 
 class TestPrinting:

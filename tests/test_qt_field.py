@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
                            qt_sum, _pgcd, _pmul, _pdivexact, _hgcd, _peval,
                            _genpoly)
-from msym.qt_ring import _factor
+from msym.macdonald import clear_caches
+from msym.qt_ring import _ONE_TERMS, _factor
 
 
 def frac(num, den):
@@ -603,6 +604,13 @@ class TestFactoredDenominators:
                 for _ in range(k):
                     expanded = _pmul(expanded, _in_qt(phi, a, b))
             assert expanded == x.den
+
+    def test_den_one_is_shared(self):
+        # a quotient that cancels to a polynomial holds the one shared
+        # denominator 1, so qt_sum puts it in one group with the integers
+        clear_caches()
+        x = (ONE - Q) * (ONE - Q).inverse()
+        assert x.den is _ONE_TERMS
 
     def test_factor_examples(self):
         # 1 - q^2 t^2 = (1 - qt)(1 + qt); -2 - 2q^3 = -2 (1 + q)(1 - q + q^2);
