@@ -15,11 +15,10 @@ from fractions import Fraction
 
 from .qt_field import QtRational, ONE, ZERO, T
 from .polyring import MultiPoly, DegreeGuardError, _sum_polys
-from .combinatorics import (MPartition, enumerate_mpartitions, bruhat_less,
-                            compositions_of)
+from .combinatorics import MPartition, enumerate_mpartitions, compositions_of
 from .hecke_ops import (apply_T, apply_Tbar, apply_Y, apply_R, apply_L,
                         symmetrize_t)
-from .macdonald import nonsym_E, msym_P, eta_bar, invert_qt
+from .macdonald import eigen_cases, nonsym_E, msym_P, invert_qt
 from .structure import (monomial_m, expand_in_basis, pair_p_coeffs,
                         scalar_product_m, norm_formula, inclusion_coeffs,
                         restriction, restrict_poly, principal_specialization,
@@ -106,9 +105,9 @@ def _run(identity, bounds, cases, point):
     return e
 
 
-def _rand_poly(rng, n, deg, nterms=6):
+def _rand_poly(rng, n, deg):
     terms = {}
-    for _ in range(nterms):
+    for _ in range(6):
         e = [0] * n
         for _ in range(deg):
             e[rng.randrange(n)] += rng.randrange(2)
@@ -137,10 +136,22 @@ def _compositions(N, dmax):
             for eta in compositions_of(d, n)]
 
 
-def _inclusion_rhs(lab, N):
-    """sum psi_{Omega/Lambda} P_Omega in N variables."""
-    return _sum_polys(N, [msym_P(om, N).poly.scale(psi)
-                          for om, psi in inclusion_coeffs(lab).coeffs.items()])
+def _inclusion_cases(labels):
+    """sum psi_{Omega/Lambda} P_Omega = P_Lambda in m + 1 + max(|Lambda|, 1)
+    variables, one case per label."""
+    for lab in labels:
+        N = lab.m + 1 + max(lab.degree(), 1)
+        yield (lab, _sum_polys(N, [msym_P(om, N).poly.scale(psi) for om, psi
+                                   in inclusion_coeffs(lab).coeffs.items()]),
+               msym_P(lab, N).poly)
+
+
+def _specialization_cases(labels, N):
+    """P_Lambda(1, t, ..., t^{N-1}) against its closed form, one case per
+    label."""
+    for lab in labels:
+        yield (lab, msym_P(lab, N).poly.substitute(principal_point(N)),
+               principal_specialization(lab, N))
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +223,7 @@ def suite_eigen(b):
 
     def cases():
         for eta in etas:
-            poly = nonsym_E(eta).poly
-            monic = poly.coefficient_of(eta).is_one()
-            yield ("monic", eta), monic, True
-            if not monic:
-                continue
-            for nu in poly.terms:
-                if nu != eta:
-                    yield ("triangular", eta, nu), bruhat_less(nu, eta), True
-            for i in range(1, len(eta) + 1):
-                yield (("eigen", eta, i), apply_Y(poly, i),
-                       poly.scale(eta_bar(eta, i)))
+            yield from eigen_cases(eta, nonsym_E(eta).poly)
 
     yield ("nonsym-eigen-triangular",
            "N<=%d deg<=%d (%d labels)" % (N, dmax, len(etas)), cases())
@@ -251,12 +252,6 @@ def suite_inclusion(b):
     if dmax < 1 and b["count"] > 0:
         _usage_error("verify inclusion needs --deg-max >= 1 when --count > 0")
 
-    def expansion(m):
-        for d in range(dmax + 1):
-            for lab in enumerate_mpartitions(m, d):
-                N = m + 1 + max(d, 1)
-                yield lab, _inclusion_rhs(lab, N), msym_P(lab, N).poly
-
     def adjointness():
         rng = random.Random(b["seed"])
         for k in range(b["count"]):
@@ -269,7 +264,10 @@ def suite_inclusion(b):
                                     verify=False))
 
     for m in range(b["m_max"] + 1):
-        yield "inclusion-expansion", "m=%d deg<=%d" % (m, dmax), expansion(m)
+        labels = (lab for d in range(dmax + 1)
+                  for lab in enumerate_mpartitions(m, d))
+        yield ("inclusion-expansion", "m=%d deg<=%d" % (m, dmax),
+               _inclusion_cases(labels))
     yield ("inclusion-restriction-adjointness",
            "%d random pairs, seed=%d" % (b["count"], b["seed"]), adjointness())
 
@@ -278,11 +276,6 @@ def suite_specialization(b):
     dmax = b["deg_max"]
     nmax, d3 = min(b["N"] or 3, 3), min(dmax, 3)
 
-    def msym(m, N):
-        for lab in _labels(m, dmax, N):
-            yield (lab, msym_P(lab, N).poly.substitute(principal_point(N)),
-                   principal_specialization(lab, N))
-
     def nonsym():
         for eta in _compositions(nmax, d3):
             n = len(eta)
@@ -290,8 +283,9 @@ def suite_specialization(b):
                    principal_specialization_e(eta, n))
 
     for m in range(b["m_max"] + 1):
-        yield ("principal-specialization",
-               "m=%d deg<=%d N=%d" % (m, dmax, m + dmax), msym(m, m + dmax))
+        N = m + dmax
+        yield ("principal-specialization", "m=%d deg<=%d N=%d" % (m, dmax, N),
+               _specialization_cases(_labels(m, dmax, N), N))
     yield ("nonsym-principal-specialization", "N<=%d deg<=%d" % (nmax, d3),
            nonsym())
 
@@ -321,7 +315,7 @@ def suite_inversion(b):
 
     def cases(m, N):
         for lab in _labels(m, dmax, N):
-            yield (lab, *invert_qt(lab, N, return_sides=True))
+            yield (lab, *invert_qt(lab, N))
 
     for m in range(b["m_max"] + 1):
         N = b["N"] or (m + 2)
@@ -381,15 +375,29 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
+def _emit_checked(args, payload, text_lines, identity, cases):
+    """_emit for a table command, returning its exit status.  With --check
+    its (witness, lhs, rhs) cases are compared exactly before anything is
+    printed; if one fails, the result is followed by the one stderr line
+    `check failed: <identity> <witnesses>` and the status is 1."""
+    e = _run(identity, None, cases if args.check else (), None)
+    _emit(args, payload, text_lines)
+    if e["status"] == "pass":
+        return 0
+    print("check failed: %s %s" % (identity, ", ".join(e["witnesses"])),
+          file=sys.stderr)
+    return 1
+
+
 def cmd_expand_e(args):
     eta = _parse_csv(args.eta, "--eta")
     if args.N is not None and args.N != len(eta):
         _usage_error("--N must equal the number of parts of --eta")
-    lab = nonsym_E(eta, check=args.check)
+    poly = nonsym_E(eta).poly
     payload = {"command": "expand-e", "params": {"eta": list(eta)},
-               "result": lab.poly.to_json()}
-    _emit(args, payload, [str(lab.poly)])
-    return 0
+               "result": poly.to_json()}
+    return _emit_checked(args, payload, [str(poly)],
+                         "nonsym-eigen-triangular", eigen_cases(eta, poly))
 
 
 def cmd_expand_p(args):
@@ -416,39 +424,29 @@ def cmd_expand_p(args):
 def cmd_norm(args):
     lab = _parse_label(args)
     val = norm_formula(lab)
-    status = 0
-    if args.check:
-        faithful = lab.m + lab.degree()
-        N = args.N if args.N is not None else faithful
-        if N < faithful:
-            # below it P_Lambda may vanish or the expansion is not faithful
-            _usage_error("--check needs --N >= m + |Lambda| = %d" % faithful)
+    faithful = lab.m + lab.degree()
+    N = args.N if args.N is not None else faithful
+    if args.check and N < faithful:
+        # below it P_Lambda may vanish or the expansion is not faithful
+        _usage_error("--check needs --N >= m + |Lambda| = %d" % faithful)
+
+    def cases():
         P = msym_P(lab, N).poly
-        direct = scalar_product_m(P, P, lab.m, verify=False)
-        if direct != val:
-            print("check failed: direct product %s != formula %s"
-                  % (direct, val), file=sys.stderr)
-            status = 1
+        yield lab, scalar_product_m(P, P, lab.m, verify=False), val
+
     payload = {"command": "norm", "params": {"label": lab.to_json()},
                "result": str(val)}
-    _emit(args, payload, [str(val)])
-    return status
+    return _emit_checked(args, payload, [str(val)], "norm-formula", cases())
 
 
 def cmd_inclusion(args):
     lab = _parse_label(args)
     exp = inclusion_coeffs(lab)
-    status = 0
-    if args.check:
-        N = lab.m + 1 + max(lab.degree(), 1)
-        if _inclusion_rhs(lab, N) != msym_P(lab, N).poly:
-            print("check failed: inclusion expansion does not reproduce P_%s"
-                  % lab, file=sys.stderr)
-            status = 1
     payload = {"command": "inclusion", "params": {"label": lab.to_json()},
                "result": exp.to_json()}
-    _emit(args, payload, ["%s: %s" % (l, c) for l, c in exp.items_sorted()])
-    return status
+    return _emit_checked(args, payload,
+                         ["%s: %s" % (l, c) for l, c in exp.items_sorted()],
+                         "inclusion-expansion", _inclusion_cases([lab]))
 
 
 def cmd_restrict(args):
@@ -456,36 +454,28 @@ def cmd_restrict(args):
     if lab.m < 1:
         _usage_error("restriction needs at least one circle (m >= 1)")
     hat, fac = restriction(lab)
-    status = 0
-    if args.check:
+
+    def cases():
         N = lab.m + lab.degree() + 1
-        if (restrict_poly(msym_P(lab, N).poly, lab.m - 1)
-                != msym_P(hat, N - 1).poly.scale(fac)):
-            print("check failed: operational restriction disagrees with the "
-                  "closed form for %s" % lab, file=sys.stderr)
-            status = 1
+        yield (lab, restrict_poly(msym_P(lab, N).poly, lab.m - 1),
+               msym_P(hat, N - 1).poly.scale(fac))
+
     payload = {"command": "restrict", "params": {"label": lab.to_json()},
                "result": {"label": hat.to_json(), "factor": str(fac)}}
-    _emit(args, payload, ["%s: %s" % (hat, fac)])
-    return status
+    return _emit_checked(args, payload, ["%s: %s" % (hat, fac)],
+                         "restriction", cases())
 
 
 def cmd_eval(args):
     lab = _parse_label(args)
     N = args.N if args.N is not None else lab.m + max(lab.degree(), 1)
     val = principal_specialization(lab, N)
-    status = 0
-    if args.check:
-        direct = msym_P(lab, N).poly.substitute(principal_point(N))
-        if direct != val:
-            print("check failed: direct evaluation %s != formula %s"
-                  % (direct, val), file=sys.stderr)
-            status = 1
     payload = {"command": "eval",
                "params": {"label": lab.to_json(), "N": N},
                "result": str(val)}
-    _emit(args, payload, [str(val)])
-    return status
+    return _emit_checked(args, payload, [str(val)],
+                         "principal-specialization",
+                         _specialization_cases([lab], N))
 
 
 def cmd_kernel(args):

@@ -65,10 +65,10 @@ def apply_Tbar(f, i):
     return apply_T(f, i, _TINV, _TINV_1)
 
 
-def apply_T_word(f, word, offset=0):
-    """Apply T_{word[0]+offset} T_{word[1]+offset} ... (rightmost first)."""
+def apply_T_word(f, word):
+    """Apply T_{word[0]} T_{word[1]} ... (rightmost first)."""
     for j in reversed(word):
-        f = apply_T(f, j + offset)
+        f = apply_T(f, j)
     return f
 
 
@@ -197,7 +197,8 @@ def symmetrize_t(f, m, naive=False):
         import itertools
         acc = MultiPoly.zero(n)
         for sigma in itertools.permutations(range(1, n - m + 1)):
-            acc = acc + apply_T_word(f, reduced_word(sigma), offset=m)
+            word = [j + m for j in reduced_word(sigma)]
+            acc = acc + apply_T_word(f, word)
         return acc
     for top in range(m + 2, n + 1):
         f = apply_Lprime(f, m, top)

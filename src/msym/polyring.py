@@ -129,12 +129,10 @@ class MultiPoly:
         return cls._raw(nvars, {tuple(e): ONE})
 
     @classmethod
-    def from_exponents(cls, nvars, expvec, coeff=ONE):
+    def from_exponents(cls, nvars, expvec):
         if len(expvec) != nvars:
             raise ValueError("exponent vector length != nvars")
-        if not coeff:
-            return cls.zero(nvars)
-        return cls._raw(nvars, {tuple(expvec): coeff})
+        return cls._raw(nvars, {tuple(expvec): ONE})
 
     # -- basic structure --------------------------------------------------
 

@@ -306,12 +306,6 @@ def restrict_poly(f, m):
     return f.drop_var(m + 1)
 
 
-def include_poly(f, N=None):
-    """Operational inclusion R_m -> R_{m+1}: the identity map, optionally
-    re-realized at a larger N."""
-    return f if N is None else f.extend(N)
-
-
 # ---------------------------------------------------------------------------
 # evaluations
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Command-line interface: golden outputs, JSON schema, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from msym import cli
+from msym import cli, macdonald
 from msym.polyring import MultiPoly
-from msym.qt_field import ONE, QtRational, parse_qt
+from msym.qt_field import ONE, ZERO, QtRational, parse_qt
+
+TWO = QtRational.from_int(2)
 
 
 def run(capsys, argv):
@@ -279,7 +282,7 @@ class TestVerifySuites:
         # its inversion check would compare 0 with 0
         checked = []
 
-        def record(lab, N, return_sides):
+        def record(lab, N):
             checked.append((lab, N))
             return ONE, ONE
         monkeypatch.setattr(cli, "invert_qt", record)
@@ -323,6 +326,36 @@ class TestVerifySuites:
         assert all(w.startswith("('inverse', ") for w in failed["witnesses"])
         assert all(e["status"] == "pass" and "witnesses" not in e
                    for e in report.values())
+
+
+class TestCheckFailures:
+    # each case breaks one side of the command's --check identity by
+    # wrapping the function that builds it
+    @pytest.mark.parametrize("argv, owner, name, corrupt", [
+        (["expand-e", "--eta", "2,0,1"], macdonald, "_build_E",
+         lambda build: lambda eta: build(eta).scale(TWO)),
+        (["norm", "--m", "1", "--a", "1", "--lambda", "2"], cli,
+         "norm_formula", lambda formula: lambda lab: ZERO),
+        (["inclusion", "--m", "1", "--a", "1", "--lambda", "1"], cli,
+         "inclusion_coeffs",
+         lambda psi: lambda lab: dataclasses.replace(
+             psi(lab), coeffs={om: c + c
+                               for om, c in psi(lab).coeffs.items()})),
+        (["restrict", "--m", "2", "--a", "1,0", "--lambda", "1"], cli,
+         "restrict_poly", lambda r: lambda f, m: r(f, m).scale(TWO)),
+        (["eval", "--m", "1", "--a", "1", "--lambda", "1", "--N", "3"], cli,
+         "principal_specialization", lambda spec: lambda lab, N: ZERO),
+    ], ids=["expand-e", "norm", "inclusion", "restrict", "eval"])
+    def test_result_then_one_failure_line(self, capsys, monkeypatch, argv,
+                                          owner, name, corrupt):
+        monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+        rc, expected, err = run(capsys, argv)
+        assert rc == 0 and expected and err == ""
+        rc, out, err = run(capsys, argv + ["--check"])
+        assert rc == 1 and out == expected
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("check failed: ")
+        assert len(lines[0].split()) > 3  # identity and witnesses
 
 
 class TestComparison:

@@ -10,7 +10,7 @@ from msym.qt_field import QtRational, ONE, Q, T
 from msym.combinatorics import (MPartition, bruhat_less, compositions_of,
                                 enumerate_mpartitions)
 from msym.hecke_ops import apply_T, apply_Y, apply_D
-from msym.macdonald import (apply_Psi, check_E, eigenvalues, eta_bar,
+from msym.macdonald import (apply_Psi, eigen_cases, eigenvalues, eta_bar,
                             hall_littlewood_H, integral_J, integral_c,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
                             u_normalization)
@@ -18,6 +18,11 @@ from msym.macdonald import (apply_Psi, check_E, eigenvalues, eta_bar,
 
 def x(n, i):
     return MultiPoly.variable(n, i)
+
+
+def failed_cases(eta, poly):
+    """Witnesses of the eigen_cases of (eta, poly) whose sides differ."""
+    return [w for w, lhs, rhs in eigen_cases(eta, poly) if lhs != rhs]
 
 
 def all_compositions(nmax, dmax):
@@ -33,7 +38,8 @@ class TestNonsymE:
 
     def test_E_10(self):
         expect = x(2, 1) + x(2, 2).scale(Q * (ONE - T) / (ONE - Q * T))
-        assert nonsym_E((1, 0), check=True).poly == expect
+        assert nonsym_E((1, 0)).poly == expect
+        assert failed_cases((1, 0), expect) == []
 
     def test_monic_and_triangular(self):
         for eta in all_compositions(3, 3):
@@ -44,11 +50,19 @@ class TestNonsymE:
 
     def test_eigen_certificate(self):
         for eta in all_compositions(3, 3):
-            nonsym_E(eta, check=True)
+            cases = list(eigen_cases(eta, nonsym_E(eta).poly))
+            assert sum(w[0] == "eigen" for w, _, _ in cases) == len(eta)
+            assert all(lhs == rhs for _, lhs, rhs in cases), eta
 
     def test_check_rejects_wrong_poly(self):
-        with pytest.raises(AssertionError):
-            check_E((1, 0), x(2, 1) + x(2, 2))
+        # monic and triangular, but no Y_i eigenfunction
+        assert failed_cases((1, 0), x(2, 1) + x(2, 2)) == [
+            ("eigen", (1, 0), 1), ("eigen", (1, 0), 2)]
+        # not monic: the certificate stops at its first case
+        assert failed_cases((1, 0), x(2, 1).scale(T)) == [("monic", (1, 0))]
+        # x^(1,0) lies outside the Bruhat ideal below (0,1)
+        assert ("triangular", (0, 1), (1, 0)) in failed_cases(
+            (0, 1), x(2, 2) + x(2, 1))
 
     def test_stability(self):
         for eta in all_compositions(3, 3):
@@ -79,8 +93,6 @@ class TestNonsymE:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             nonsym_E((1, -1))
-        with pytest.raises(ValueError):
-            nonsym_E((1, 0), N=3)
 
 
 class TestHallLittlewood:
@@ -232,7 +244,8 @@ class TestInversion:
         for m in (0, 1, 2):
             for d in (0, 1, 2, 3):
                 for lab in enumerate_mpartitions(m, d):
-                    invert_qt(lab, m + 2)
+                    lhs, rhs = invert_qt(lab, m + 2)
+                    assert lhs == rhs, str(lab)
 
     def test_explicit_m1(self):
         # q P((1);)(x/q, y; 1/q, 1/t) = P((1);)(x, y; q, t)

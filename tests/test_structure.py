@@ -12,8 +12,8 @@ from msym.hecke_ops import apply_Y_inv, apply_Y, apply_D
 from msym.macdonald import msym_P, nonsym_E, eigenvalues
 from msym.structure import (Expansion, evaluation_point, evaluation_u,
                             expand_in_basis, gram_schmidt_basis,
-                            inclusion_coeffs, include_poly, monomial_m,
-                            norm_formula, p_weight, powersum, powersum_t,
+                            inclusion_coeffs, monomial_m, norm_formula,
+                            p_weight, powersum, powersum_t,
                             principal_point, principal_specialization,
                             principal_specialization_e, reconstruct,
                             restrict_poly, restriction, scalar_product_m,
@@ -221,7 +221,7 @@ class TestRestriction:
             N = m + 1 + d
             f = random_element(rng, m, d, N)
             g = random_element(rng, m + 1, d, N)
-            lhs = scalar_product_m(include_poly(f), g, m + 1, verify=False)
+            lhs = scalar_product_m(f, g, m + 1, verify=False)
             rhs = scalar_product_m(f.set_var_zero(N), restrict_poly(g, m), m,
                                    verify=False)
             assert lhs == rhs
@@ -234,7 +234,7 @@ class TestRestriction:
                 for lab in enumerate_mpartitions(m, d):
                     N = m + 1 + max(d, 1)
                     P = msym_P(lab, N).poly
-                    back = restrict_poly(include_poly(P), m)
+                    back = restrict_poly(P, m)
                     assert back == msym_P(lab, N - 1).poly
                     total = ZERO
                     for om, psi in inclusion_coeffs(lab).coeffs.items():
