@@ -90,10 +90,11 @@ def _same(lhs, rhs, point):
 
 
 def _run(identity, bounds, cases, point):
-    """Report entry of one identity.  cases lazily yields (witness, lhs, rhs),
-    a structural check (witness, bool, True); the clock starts before the
-    first case is built.  The witness of every case whose sides differ is
-    listed (None fails the identity but is not listed)."""
+    """Report entry of one identity.  cases lazily yields (witness, lhs, rhs)
+    with QtRational or MultiPoly sides, a structural check (witness, bool,
+    True); the clock starts before the first case is built.  The witness of
+    every case whose sides differ is listed (None fails the identity but is
+    not listed)."""
     t0 = time.time()
     failed = [w for w, lhs, rhs in cases if not _same(lhs, rhs, point)]
     e = {"identity": identity, "bounds": bounds,
@@ -325,23 +326,19 @@ def suite_inversion(b):
 def suite_cauchy(b):
     d, d2, M = b["maxdeg"], min(b["maxdeg"], 2), b["m_max"]
     k = kernels
-    table = ([("kernel-P-expansion", m, d, k.km_expansion_check)
+    table = ([("kernel-P-expansion", m, d, k.km_expansion_cases)
               for m in range(min(M, 1) + 1)]
-             + [("hall-littlewood-kernel", 2, d, k.hl_kernel_check)]
-             + [("cauchy-identity", m, d2, k.cauchy_identity_check)
+             + [("hall-littlewood-kernel", 2, d, k.hl_kernel_cases)]
+             + [("cauchy-identity", m, d2, k.cauchy_cases)
                 for m in range(M + 1)]
-             + [("nonsym-cauchy-identity", m, d2, k.nonsym_cauchy_check)
+             + [("nonsym-cauchy-identity", m, d2, k.nonsym_cauchy_cases)
                 for m in range(1, M + 1)]
-             + [("kernel-hecke-symmetry", 2, d, k.kernel_hecke_symmetry_check),
-                ("kernel-xy-symmetry", 1, d2, k.kernel_xy_symmetry_check),
+             + [("kernel-hecke-symmetry", 2, d, k.kernel_hecke_symmetry_cases),
+                ("kernel-xy-symmetry", 1, d2, k.kernel_xy_symmetry_cases),
                 ("kernel-eigenoperator-symmetry", 1, d2,
-                 k.kernel_eigen_symmetry_check)])
-
-    def case(check, m, maxdeg):
-        yield None, check(m, maxdeg), True
-
-    for identity, m, maxdeg, check in table:
-        yield identity, "m=%d maxdeg=%d" % (m, maxdeg), case(check, m, maxdeg)
+                 k.kernel_eigen_symmetry_cases)])
+    for identity, m, maxdeg, cases in table:
+        yield identity, "m=%d maxdeg=%d" % (m, maxdeg), cases(m, maxdeg)
 
 
 def suite_gram_schmidt(b):

@@ -87,13 +87,6 @@ def apply_omega(f, lo=1, hi=None):
     return _relabel(f, src, ((lo - 1, 1),))
 
 
-def apply_omega_inv(f, lo=1, hi=None):
-    hi = f.nvars if hi is None else hi
-    src = list(range(f.nvars))
-    src.insert(lo - 1, src.pop(hi - 1))
-    return _relabel(f, src, ((hi - 1, -1),))
-
-
 def apply_Y(f, i, lo=1, hi=None):
     """Cherednik operator Y_i = t^{i-n} T_i..T_{n-1} omega Tbar_1..Tbar_{i-1}
     acting on the window (indices relative to the window)."""
@@ -109,22 +102,6 @@ def apply_Y(f, i, lo=1, hi=None):
     for j in range(n - 1, i - 1, -1):
         f = apply_T(f, j + off)
     return f.scale(QtRational.monomial(1, 0, i - n))
-
-
-def apply_Y_inv(f, i, lo=1, hi=None):
-    """Inverse Cherednik operator."""
-    n_all = f.nvars
-    hi = n_all if hi is None else hi
-    n = hi - lo + 1
-    if not 1 <= i <= n:
-        raise IndexError("Y_%d undefined on window of size %d" % (i, n))
-    off = lo - 1
-    for j in range(i, n):
-        f = apply_Tbar(f, j + off)
-    f = apply_omega_inv(f, lo, hi)
-    for j in range(1, i):
-        f = apply_T(f, j + off)
-    return f.scale(QtRational.monomial(1, 0, n - i))
 
 
 def apply_Phi(f):

@@ -1,5 +1,9 @@
 """Degree-truncated reproducing kernels over two alphabets, the Cauchy-type
-identities, and the Hecke/eigenoperator symmetry checks on kernels.
+identities, and the Hecke/eigenoperator symmetries of kernels.
+
+Each identity is a generator *_cases(m, maxdeg) of (witness, lhs, rhs)
+cases with MultiPoly sides, one case per comparison, as cli._run takes
+them; the witness is None where the identity makes a single comparison.
 
 A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
@@ -35,16 +39,6 @@ class BiPoly:
     def one(cls, nx, ny):
         return cls(nx, ny, MultiPoly.one(nx + ny))
 
-    @classmethod
-    def from_x(cls, f, ny):
-        """Embed an nx-variable polynomial as a function of the x alphabet."""
-        return cls(f.nvars, ny, f.extend(f.nvars + ny))
-
-    @classmethod
-    def from_y(cls, f, nx):
-        """Embed an ny-variable polynomial as a function of the y alphabet."""
-        return cls(nx, f.nvars, _relabel(f, [-1] * nx + [*range(f.nvars)], ()))
-
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.nx == other.nx
                 and self.ny == other.ny and self.poly == other.poly)
@@ -57,10 +51,6 @@ class BiPoly:
 
     def scale(self, c):
         return BiPoly(self.nx, self.ny, self.poly.scale(c))
-
-    def bidegrees(self):
-        nx = self.nx
-        return {(sum(e[:nx]), sum(e[nx:])) for e in self.poly.terms}
 
     def mul(self, other, maxdeg):
         """Product truncated to x-degree <= maxdeg and y-degree <= maxdeg."""
@@ -136,22 +126,6 @@ def k0_truncated(Nx, Ny, maxdeg):
         for d in range(maxdeg + 1) for lam in partitions_of(d)))
 
 
-def k0_product_truncated(Nx, Ny, maxdeg):
-    """Independent product form of K_0: for each pair (i,j) the factor
-    prod_k (1 - t x_i y_j q^k)/(1 - x_i y_j q^k) expands by the q-binomial
-    theorem as sum_n z^n prod_{l=1..n} (1 - t q^{l-1})/(1 - q^l)."""
-    coeffs = [ONE]
-    for n in range(1, maxdeg + 1):
-        coeffs.append(coeffs[-1]
-                      * (ONE - T * QtRational.monomial(1, n - 1, 0))
-                      / (ONE - QtRational.monomial(1, n, 0)))
-    acc = BiPoly.one(Nx, Ny)
-    for i in range(1, Nx + 1):
-        for j in range(1, Ny + 1):
-            acc = acc.mul(_xy_series(Nx, Ny, i, j, coeffs), maxdeg)
-    return acc
-
-
 def _km_bracket(m, Nx, Ny, maxdeg, qinv):
     """prod_{i+j<=m}(1 - t c x_i y_j) * prod_{i+j<=m+1} 1/(1 - c x_i y_j)
     with c = 1/q (qinv) or c = 1, truncated."""
@@ -199,26 +173,27 @@ def km_sum_truncated(m, N, maxdeg):
         for lab, p in _P_basis(m, N, maxdeg).items()))
 
 
-def km_expansion_check(m, maxdeg):
-    """K_m equals its P-basis expansion up to the truncation degree, on
+def km_expansion_cases(m, maxdeg):
+    """K_m against its P-basis expansion up to the truncation degree, on
     alphabets of size m + maxdeg."""
     N = m + maxdeg
-    return km_truncated(m, N, N, maxdeg) == km_sum_truncated(m, N, maxdeg)
+    yield (None, km_truncated(m, N, N, maxdeg).poly,
+           km_sum_truncated(m, N, maxdeg).poly)
 
 
-def hl_kernel_check(m, maxdeg):
+def hl_kernel_cases(m, maxdeg):
     """t-symmetrized Hall-Littlewood kernel:
     t^{-binom(m,2)} T^{(x)}_{w_m}[prod(1-t x_i y_j)/prod(1-x_i y_j)]
       = sum_a t^{-Inv(a)} H_a(x;t) H_a(y;t)."""
     bracket = _km_bracket(m, m, m, maxdeg, qinv=False).poly
-    lhs = BiPoly(m, m, apply_T_word(bracket, longest_word(m))).scale(
+    lhs = apply_T_word(bracket, longest_word(m)).scale(
         QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, (
         (QtRational.monomial(1, 0, -inversions(a)), h, h)
         for a, h in hs.items()))
-    return lhs == rhs
+    yield None, lhs, rhs.poly
 
 
 def _cauchy_lhs(m, N, maxdeg):
@@ -245,7 +220,7 @@ def _cauchy_coeff(diagram):
             / norm_formula(diagram))
 
 
-def cauchy_identity_check(m, maxdeg):
+def cauchy_cases(m, maxdeg):
     """K_0(x,y~) prod_{i<j<=m}(1-tx_iy_j)/(1-x_iy_j) prod_i 1/(1-x_iy_i)
       = sum_Lambda a_Lambda P_Lambda(x;q,t) P_Lambda(y;1/q,1/t), on
     alphabets of size m + maxdeg."""
@@ -254,10 +229,15 @@ def cauchy_identity_check(m, maxdeg):
     rhs = _pair_sum(N, N, maxdeg, (
         (_cauchy_coeff(lab), p, p.invert_params())
         for lab, p in _P_basis(m, N, maxdeg).items()))
-    return lhs == rhs
+    yield None, lhs.poly, rhs.poly
 
 
-def nonsym_cauchy_check(m, maxdeg):
+def cauchy_identity_check(m, maxdeg):
+    """Whether every case of cauchy_cases(m, maxdeg) holds exactly."""
+    return all(lhs == rhs for _, lhs, rhs in cauchy_cases(m, maxdeg))
+
+
+def nonsym_cauchy_cases(m, maxdeg):
     """The same identity on alphabets of length m, expanded over the
     non-symmetric Macdonald polynomials E_eta."""
     lhs = _cauchy_lhs(m, m, maxdeg)
@@ -266,35 +246,30 @@ def nonsym_cauchy_check(m, maxdeg):
     rhs = _pair_sum(m, m, maxdeg, (
         (_cauchy_coeff(MPartition(eta, ())), e, e.invert_params())
         for eta, e in es.items()))
-    return lhs == rhs
+    yield None, lhs.poly, rhs.poly
 
 
-def kernel_hecke_symmetry_check(m, maxdeg):
+def kernel_hecke_symmetry_cases(m, maxdeg):
     """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1, on
-    alphabets of size m."""
+    alphabets of size m; witness ("T", i)."""
     kbar = km_pre_truncated(m, m, m, maxdeg)
     for i in range(1, m):
-        if kbar.map_T_x(i) != kbar.map_T_y(m - i):
-            return False
-    return True
+        yield ("T", i), kbar.map_T_x(i).poly, kbar.map_T_y(m - i).poly
 
 
-def kernel_xy_symmetry_check(m, maxdeg):
+def kernel_xy_symmetry_cases(m, maxdeg):
     """K_m(x,y) = K_m(y,x) on alphabets of size m + maxdeg."""
     N = m + maxdeg
     km = km_truncated(m, N, N, maxdeg)
-    return km == km.swap_xy()
+    yield None, km.poly, km.swap_xy().poly
 
 
-def kernel_eigen_symmetry_check(m, maxdeg):
-    """Y_i^{(x)} K_m = Y_i^{(y)} K_m (i <= m) and D^{(x)} K_m = D^{(y)} K_m
-    on truncations, on alphabets of size m + maxdeg."""
-    N = m + maxdeg
-    km = km_truncated(m, N, N, maxdeg)
-    f = km.poly
+def kernel_eigen_symmetry_cases(m, maxdeg):
+    """Y_i^{(x)} K_m = Y_i^{(y)} K_m (i <= m, witness ("Y", i)) and
+    D^{(x)} K_m = D^{(y)} K_m (witness "D") on truncations, on alphabets of
+    size m + max(maxdeg, 1): D needs more than m letters."""
+    N = m + max(maxdeg, 1)
+    f = km_truncated(m, N, N, maxdeg).poly
     for i in range(1, m + 1):
-        if apply_Y(f, i, 1, N) != apply_Y(f, i, N + 1, 2 * N):
-            return False
-    if apply_D(f, m, 1, N) != apply_D(f, m, N + 1, 2 * N):
-        return False
-    return True
+        yield ("Y", i), apply_Y(f, i, 1, N), apply_Y(f, i, N + 1, 2 * N)
+    yield "D", apply_D(f, m, 1, N), apply_D(f, m, N + 1, 2 * N)

@@ -1,14 +1,14 @@
 """Sparse polynomials in x_1..x_N over Q(q,t), and the elementary variable
-operators (exchange, q-shift, specialization) the Hecke calculus builds on.
+operators (specialization, embedding) the Hecke calculus builds on.
 
 Exponent vectors are tuples of length nvars; no zero coefficients are stored.
 Term order for printing/iteration is lexicographic on exponent vectors,
 x_1-major, leading monomial first.
 
-Every monomial substitution x_j -> q^w x_k (exchange, q-shift, permutation,
-embedding in more variables, and in hecke_ops and kernels the rotation omega,
-tau K_{w_m} and the y-alphabet maps) is one call to _relabel, the single loop
-that moves exponents between positions or scales by a q-power of them.
+Every monomial substitution x_j -> q^w x_k (embedding in more variables, and
+in hecke_ops and kernels the rotation omega, tau K_{w_m} and the y-alphabet
+maps) is one call to _relabel, the single loop that moves exponents between
+positions or scales by a q-power of them.
 """
 
 from __future__ import annotations
@@ -231,21 +231,6 @@ class MultiPoly:
         if not 1 <= i <= self.nvars:
             raise IndexError("variable index %d out of range 1..%d" % (i, self.nvars))
 
-    def exchange(self, i, j):
-        """Swap x_i and x_j."""
-        self._check_index(i)
-        self._check_index(j)
-        if i == j:
-            return self
-        src = list(range(self.nvars))
-        src[i - 1], src[j - 1] = j - 1, i - 1
-        return _relabel(self, src, ())
-
-    def qshift(self, i, power=1):
-        """x_i -> q**power * x_i: each term gains q**(power * e_i)."""
-        self._check_index(i)
-        return _relabel(self, range(self.nvars), ((i - 1, power),))
-
     def set_var_zero(self, i):
         """Set x_i = 0; when i == nvars the result lives in nvars-1 variables."""
         self._check_index(i)
@@ -277,15 +262,6 @@ class MultiPoly:
             return self
         pad = [-1] * (nvars - self.nvars)
         return _relabel(self, [*range(self.nvars), *pad], ())
-
-    def permute_vars(self, perm):
-        """perm is a tuple with perm[k] = image of variable k+1 (1-based)."""
-        if sorted(perm) != list(range(1, self.nvars + 1)):
-            raise ValueError("not a permutation of 1..N")
-        src = [0] * self.nvars
-        for k, p in enumerate(perm):
-            src[p - 1] = k
-        return _relabel(self, src, ())
 
     def coefficient_of(self, expvec):
         if len(expvec) != self.nvars:

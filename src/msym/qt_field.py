@@ -159,14 +159,6 @@ def _hgcd(a, b, k):
             _pshift(_pscale(qb, cb // cg), bmq - mq, bmt - mt))
 
 
-def _pgcd(a, b):
-    """gcd in Z[q,t], normalized so its smallest (lex, q-major) term is positive."""
-    g = _hgcd(a, b, 1)[0]
-    if g and g[min(g)] < 0:
-        g = _pneg(g)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------

@@ -179,12 +179,6 @@ def expand_in_basis(f, m, basis_kind, verify=True):
     return Expansion(basis_kind, m, degree, _settle(out))
 
 
-def reconstruct(expansion, N):
-    """Inverse of expand_in_basis."""
-    return _sum_polys(N, [_basis_poly(expansion.basis_kind, lab, N).scale(c)
-                          for lab, c in expansion.coeffs.items()])
-
-
 # ---------------------------------------------------------------------------
 # scalar products and norms
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ import json
 
 import pytest
 
-from msym import cli, macdonald
+from msym import cli, kernels, macdonald
 from msym.polyring import MultiPoly
-from msym.qt_field import ONE, ZERO, QtRational, parse_qt
+from msym.qt_field import ONE, ZERO, Q, QtRational, parse_qt
 
 TWO = QtRational.from_int(2)
+THREE = QtRational.from_int(3)
 
 
 def run(capsys, argv):
@@ -326,6 +327,46 @@ class TestVerifySuites:
         assert all(w.startswith("('inverse', ") for w in failed["witnesses"])
         assert all(e["status"] == "pass" and "witnesses" not in e
                    for e in report.values())
+
+    def test_cauchy_at_degree_zero(self, capsys):
+        # D on the kernel's alphabets needs more than m letters
+        rc, out, _ = run(capsys, ["verify", "cauchy", "--m-max", "1",
+                                  "--maxdeg", "0"])
+        assert rc == 0
+        assert out.splitlines()[-1] == "9/9 identities passed"
+
+    def test_kernel_symmetry_failure_names_its_operator(self, capsys,
+                                                       monkeypatch):
+        # Y_i acting on the x alphabet (the window starting at 1) doubled
+        apply_Y = kernels.apply_Y
+
+        def doubled_on_x(f, i, lo, hi):
+            g = apply_Y(f, i, lo, hi)
+            return g.scale(TWO) if lo == 1 else g
+        monkeypatch.setattr(kernels, "apply_Y", doubled_on_x)
+        rc, out, _ = run(capsys, ["--json", "verify", "cauchy", "--m-max",
+                                  "1", "--maxdeg", "2"])
+        assert rc == 1
+        report = json.loads(out)["report"]
+        failed = [e for e in report if e["status"] == "fail"]
+        assert [e["identity"] for e in failed] == [
+            "kernel-eigenoperator-symmetry"]
+        assert failed[0]["witnesses"] == ["('Y', 1)"]
+
+    def test_cauchy_compares_at_the_point(self, capsys, monkeypatch):
+        # a coefficient off by q - 3 fails exactly but agrees at q = 3
+        coeff = kernels._cauchy_coeff
+        monkeypatch.setattr(kernels, "_cauchy_coeff",
+                            lambda diagram: coeff(diagram) + Q - THREE)
+        argv = ["--json", "verify", "cauchy", "--m-max", "1", "--maxdeg", "2"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 1
+        assert {e["identity"] for e in json.loads(out)["report"]
+                if e["status"] == "fail"} == {"cauchy-identity",
+                                              "nonsym-cauchy-identity"}
+        rc, out, _ = run(capsys, argv + ["--qt-point", "3", "5"])
+        assert rc == 0
+        assert all(e["status"] == "pass" for e in json.loads(out)["report"])
 
 
 class TestCheckFailures:

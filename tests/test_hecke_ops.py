@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from msym.polyring import MultiPoly
 from msym.qt_field import QtRational, ONE, ZERO, Q, T, t_factorial
 from msym.combinatorics import bruhat_less, circle_rows
-from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega,
-                            apply_omega_inv, apply_Y, apply_Y_inv, apply_Phi,
-                            apply_D, apply_R, apply_L, apply_Lprime,
-                            symmetrize_t, reduced_word, longest_word)
+from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega, apply_Y,
+                            apply_Phi, apply_D, apply_R, apply_L,
+                            apply_Lprime, symmetrize_t, reduced_word,
+                            longest_word)
+from oracles import apply_omega_inv, apply_Y_inv
 
 
 def x(n, i):

@@ -5,14 +5,35 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from msym.hecke_ops import apply_omega, apply_omega_inv
+from msym.hecke_ops import apply_omega
 from msym.kernels import BiPoly
-from msym.polyring import MultiPoly, DegreeGuardError
+from msym.polyring import MultiPoly, DegreeGuardError, _relabel
 from msym.qt_field import QtRational, ONE, ZERO, Q, T
+from oracles import apply_omega_inv
 
 
 def x(n, i):
     return MultiPoly.variable(n, i)
+
+
+def _exchange(f, i, j):
+    """f with x_i and x_j swapped."""
+    src = list(range(f.nvars))
+    src[i - 1], src[j - 1] = j - 1, i - 1
+    return _relabel(f, src, ())
+
+
+def _qshift(f, i, power=1):
+    """f with x_i -> q**power * x_i."""
+    return _relabel(f, range(f.nvars), ((i - 1, power),))
+
+
+def _permuted(f, perm):
+    """f with variable k+1 sent to perm[k] (1-based)."""
+    src = [0] * f.nvars
+    for k, p in enumerate(perm):
+        src[p - 1] = k
+    return _relabel(f, src, ())
 
 
 def _random_poly(rng, n, deg, nterms=5):
@@ -117,28 +138,28 @@ class TestCancellation:
 class TestVariableOps:
     def test_exchange_example(self):
         f = x(2, 1) * x(2, 1) * x(2, 2)  # x1^2 x2
-        assert f.exchange(1, 2) == x(2, 1) * x(2, 2) * x(2, 2)
+        assert _exchange(f, 1, 2) == x(2, 1) * x(2, 2) * x(2, 2)
 
     def test_exchange_involution(self):
         rng = random.Random(0)
         for _ in range(10):
             f = _random_poly(rng, 3, 3)
-            assert f.exchange(1, 3).exchange(1, 3) == f
+            assert _exchange(_exchange(f, 1, 3), 1, 3) == f
 
     def test_exchange_symmetric_fixed(self):
         f = x(2, 1) + x(2, 2)
-        assert f.exchange(1, 2) == f
+        assert _exchange(f, 1, 2) == f
 
     def test_qshift_examples(self):
         f = x(2, 1) * x(2, 2)
-        assert f.qshift(1) == f.scale(Q)
-        assert x(2, 2).qshift(1) == x(2, 2)
+        assert _qshift(f, 1) == f.scale(Q)
+        assert _qshift(x(2, 2), 1) == x(2, 2)
         f2 = x(2, 1) * x(2, 1)
-        assert f2.qshift(1) == f2.scale(Q * Q)
+        assert _qshift(f2, 1) == f2.scale(Q * Q)
 
     def test_qshift_inverse_power(self):
         f = x(2, 1) * x(2, 1)
-        assert f.qshift(1, power=-1).qshift(1) == f
+        assert _qshift(_qshift(f, 1, power=-1), 1) == f
 
     def test_set_var_zero(self):
         f = x(2, 1) + x(2, 2)
@@ -161,7 +182,8 @@ class TestVariableOps:
         rng = random.Random(8)
         for _ in range(10):
             f = _random_poly(rng, 4, 3)
-            assert f.exchange(2, 3).qshift(1) == f.qshift(1).exchange(2, 3)
+            assert _qshift(_exchange(f, 2, 3), 1) == \
+                _exchange(_qshift(f, 1), 2, 3)
 
     def test_coefficient_of(self):
         f = (x(2, 1) + x(2, 2)) ** 2
@@ -171,7 +193,7 @@ class TestVariableOps:
 
     def test_permute_vars(self):
         f = x(3, 1) * x(3, 2) ** 2
-        g = f.permute_vars((3, 2, 1))
+        g = _permuted(f, (3, 2, 1))
         assert g == x(3, 3) * x(3, 2) ** 2
 
     def test_substitute(self):
@@ -213,10 +235,10 @@ class TestRelabel:
         rng = random.Random(seed)
         f = _random_qt_poly(rng, n, 4)
         i, j = rng.randrange(n), rng.randrange(n)
-        assert f.exchange(i + 1, j + 1) == _termwise(
+        assert _exchange(f, i + 1, j + 1) == _termwise(
             f, n, lambda e: (_swapped(e, i, j), 0))
         for power in (1, -1, 2, -2):
-            assert f.qshift(i + 1, power) == _termwise(
+            assert _qshift(f, i + 1, power) == _termwise(
                 f, n, lambda e: (e, power * e[i]))
         perm = rng.sample(range(1, n + 1), n)
 
@@ -225,7 +247,7 @@ class TestRelabel:
             for k, p in enumerate(perm):
                 ne[p - 1] = e[k]
             return ne, 0
-        assert f.permute_vars(tuple(perm)) == _termwise(f, n, permuted)
+        assert _permuted(f, perm) == _termwise(f, n, permuted)
         extra = rng.randrange(3)
         assert f.extend(n + extra) == _termwise(
             f, n + extra, lambda e: (e + [0] * extra, 0))
@@ -258,7 +280,7 @@ class TestRelabel:
         rng = random.Random(seed)
         g = _random_qt_poly(rng, ny, 4)
         nx = rng.randrange(3)
-        assert BiPoly.from_y(g, nx).poly == _termwise(
+        assert _relabel(g, [-1] * nx + [*range(ny)], ()) == _termwise(
             g, nx + ny, lambda e: ([0] * nx + e, 0))
         f = BiPoly(ny, ny, _random_qt_poly(rng, 2 * ny, 4))
         assert f.swap_xy().poly == _termwise(

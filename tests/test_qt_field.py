@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
-                           qt_sum, _pgcd, _pmul, _pdivexact, _hgcd, _peval,
+                           qt_sum, _pmul, _pdivexact, _hgcd, _peval,
                            _genpoly)
 from msym.macdonald import clear_caches
 from msym.qt_ring import _ONE_TERMS, _factor
@@ -175,16 +175,20 @@ def gcd_inputs(draw):
 
 
 def _gcd_within(a, b, seconds=10):
-    """_pgcd(a, b), failing instead of hanging if its loop does not end."""
+    """The gcd of a and b with its smallest (lex, q-major) term positive,
+    failing instead of hanging if its loop does not end."""
     def expire(signum, frame):
         raise TimeoutError("gcd loop still running after %d s" % seconds)
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
     try:
-        return _pgcd(a, b)
+        g = _hgcd(a, b, 1)[0]
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+    if g and g[min(g)] < 0:
+        g = {e: -c for e, c in g.items()}
+    return g
 
 
 class TestGcd:
@@ -196,7 +200,7 @@ class TestGcd:
                 continue
             if g:
                 a, b = _pmul(a, g), _pmul(b, g)
-            d = _pgcd(a, b)
+            d = _hgcd(a, b, 1)[0]
             _pdivexact(a, d)
             _pdivexact(b, d)
 
@@ -210,7 +214,7 @@ class TestGcd:
                 continue
             if g:
                 a, b = _pmul(a, g), _pmul(b, g)
-            mine = _pgcd(a, b)
+            mine = _hgcd(a, b, 1)[0]
             pa = sympy.Poly(dict(a), qs, ts, domain=sympy.ZZ)
             pb = sympy.Poly(dict(b), qs, ts, domain=sympy.ZZ)
             theirs = {tuple(mon): int(c)
@@ -577,7 +581,7 @@ def _gcd_reduced(num, den):
     """num/den in canonical form, reduced by the gcd."""
     if not num:
         return {}, _UNIT
-    g = _pgcd(num, den)
+    g = _hgcd(num, den, 1)[0]
     num, den = _pdivexact(num, g), _pdivexact(den, g)
     if den[min(den)] < 0:
         num = {e: -c for e, c in num.items()}
