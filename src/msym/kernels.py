@@ -14,12 +14,12 @@ no closed (a;q)-infinity manipulation is ever needed.
 
 from __future__ import annotations
 
-from .qt_field import QtRational, ONE, T
+from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
-from .macdonald import msym_P, nonsym_E, hall_littlewood_H
-from .structure import z_lambda_qt, norm_formula, powersum_t
+from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
+from .structure import z_lambda_qt, norm_formula, powersum_t, _norm_pairs
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
 
 
@@ -215,9 +215,7 @@ def _cauchy_coeff(diagram):
     """The Cauchy expansion coefficient: the product over squares of
     (1-q^{a}t^{l+1})/(1-q^{a~+1}t^{l~}), the inverse of the norm formula
     without its q^{|a|} t^{Inv(a)} prefactor."""
-    a = diagram.a
-    return (QtRational.monomial(1, sum(a), inversions(a))
-            / norm_formula(diagram))
+    return qt_product(1, 0, 0, _c_pairs(diagram), _norm_pairs(diagram))
 
 
 def cauchy_cases(m, maxdeg):

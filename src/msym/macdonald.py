@@ -12,10 +12,11 @@ for the verification runner.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import combinatorics, polyring, qt_ring
-from .qt_field import QtRational, ONE, T, qt_sum, t_factorial
+from .qt_field import QtRational, ONE, T, qt_product, qt_sum
 from .polyring import DegreeGuardError, MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
 from .hecke_ops import (_TINV, apply_T, apply_Phi, apply_Y, apply_Lprime,
@@ -78,13 +79,11 @@ def _build_E(eta):
                 stack.append(nu)
                 continue
             i = desc + 1
-            delta = eta_bar(nu, i) / eta_bar(nu, i + 1)
-            if delta.is_one():
-                raise ArithmeticError(
-                    "degenerate spectral gap at %s, i=%d" % (nu, i))
-            # E_eta = t^{-1} (T_i - c) E_nu, c = (t-1)/(1-delta^{-1}), so
-            # beta = -c/t
-            beta = (_TINV - ONE) / (ONE - delta.inverse())
+            r = circle_rows(nu)
+            # E_eta = t^{-1} (T_i - c) E_nu, c = (t-1)/(1-q^a t^b) with
+            # q^a t^b = eta_bar(nu, i+1)/eta_bar(nu, i), a, b > 0; beta = -c/t
+            beta = qt_product(1, 0, -1, [(0, 1)],
+                              [(nu[i] - nu[i - 1], r[i - 1] - r[i])])
             poly = apply_T(ev, i, _TINV, beta)
             _E_CACHE[cur] = poly
             stack.pop()
@@ -173,18 +172,14 @@ def eta_for(mpart, N):
 
 
 def u_normalization(mpart, N):
-    """u_{Lambda,N}(t): the factor making the coefficient of m_Lambda in
-    P_Lambda equal to one."""
-    m = mpart.m
-    k = N - m
-    counts = {}
-    for part in mpart.lam:
-        counts[part] = counts.get(part, 0) + 1
-    counts[0] = k - len(mpart.lam)
-    u = QtRational.monomial(1, 0, k * (k - 1) // 2)
-    for mult in counts.values():
-        u = u * t_factorial(mult, inverse=True)
-    return u
+    """u_{Lambda,N}(t) = t^binom(k,2) prod [n]_{1/t}! over the multiplicities
+    n of the k = N - m parts of (lambda, 0, ..): the factor making P_Lambda
+    monic, with [n]_{1/t}! = t^-binom(n,2) prod_{j<=n} (1-t^j)/(1-t)."""
+    k = N - mpart.m
+    counts = Counter(mpart.lam + (0,) * (k - len(mpart.lam))).values()
+    return qt_product(1, 0, (k * (k - 1) - sum(n * (n - 1) for n in counts))
+                      // 2, [(0, j) for n in counts for j in range(1, n + 1)],
+                      [(0, 1)] * k)
 
 
 def msym_P(mpart, N):
@@ -211,13 +206,14 @@ def msym_P(mpart, N):
     return LabeledPoly(mpart, poly, "P")
 
 
+def _c_pairs(mpart):
+    """(a(s), l(s) + 1) for each square s: c_Lambda's binomials."""
+    return [(mpart.arm(s), mpart.leg(s) + 1) for s in mpart.cells()]
+
+
 def integral_c(mpart):
     """c_Lambda(q,t) = prod over squares of (1 - q^{a(s)} t^{l(s)+1})."""
-    c = ONE
-    for cell in mpart.cells():
-        c = c * (ONE - QtRational.monomial(1, mpart.arm(cell),
-                                           mpart.leg(cell) + 1))
-    return c
+    return qt_product(1, 0, 0, _c_pairs(mpart), [])
 
 
 def integral_J(mpart, N):

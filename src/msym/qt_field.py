@@ -33,6 +33,11 @@ terms along the direction (a, b), a polynomial in u = q^a t^b
 (qt_ring._fdiv), so a trial division that fails costs one pass and no
 exception.
 
+Every closed form msym states (norms, evaluations, inclusion and
+restriction factors, z_lambda(q,t), c_Lambda, the E_eta step) is a monomial
+times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
+cancel by counting, with no trial division.
+
 A denominator that does not factor this way comes from QtRational(num, den)
 or parse_qt, and from an inverse or quotient of a value whose numerator does
 not factor: (ONE + Q + T).inverse() is one.  msym's own constructions never
@@ -62,10 +67,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .qt_ring import (_ONE_TERMS, _cancel, _den, _fac_of, _factor, _lcm_sum,
-                      _lowest, _p_eval, _p_str, _padd, _parse_poly,
-                      _pcontent_int, _pdiv_int, _pdivexact, _pmul, _pneg,
-                      _pscale, _pshift)
+from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
+                      _factor, _lcm_sum, _lowest, _p_eval, _p_str, _padd,
+                      _parse_poly, _pcontent_int, _pdiv_int, _pdivexact,
+                      _pmul, _pneg, _pscale, _pshift)
 
 # ---------------------------------------------------------------------------
 # gcd, for denominators that do not factor
@@ -332,10 +337,6 @@ class QtRational:
         den, fac = _den(c, i, j, fac)
         return QtRational._raw(num, den, fac)
 
-    def normalized(self):
-        """Re-canonicalize (idempotent on canonical values)."""
-        return QtRational(self.num, self.den)
-
     def invert_params(self):
         """Substitute q -> 1/q and t -> 1/t.
 
@@ -475,15 +476,27 @@ def qt_sum(values):
     return _reduced(t, c, i, j, fac, cands)
 
 
-def t_factorial(k, inverse=False):
-    """[k]_t! = prod_{j=2..k} (1 + t + ... + t^{j-1}), or the same in t**-1:
-    that product over t^binom(k,2).  The product has constant term 1, so
-    either fraction is canonical with a monomial denominator."""
-    num = _ONE_TERMS
-    for j in range(2, k + 1):
-        num = _pmul(num, {(0, s): 1 for s in range(j)})
-    den = {(0, k * (k - 1) // 2): 1} if inverse else _ONE_TERMS
-    return QtRational._raw(num, den, ())
+def qt_product(c, i, j, ups, downs):
+    """c q^i t^j prod_ups (1 - q^a t^b) / prod_downs (1 - q^a t^b) for an
+    int c != 0, ints i, j and a, b >= 0: the one constructor of closed forms.
+    A (0, 0) pair gives ZERO in ups and raises ZeroDivisionError in downs.
+    The binomials' factors (qt_ring._binomial) are irreducible, so they
+    cancel by counting, and the factors left over with positive exponents
+    make the numerator, those with negative ones the denominator."""
+    exps = {}
+    for pairs, s in ((downs, -1), (ups, 1)):
+        for a, b in pairs:
+            if not (a or b):
+                if s < 0:
+                    raise ZeroDivisionError("1 - q^0 t^0 in a denominator")
+                return _ZERO
+            for key in _binomial(a, b):
+                exps[key] = exps.get(key, 0) + s
+    num, _ = _den(c, max(i, 0), max(j, 0),
+                  _fac_of({key: max(k, 0) for key, k in exps.items()}))
+    den, fac = _den(1, max(-i, 0), max(-j, 0),
+                    _fac_of({key: max(-k, 0) for key, k in exps.items()}))
+    return QtRational._raw(num, den, fac)
 
 
 def parse_qt(s):

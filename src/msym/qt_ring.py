@@ -151,7 +151,7 @@ def _p_eval(a, q0, t0):
 
 # Memo tables; macdonald.clear_caches() empties them with the others.
 _PHI = {}       # n -> coefficients of Phi_n(u), constant term first
-_EXPANDED = {}  # (c, i, j, factors) -> (den expanded, factors)
+_EXPANDED = {}  # (c, i, j, factors) -> (product expanded, factors)
 
 
 def _udiv(g, f):
@@ -250,14 +250,20 @@ def _orders(bound):
     return [n for n in range(1, top + 1) if phi[n] <= bound]
 
 
+def _binomial(a, b):
+    """The factors of 1 - q^a t^b = 1 - v^g, (a, b) != (0, 0): Phi_d(v) for
+    d | g, ascending, with g = gcd(a, b) and v = q^(a/g) t^(b/g)."""
+    g = math.gcd(a, b)
+    return [(d, a // g, b // g) for d in range(1, g + 1) if g % d == 0]
+
+
 def _factor(p):
     """p = c q^i t^j prod Phi_n(q^a t^b)^k as (c, i, j, fac), fac a sorted
     tuple of ((n, a, b), k), or None when p has any other factor.
 
-    A binomial factors in closed form: 1 - v^g is the product of Phi_d(v),
-    d | g, and 1 + v^g = (1 - v^2g)/(1 - v^g), with v = q^a t^b.  Anything
-    else is divided by each candidate that fits in its bidegree, along each
-    direction whose classes all have two terms or more."""
+    A binomial factors in closed form (_binomial), 1 + v = (1 - v^2)/(1 - v).
+    Anything else is divided by each candidate that fits in its bidegree,
+    along each direction whose classes all have two terms or more."""
     i = min(e[0] for e in p)
     j = min(e[1] for e in p)
     c = p.get((i, j))
@@ -273,10 +279,10 @@ def _factor(p):
         (e, s), = ((e, s) for e, s in r.items() if e != (0, 0))
         if s not in (1, -1):
             return None
-        g = math.gcd(*e)
-        return c, i, j, tuple(((d, e[0] // g, e[1] // g), 1)
-                              for d in range(1, 2 * g + 1)
-                              if 2 * g % d == 0 and (g % d == 0) == (s < 0))
+        keys = _binomial(*e)
+        if s > 0:
+            keys = [k for k in _binomial(2 * e[0], 2 * e[1]) if k not in keys]
+        return c, i, j, tuple((key, 1) for key in keys)
     fac = {}
     for a in range(max(e[0] for e in r) + 1):
         for b in range(max(e[1] for e in r) + 1):
@@ -297,8 +303,8 @@ def _factor(p):
 
 
 def _den(c, i, j, fac):
-    """The denominator c q^i t^j prod(fac), expanded, and fac, both the
-    shared copies every value over this denominator holds."""
+    """c q^i t^j prod(fac), expanded, and fac: the shared copies every value
+    over this denominator (or with this numerator, from qt_product) holds."""
     key = (c, i, j, fac)
     hit = _EXPANDED.get(key)
     if hit is None:

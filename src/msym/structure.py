@@ -10,15 +10,16 @@ length(lambda) <= N - m stays linearly independent.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 import math
 
-from .qt_field import QtRational, ONE, ZERO, qt_sum, t_factorial
+from .qt_field import QtRational, ONE, ZERO, qt_product, qt_sum
 from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
                             sort_desc, unique_permutations, dominance_key)
-from .macdonald import msym_P, integral_c, hall_littlewood_H, _CACHES
+from .macdonald import msym_P, hall_littlewood_H, _CACHES, _c_pairs
 from .hecke_ops import apply_tau_K_Tbar
 
 
@@ -185,17 +186,11 @@ def expand_in_basis(f, m, basis_kind, verify=True):
 
 def z_lambda_qt(lam):
     """z_lambda(q,t) = z_lambda prod (1-q^{lam_i})/(1-t^{lam_i})."""
-    counts = {}
-    for part in lam:
-        counts[part] = counts.get(part, 0) + 1
     z = 1
-    for i, mult in counts.items():
+    for i, mult in Counter(lam).items():
         z *= i ** mult * math.factorial(mult)
-    val = QtRational.from_int(z)
-    for part in lam:
-        val = val * (ONE - QtRational.monomial(1, part, 0)) \
-                  / (ONE - QtRational.monomial(1, 0, part))
-    return val
+    return qt_product(z, 0, 0, [(part, 0) for part in lam],
+                      [(0, part) for part in lam])
 
 
 _P_WEIGHT_CACHE = {}
@@ -235,13 +230,14 @@ def scalar_product_m(f, g, m, verify=True):
 def norm_formula(mpart):
     """Closed form of <P_Lambda, P_Lambda>_m:
     q^{|a|} t^{Inv(a)} prod (1-q^{a~(s)+1} t^{l~(s)}) / (1-q^{a(s)} t^{l(s)+1})."""
-    val = QtRational.monomial(1, sum(mpart.a), inversions(mpart.a))
-    for cell in mpart.cells():
-        val = val * (ONE - QtRational.monomial(1, mpart.arm_tilde(cell) + 1,
-                                               mpart.leg_tilde(cell)))
-        val = val / (ONE - QtRational.monomial(1, mpart.arm(cell),
-                                               mpart.leg(cell) + 1))
-    return val
+    return qt_product(1, sum(mpart.a), inversions(mpart.a),
+                      _norm_pairs(mpart), _c_pairs(mpart))
+
+
+def _norm_pairs(mpart):
+    """(a~(s) + 1, l~(s)) for each square s: the norm's numerator."""
+    return [(mpart.arm_tilde(s) + 1, mpart.leg_tilde(s))
+            for s in mpart.cells()]
 
 
 def sesquilinear_product(f, g, m, verify=True):
@@ -267,16 +263,12 @@ def inclusion_coeffs(mpart):
             lam_rest.remove(b)
         omega = MPartition(mpart.a + (b,), tuple(lam_rest))
         col = b + 1
-        psi = ONE
-        for r in range(1, omega.nrows() + 1):
-            if omega.row_sizes()[r - 1] < col or omega.row_label(r) is not None:
-                continue
-            s = Cell(r, col)
-            psi = psi * (ONE - QtRational.monomial(
-                1, mpart.arm(s) + 1, mpart.leg_tilde(s)))
-            psi = psi / (ONE - QtRational.monomial(
-                1, omega.arm(s) + 1, omega.leg_tilde(s)))
-        out[omega] = psi
+        cells = [Cell(r, col) for r in range(1, omega.nrows() + 1)
+                 if omega.row_sizes()[r - 1] >= col
+                 and omega.row_label(r) is None]
+        out[omega] = qt_product(
+            1, 0, 0, [(mpart.arm(s) + 1, mpart.leg_tilde(s)) for s in cells],
+            [(omega.arm(s) + 1, omega.leg_tilde(s)) for s in cells])
     return Expansion("P_Lambda", m + 1, mpart.degree(), out)
 
 
@@ -288,10 +280,8 @@ def restriction(mpart):
     a = mpart.a
     last = a[-1]
     hat = MPartition(a[:-1], tuple(sorted(mpart.lam + (last,), reverse=True)))
-    factor = QtRational.monomial(1, last,
-                                 sum(1 for v in a[:-1] if v < last))
-    factor = factor * integral_c(hat) / integral_c(mpart)
-    return hat, factor
+    return hat, qt_product(1, last, sum(1 for v in a[:-1] if v < last),
+                           _c_pairs(hat), _c_pairs(mpart))
 
 
 def restrict_poly(f, m):
@@ -314,14 +304,13 @@ def principal_specialization(mpart, N):
     m = mpart.m
     if N < m + len(mpart.lam):
         raise ValueError("need N >= m + length(lambda)")
-    val = QtRational.monomial(1, 0, mpart.n_stat() - coinversions(mpart.a))
-    val = val * t_factorial(N - m) / t_factorial(N)
-    for cell in mpart.cells_with_circles():
-        val = val * (ONE - QtRational.monomial(1, cell.col - 1,
-                                               N - (cell.row - 1)))
-        val = val / (ONE - QtRational.monomial(1, mpart.arm(cell),
-                                               mpart.leg(cell) + 1))
-    return val
+    # the (1-t)^m of [N-m]_t!/[N]_t! = prod_{j=N-m+1..N} (1-t)/(1-t^j)
+    # cancels the 1/(1-t) of each circle, whose arm and leg are 0
+    return qt_product(1, 0, mpart.n_stat() - coinversions(mpart.a),
+                      [(s.col - 1, N - s.row + 1)
+                       for s in mpart.cells_with_circles()],
+                      [(0, j) for j in range(N - m + 1, N + 1)]
+                      + _c_pairs(mpart))
 
 
 def principal_specialization_e(eta, N):
@@ -331,12 +320,9 @@ def principal_specialization_e(eta, N):
     if len(eta) != N:
         raise ValueError("eta must have N parts")
     diag = MPartition(tuple(eta), ())
-    val = QtRational.monomial(1, 0, n_stat(sort_desc(eta)) + inversions(eta))
-    for cell in diag.cells():
-        a = diag.arm(cell)
-        val = val * (ONE - QtRational.monomial(1, a, N - (cell.row - 1)))
-        val = val / (ONE - QtRational.monomial(1, a, diag.leg(cell) + 1))
-    return val
+    return qt_product(1, 0, n_stat(sort_desc(eta)) + inversions(eta),
+                      [(diag.arm(s), N - s.row + 1) for s in diag.cells()],
+                      _c_pairs(diag))
 
 
 def evaluation_point(mpart, N):

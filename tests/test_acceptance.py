@@ -4,11 +4,10 @@ Each test prints a single PASS line with its runtime; run with
 `pytest tests/test_acceptance.py -v -s` to see them as they complete.
 """
 
-import itertools
 import random
 import time
 
-from msym.qt_field import QtRational, ONE, ZERO, Q, T
+from msym.qt_field import QtRational, ONE, ZERO, T
 from msym.polyring import MultiPoly
 from msym.combinatorics import (Cell, MPartition, bruhat_less,
                                 compositions_of, enumerate_mpartitions)

@@ -5,10 +5,9 @@ import itertools
 import pytest
 
 from msym.combinatorics import (Cell, MPartition, bruhat_less, circle_rows,
-                                compositions_of, dominance_key,
-                                dominance_leq, enumerate_mpartitions,
-                                inversions, coinversions, n_stat,
-                                partitions_of, sort_desc,
+                                compositions_of, dominance_leq,
+                                enumerate_mpartitions, inversions,
+                                coinversions, n_stat, partitions_of, sort_desc,
                                 unique_permutations)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from msym.qt_field import QtRational, ONE, Q, T
+from msym.qt_field import ONE, Q, T
 from msym.polyring import MultiPoly, _relabel
 from msym.combinatorics import MPartition, enumerate_mpartitions
 from msym.macdonald import msym_P

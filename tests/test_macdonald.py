@@ -1,6 +1,5 @@
 """Non-symmetric and m-symmetric Macdonald polynomials."""
 
-import itertools
 from fractions import Fraction
 
 import pytest

@@ -1,9 +1,12 @@
-"""The README's library-use example, run against the top-level package."""
+"""The README's library-use example, run against the top-level package,
+and the imports of the package and its tests."""
 
+import ast
 import pathlib
 import re
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 E_10 = "x1 + ((q - q*t)/(1 - q*t))*x2"
 
 
@@ -17,3 +20,27 @@ def test_readme_library_use():
     assert str(ns["E"]) == E_10
     P, lab = ns["P"], ns["lab"]
     assert ns["scalar_product_m"](P, P, m=1) == ns["norm_formula"](lab)
+
+
+def test_every_import_is_read():
+    files = [p for p in sorted((ROOT / "src" / "msym").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += ["%s:%d %s" % (path.name, node.lineno, name)
+                   for name, node in imported.items() if name not in read]
+    assert not unused

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from msym.hecke_ops import apply_omega
 from msym.kernels import BiPoly
 from msym.polyring import MultiPoly, DegreeGuardError, _relabel
-from msym.qt_field import QtRational, ONE, ZERO, Q, T
+from msym.qt_field import QtRational, ONE, Q, T
 from oracles import apply_omega_inv
 
 

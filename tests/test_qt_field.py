@@ -5,9 +5,9 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from msym.qt_field import (QtRational, ONE, ZERO, Q, T, t_factorial, parse_qt,
+from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_product,
                            qt_sum, _pmul, _pdivexact, _hgcd, _peval,
                            _genpoly)
 from msym.macdonald import clear_caches
@@ -62,7 +62,7 @@ class TestCanonicalForm:
 
     def test_reduction_idempotence(self):
         x = (ONE - Q) / (ONE - T) + Q * T
-        assert x.normalized() == x
+        assert QtRational(x.num, x.den) == x
 
     def test_negative_exponent_monomial(self):
         x = QtRational.monomial(1, -1, 2)
@@ -112,6 +112,13 @@ class TestParamInversion:
         assert x.invert_params().invert_params() == x
 
 
+def t_factorial(k, inverse=False):
+    """[k]_t! = prod_{j<=k} (1-t^j)/(1-t), or [k]_{1/t}!, which is that
+    over t^binom(k,2)."""
+    return qt_product(1, 0, -k * (k - 1) // 2 if inverse else 0,
+                      [(0, j) for j in range(1, k + 1)], [(0, 1)] * k)
+
+
 class TestFactorials:
     def test_small_values(self):
         assert t_factorial(0).is_one()
@@ -138,6 +145,39 @@ class TestFactorials:
                 (chain.num, chain.den, chain.fac), k
             vp = vp * v
             chain = chain * (ONE - vp) / (ONE - v)
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                  max_size=4)
+
+
+class TestQtProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-5, 5).filter(bool), st.integers(-3, 3),
+           st.integers(-3, 3), _PAIRS, _PAIRS, st.integers(0, 4))
+    @example(-6, -3, 3, [(2, 4), (1, 2), (0, 6)], [(0, 3)], 1)
+    @example(1, 0, -1, [(0, 1)], [(3, 2)], 0)
+    def test_matches_field_chain(self, c, i, j, ups, downs, shared):
+        # the first `shared` ups are also downs, so their factors cancel;
+        # a pair with gcd(a, b) > 1, such as (2, 4), splits into factors
+        # that other pairs share, such as (1, 2)'s
+        downs = (ups[:shared] + downs)[:4]
+        assume((0, 0) not in ups + downs)
+        chain = QtRational.monomial(c, i, j)
+        for a, b in ups:
+            chain = chain * (ONE - QtRational.monomial(1, a, b))
+        for a, b in downs:
+            chain = chain / (ONE - QtRational.monomial(1, a, b))
+        got = qt_product(c, i, j, ups, downs)
+        assert (got.num, got.den, got.fac) == \
+            (chain.num, chain.den, chain.fac)
+
+    def test_zero_pair(self):
+        assert qt_product(3, 1, -2, [(1, 1), (0, 0)], [(0, 1)]).is_zero()
+        with pytest.raises(ZeroDivisionError):
+            qt_product(3, 1, -2, [(1, 1)], [(0, 1), (0, 0)])
+        with pytest.raises(ZeroDivisionError):
+            qt_product(1, 0, 0, [(0, 0)], [(0, 0)])
 
 
 def _random_poly(rng, nterms=4, dmax=4):
@@ -411,7 +451,8 @@ class TestGroupedSum:
             fold = fold + v
         s = qt_sum(values)
         assert s == fold
-        assert (s.num, s.den) == (s.normalized().num, s.normalized().den)
+        r = QtRational(s.num, s.den)
+        assert (s.num, s.den) == (r.num, r.den)
         if close == "zero":
             assert s.is_zero() and s.den == {(0, 0): 1}
         # + is itself a qt_sum, so the fold above is no independent check:

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from msym import qt_field, qt_ring
 from msym.polyring import MultiPoly, _sum_polys
 from msym.qt_field import QtRational, ONE, ZERO, Q, T
 from msym.combinatorics import (MPartition, enumerate_mpartitions, inversions,
                                 compositions_of)
 from msym.hecke_ops import apply_Y, apply_D
-from msym.macdonald import msym_P, nonsym_E, eigenvalues
-from msym.structure import (Expansion, evaluation_point, evaluation_u,
+from msym.macdonald import (eta_for, integral_c, msym_P, nonsym_E,
+                            u_normalization)
+from msym.structure import (evaluation_point, evaluation_u,
                             expand_in_basis, gram_schmidt_basis,
                             inclusion_coeffs, monomial_m, norm_formula,
                             p_weight, powersum, powersum_t,
@@ -375,3 +377,34 @@ class TestCaches:
         finally:
             for cache, entries in zip(caches, saved):
                 cache.update(entries)
+
+
+def test_closed_forms_make_no_trial_division(monkeypatch):
+    # each closed form is one qt_product, whose factors cancel by counting:
+    # no trial division, no factoring of an expanded polynomial, no gcd
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for module, name in ((qt_ring, "_fdiv"), (qt_ring, "_factor"),
+                         (qt_field, "_factor"), (qt_field, "_hgcd")):
+        monkeypatch.setattr(module, name,
+                            counted(name, getattr(module, name)))
+    for m in range(3):
+        for d in range(5):
+            N = m + d
+            for lab in enumerate_mpartitions(m, d):
+                norm_formula(lab)
+                principal_specialization(lab, N)
+                principal_specialization_e(eta_for(lab, N), N)
+                inclusion_coeffs(lab)
+                if m:
+                    restriction(lab)
+                z_lambda_qt(lab.lam)
+                integral_c(lab)
+                u_normalization(lab, N)
+    assert not calls, sorted(set(calls))
