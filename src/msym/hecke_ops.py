@@ -95,12 +95,8 @@ def apply_Y(f, i, lo=1, hi=None):
     n = hi - lo + 1
     if not 1 <= i <= n:
         raise IndexError("Y_%d undefined on window of size %d" % (i, n))
-    off = lo - 1
-    for j in range(i - 1, 0, -1):
-        f = apply_Tbar(f, j + off)
-    f = apply_omega(f, lo, hi)
-    for j in range(n - 1, i - 1, -1):
-        f = apply_T(f, j + off)
+    f = apply_Tbar_word(f, range(lo, lo + i - 1))
+    f = apply_T_word(apply_omega(f, lo, hi), range(lo + i - 1, hi))
     return f.scale(QtRational.monomial(1, 0, i - n))
 
 
@@ -109,8 +105,7 @@ def apply_Phi(f):
     n = f.nvars
     g = MultiPoly._raw(n, {(e[0] + 1,) + e[1:]: c
                            for e, c in f.terms.items()})
-    for j in range(1, n):
-        g = apply_T(g, j)
+    g = apply_T_word(g, range(n - 1, 0, -1))
     return g.scale(QtRational.monomial(1, 0, 1 - n))
 
 
@@ -183,14 +178,12 @@ def symmetrize_t(f, m, naive=False):
 
 
 def apply_R(f, m, n):
-    """R_{m+1,n} = 1 + T_{m+1} + T_{m+1}T_{m+2} + ... + T_{m+1}..T_{n-1}."""
-    hs = [f]
-    for j in range(m + 1, n):
-        g = f
-        for k in range(j, m, -1):
-            g = apply_T(g, k)
-        hs.append(g)
-    return _sum_polys(f.nvars, hs)
+    """R_{m+1,n} = 1 + T_{m+1} + T_{m+1}T_{m+2} + ... + T_{m+1}..T_{n-1},
+    as the chain f + T_{m+1}(f + T_{m+2}(... + T_{n-1} f))."""
+    g = f
+    for j in range(n - 1, m, -1):
+        g = f + apply_T(g, j)
+    return g
 
 
 def _chain_sum(f, steps):

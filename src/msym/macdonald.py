@@ -3,11 +3,12 @@ non-symmetric Hall-Littlewood polynomials H_a, the m-symmetric Macdonald
 polynomials P_Lambda with their integral form J_Lambda, eigenvalues, the
 circle-to-square raising relation, and the q,t-inversion identity.
 
-E_eta is built recursively: swap steps exchange adjacent entries through the
-known T_i action, and a degree-raising step feeds the cyclic raising operator
-Phi_q.  Every constructed polynomial is monic at x^eta; eigen_cases states
-its certificate (monic, Bruhat-triangular, Cherednik eigenfunction) as cases
-for the verification runner.
+E_eta and H_a come from one memoized walk (_walk) and a rule each.  E_eta's
+rule (Knop-Sahi) swaps a descent through T_i, or else feeds the cyclic
+raising operator Phi_q; H_a's swaps an ascent through T_i, or else is x^a.
+Every constructed E_eta is monic at x^eta; eigen_cases states its
+certificate (monic, Bruhat-triangular, Cherednik eigenfunction) as cases for
+the verification runner.
 """
 
 from __future__ import annotations
@@ -55,52 +56,58 @@ _CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED,
            combinatorics._PARTITIONS]
 
 
+def _walk(cache, key, rule):
+    """cache[key], built after every missing key it depends on.  rule(k) is
+    (dep, make): k's value is make(cache[dep]), or make(None) for dep None.
+    The missing keys are gathered on an explicit stack, since MSYM_MAXDEG
+    leaves the chain's length unbounded."""
+    stack = []
+    while key is not None and key not in cache:
+        dep, make = rule(key)
+        stack.append((key, make))
+        key = dep
+    value = cache.get(key)
+    for k, make in reversed(stack):
+        value = cache[k] = make(value)
+    return value
+
+
+def _E_rule(eta):
+    """E_eta from E_nu across eta's first descent, else from E_theta by the
+    raising step, else E_0 = 1."""
+    n = len(eta)
+    desc = next((i for i in range(n - 1) if eta[i] > eta[i + 1]), None)
+    if desc is not None:
+        nu = eta[:desc] + (eta[desc + 1], eta[desc]) + eta[desc + 2:]
+        r = circle_rows(nu)
+        # E_eta = t^{-1} (T_i - c) E_nu, i = desc + 1, c = (t-1)/(1-q^a t^b),
+        # q^a t^b = eta_bar(nu, i+1)/eta_bar(nu, i), a, b > 0; beta = -c/t
+        beta = qt_product(1, 0, -1, [(0, 1)],
+                          [(nu[desc + 1] - nu[desc], r[desc] - r[desc + 1])])
+        return nu, lambda ev: apply_T(ev, desc + 1, _TINV, beta)
+    if any(eta):
+        theta = (eta[-1] - 1,) + eta[:-1]
+        c = QtRational.monomial(1, 0, n - circle_rows(theta)[0])
+        return theta, lambda ev: apply_Phi(ev).scale(c)
+    return None, lambda _: MultiPoly.one(n)
+
+
+def _H_rule(a):
+    """H_a = T_i H_{s_i a} across a's first ascent a_i < a_{i+1}, else x^a."""
+    asc = next((i for i in range(len(a) - 1) if a[i] < a[i + 1]), None)
+    if asc is None:
+        return None, lambda _: MultiPoly.from_exponents(len(a), a)
+    b = a[:asc] + (a[asc + 1], a[asc]) + a[asc + 2:]
+    return b, lambda hb: apply_T(hb, asc + 1)
+
+
 def _build_E(eta):
     # the raising steps multiply by x_1 without a product, so the degree
     # guard is checked here, before any Hecke step
     if sum(eta) > polyring._DEGREE_GUARD:
         raise DegreeGuardError("degree %d exceeds guard %d"
                                % (sum(eta), polyring._DEGREE_GUARD))
-    cached = _E_CACHE.get(eta)
-    if cached is not None:
-        return cached
-    n = len(eta)
-    stack = [eta]
-    while stack:
-        cur = stack[-1]
-        if cur in _E_CACHE:
-            stack.pop()
-            continue
-        desc = next((i for i in range(n - 1) if cur[i] > cur[i + 1]), None)
-        if desc is not None:
-            nu = cur[:desc] + (cur[desc + 1], cur[desc]) + cur[desc + 2:]
-            ev = _E_CACHE.get(nu)
-            if ev is None:
-                stack.append(nu)
-                continue
-            i = desc + 1
-            r = circle_rows(nu)
-            # E_eta = t^{-1} (T_i - c) E_nu, c = (t-1)/(1-q^a t^b) with
-            # q^a t^b = eta_bar(nu, i+1)/eta_bar(nu, i), a, b > 0; beta = -c/t
-            beta = qt_product(1, 0, -1, [(0, 1)],
-                              [(nu[i] - nu[i - 1], r[i - 1] - r[i])])
-            poly = apply_T(ev, i, _TINV, beta)
-            _E_CACHE[cur] = poly
-            stack.pop()
-        elif any(cur):
-            theta = (cur[-1] - 1,) + cur[:-1]
-            ev = _E_CACHE.get(theta)
-            if ev is None:
-                stack.append(theta)
-                continue
-            r1 = circle_rows(theta)[0]
-            poly = apply_Phi(ev).scale(QtRational.monomial(1, 0, n - r1))
-            _E_CACHE[cur] = poly
-            stack.pop()
-        else:
-            _E_CACHE[cur] = MultiPoly.one(n)
-            stack.pop()
-    return _E_CACHE[eta]
+    return _walk(_E_CACHE, eta, _E_rule)
 
 
 def clear_caches():
@@ -138,29 +145,7 @@ def hall_littlewood_H(a):
     a = tuple(int(v) for v in a)
     if any(v < 0 for v in a):
         raise ValueError("composition entries must be nonnegative")
-    cached = _H_CACHE.get(a)
-    if cached is not None:
-        return LabeledPoly(a, cached, "H")
-    m = len(a)
-    stack = [a]
-    while stack:
-        cur = stack[-1]
-        if cur in _H_CACHE:
-            stack.pop()
-            continue
-        asc = next((i for i in range(m - 1) if cur[i] < cur[i + 1]), None)
-        if asc is None:
-            _H_CACHE[cur] = MultiPoly.from_exponents(m, cur)
-            stack.pop()
-            continue
-        b = cur[:asc] + (cur[asc + 1], cur[asc]) + cur[asc + 2:]
-        hb = _H_CACHE.get(b)
-        if hb is None:
-            stack.append(b)
-            continue
-        _H_CACHE[cur] = apply_T(hb, asc + 1)
-        stack.pop()
-    return LabeledPoly(a, _H_CACHE[a], "H")
+    return LabeledPoly(a, _walk(_H_CACHE, a, _H_rule), "H")
 
 
 def eta_for(mpart, N):

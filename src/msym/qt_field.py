@@ -68,9 +68,9 @@ import math
 from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
-                      _factor, _lcm_sum, _lowest, _p_eval, _p_str, _padd,
+                      _factor, _lcm_sum, _lowest, _p_eval, _p_str,
                       _parse_poly, _pcontent_int, _pdiv_int, _pdivexact,
-                      _pmul, _pneg, _pscale, _pshift)
+                      _pmul, _pmul_into, _pneg, _pscale, _pshift)
 
 # ---------------------------------------------------------------------------
 # gcd, for denominators that do not factor
@@ -193,6 +193,14 @@ def _over(t, den, fac):
     return _reduced(t, *_lowest(den), fac, fac)
 
 
+def _terms(p):
+    """p's nonzero terms as a new dict; a negative exponent raises."""
+    p = {e: c for e, c in dict(p).items() if c}
+    if any(min(e) < 0 for e in p):
+        raise ValueError("negative exponent in %s" % p)
+    return p
+
+
 class QtRational:
     """Canonical reduced element of Q(q,t).
 
@@ -204,8 +212,8 @@ class QtRational:
     __slots__ = ("num", "den", "fac", "_hash")
 
     def __init__(self, num, den=None):
-        n = dict(num)
-        d = _ONE_TERMS if den is None else dict(den)
+        n = _terms(num)
+        d = _ONE_TERMS if den is None else _terms(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         if not n:
@@ -241,14 +249,14 @@ class QtRational:
     @classmethod
     def from_int(cls, n):
         if n == 0:
-            return _ZERO
+            return ZERO
         return cls._raw({(0, 0): n}, _ONE_TERMS, ())
 
     @classmethod
     def monomial(cls, coeff=1, qexp=0, texp=0):
         """coeff * q**qexp * t**texp; negative exponents go to the denominator."""
         if coeff == 0:
-            return _ZERO
+            return ZERO
         nq, nt = max(qexp, 0), max(texp, 0)
         dq, dt = max(-qexp, 0), max(-texp, 0)
         return cls._raw({(nq, nt): coeff},
@@ -288,7 +296,7 @@ class QtRational:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if not n1 or not n2:
-            return _ZERO
+            return ZERO
         if d1 == _ONE_TERMS and d2 == _ONE_TERMS:
             return QtRational._raw(_pmul(n1, n2), _ONE_TERMS, ())
         f1, f2 = self.fac, other.fac
@@ -320,7 +328,7 @@ class QtRational:
         if not other.num:
             raise ZeroDivisionError("division by zero in Q(q,t)")
         if not self.num:
-            return _ZERO
+            return ZERO
         return self * other.inverse()
 
     def inverse(self):
@@ -347,7 +355,7 @@ class QtRational:
         (and -1 for n = 1): the result needs its sign fixed, no gcd, and
         keeps fac."""
         if not self.num:
-            return _ZERO
+            return ZERO
         nq = max(e[0] for e in self.num)
         nt = max(e[1] for e in self.num)
         dq = max(e[0] for e in self.den)
@@ -392,11 +400,8 @@ class QtRational:
         return _p_eval(self.num, q0, t0) / d
 
 
-_ZERO = QtRational._raw({}, _ONE_TERMS, ())
-_ONE = QtRational._raw({(0, 0): 1}, _ONE_TERMS, ())
-
-ZERO = _ZERO
-ONE = _ONE
+ZERO = QtRational._raw({}, _ONE_TERMS, ())
+ONE = QtRational._raw({(0, 0): 1}, _ONE_TERMS, ())
 Q = QtRational._raw({(1, 0): 1}, _ONE_TERMS, ())
 T = QtRational._raw({(0, 1): 1}, _ONE_TERMS, ())
 
@@ -441,7 +446,7 @@ def qt_sum(values):
             values = [v for v in values if v.num]
             break
     if len(values) < 2:
-        return values[0] if values else _ZERO
+        return values[0] if values else ZERO
     d0 = values[0].den
     for v in values:
         if v.den is not d0 and v.den != d0:
@@ -449,7 +454,7 @@ def qt_sum(values):
     else:
         num = _num_sum(values)
         if not num:
-            return _ZERO
+            return ZERO
         if d0 == _ONE_TERMS:
             return QtRational._raw(num, _ONE_TERMS, ())
         return _over(num, d0, values[0].fac)
@@ -463,16 +468,18 @@ def qt_sum(values):
             parts.append((num, g[0].den, g[0].fac, len(g) == 1))
             general = general or g[0].fac is None
     if not parts:
-        return _ZERO
+        return ZERO
     if general:
         t, den = {}, _ONE_TERMS
         for num, d, _, _ in parts:
-            t = _padd(_pmul(t, d), _pmul(num, den))
+            t = _pmul(t, d)
+            _pmul_into(t, num, den)
             den = _pmul(den, d)
-        return _over(t, den, None) if t else _ZERO
+        t = {e: c for e, c in t.items() if c}
+        return _over(t, den, None) if t else ZERO
     t, c, i, j, fac, cands = _lcm_sum(parts)
     if not t:
-        return _ZERO
+        return ZERO
     return _reduced(t, c, i, j, fac, cands)
 
 
@@ -489,7 +496,7 @@ def qt_product(c, i, j, ups, downs):
             if not (a or b):
                 if s < 0:
                     raise ZeroDivisionError("1 - q^0 t^0 in a denominator")
-                return _ZERO
+                return ZERO
             for key in _binomial(a, b):
                 exps[key] = exps.get(key, 0) + s
     num, _ = _den(c, max(i, 0), max(j, 0),
@@ -500,7 +507,9 @@ def qt_product(c, i, j, ups, downs):
 
 
 def parse_qt(s):
-    """Parse the canonical text form back into a QtRational (for tests/CLI)."""
+    """Parse the canonical text form, a polynomial or (polynomial)/(polynomial)
+    in _parse_poly's terms, back into a QtRational; anything else raises
+    ValueError."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         i = s.index(")/(")

@@ -17,6 +17,7 @@ c q^i t^j and a sorted tuple of ((n, a, b), k).
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 _ONE_TERMS = {(0, 0): 1}
@@ -25,21 +26,6 @@ _ONE_TERMS = {(0, 0): 1}
 # ---------------------------------------------------------------------------
 # arithmetic
 # ---------------------------------------------------------------------------
-
-def _padd(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
 
 def _pneg(a):
     return {e: -c for e, c in a.items()}
@@ -425,29 +411,27 @@ def _p_str(a):
     return "".join(parts)
 
 
+_FACTOR = re.compile(r"([0-9]+)|([qt])(?:\^([0-9]+))?")
+
+
 def _parse_poly(s):
-    s = s.replace(" - ", " +-").replace("- ", "-")
+    """The polynomial written as s, a sum of terms c*q^i*t^j as _p_str
+    writes them: the integer c first, each factor at most once, i, j >= 0.
+    Anything else raises ValueError."""
+    parts = re.split(r"\s*([+-])\s*", s.strip())
+    # a leading sign leaves an empty first part; otherwise the sign is +
+    parts = parts[1:] if parts[0] == "" and len(parts) > 1 else ["+"] + parts
     out = {}
-    for chunk in s.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        sign = 1
-        if chunk.startswith("-"):
-            sign = -1
-            chunk = chunk[1:]
-        coeff = 1
-        e0 = e1 = 0
-        for f in chunk.split("*"):
-            f = f.strip()
-            if not f:
-                continue
-            if f[0] == "q":
-                e0 = int(f[2:]) if "^" in f else 1
-            elif f[0] == "t":
-                e1 = int(f[2:]) if "^" in f else 1
+    for sign, term in zip(parts[::2], parts[1::2]):
+        c, exps = 1, {}
+        for k, f in enumerate(term.split("*")):
+            m = _FACTOR.fullmatch(f)
+            if m is None or (m[1] and k) or m[2] in exps:
+                raise ValueError("not a term c*q^i*t^j: %r" % term)
+            if m[1]:
+                c = int(m[1])
             else:
-                coeff = int(f)
-        e = (e0, e1)
-        out[e] = out.get(e, 0) + sign * coeff
-    return {e: c for e, c in out.items() if c}
+                exps[m[2]] = int(m[3] or 1)
+        e = (exps.get("q", 0), exps.get("t", 0))
+        out[e] = out.get(e, 0) + (c if sign == "+" else -c)
+    return out

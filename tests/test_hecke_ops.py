@@ -10,8 +10,8 @@ from msym.qt_field import QtRational, ONE, ZERO, Q, T, qt_product
 from msym.combinatorics import bruhat_less, circle_rows
 from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega, apply_Y,
                             apply_Phi, apply_D, apply_R, apply_L,
-                            apply_Lprime, symmetrize_t, reduced_word,
-                            longest_word)
+                            apply_Lprime, apply_T_word, symmetrize_t,
+                            reduced_word, longest_word)
 from oracles import apply_omega_inv, apply_Y_inv
 
 
@@ -280,6 +280,28 @@ class TestSymmetrizer:
                 partial = acc
             if n - m >= 1:
                 assert full == apply_Lprime(partial, m, n)
+
+
+    def test_R_is_one_chain(self, monkeypatch):
+        # R_{m+1,n} f sums the prefixes T_{m+1}..T_{j-1} f, j = m+1..n, with
+        # one generator application per index m+1..n-1
+        from msym import hecke_ops
+        f = rand_poly(random.Random(16), 5, 3)
+        for m in range(5):
+            want = MultiPoly.zero(5)
+            for j in range(m + 1, 6):
+                want = want + apply_T_word(f, range(m + 1, j))
+            calls = []
+
+            def counted(g, i, *args):
+                calls.append(i)
+                return apply_T(g, i, *args)
+
+            monkeypatch.setattr(hecke_ops, "apply_T", counted)
+            got = apply_R(f, m, 5)
+            monkeypatch.undo()
+            assert got == want
+            assert calls == list(range(4, m, -1))
 
 
 class TestWords:

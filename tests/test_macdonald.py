@@ -1,5 +1,6 @@
 """Non-symmetric and m-symmetric Macdonald polynomials."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from msym.hecke_ops import apply_T, apply_Y, apply_D
 from msym.macdonald import (apply_Psi, eigen_cases, eigenvalues, eta_bar,
                             hall_littlewood_H, integral_J, integral_c,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
-                            u_normalization)
+                            u_normalization, _walk)
 
 
 def x(n, i):
@@ -94,6 +95,21 @@ class TestNonsymE:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             nonsym_E((1, -1))
+
+
+class TestWalk:
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # key k is built from k - 1 and key 0 from nothing, so key depth
+        # ends a chain of depth + 1 missing keys
+        depth = sys.getrecursionlimit() + 100
+
+        def rule(k):
+            return (k - 1, lambda v: v + 1) if k else (None, lambda _: 0)
+
+        cache = {}
+        assert _walk(cache, depth, rule) == depth
+        assert cache == {k: k for k in range(depth + 1)}
+        assert _walk(cache, 5, rule) == 5
 
 
 class TestHallLittlewood:
@@ -315,6 +331,22 @@ class TestColdConstruction:
                                        sorted(c.den.items()))).encode())
         assert h.hexdigest() == ("e31cf6f80a20e80d2322fb108189f63d"
                                  "fc01062b594786a1c35ba1c1107ee7d0")
+
+    def test_walks_cache_the_same_keys(self, cold_caches):
+        # the E and H walks store every composition on each build's chain
+        # of rules and no other, so the key sets of the caches are fixed
+        from msym import macdonald
+        for eta in [(2, 0, 1), (0, 1, 2), (1, 0, 2, 0)]:
+            nonsym_E(eta)
+        for a in [(0, 1, 2), (1, 0, 2), (0, 2, 1)]:
+            hall_littlewood_H(a)
+        assert set(macdonald._E_CACHE) == {
+            (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 0, 1),
+            (2, 0, 1), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1),
+            (0, 0, 1, 2), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 2, 0),
+            (1, 0, 0, 1), (1, 0, 2, 0)}
+        assert set(macdonald._H_CACHE) == {
+            (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
 
     def test_concurrent_builds_match_serial(self, cold_caches):
         # four threads build the same P_Lambda set on shared cold caches,

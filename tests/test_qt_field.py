@@ -42,6 +42,20 @@ class TestArithmetic:
         with pytest.raises(ZeroDivisionError):
             QtRational({(0, 0): 1}, {})
 
+    def test_constructor_drops_zero_terms(self):
+        zero = QtRational({(0, 0): 0})
+        assert zero == ZERO and not zero and str(zero) == "0"
+        one = QtRational({(0, 0): 1, (1, 0): 0})
+        assert one == ONE and one.is_one() and str(one) == "1"
+        with pytest.raises(ZeroDivisionError, match="zero denominator"):
+            QtRational({(0, 0): 1}, {(1, 1): 0})
+
+    def test_constructor_rejects_negative_exponents(self):
+        with pytest.raises(ValueError):
+            QtRational({(-1, 0): 1})
+        with pytest.raises(ValueError):
+            QtRational({(0, 0): 1}, {(0, -2): 3, (0, 0): 1})
+
     def test_sub(self):
         assert (Q - Q).is_zero()
 
@@ -490,6 +504,22 @@ class TestTextForm:
 
     def test_qtpoly_term_order(self):
         assert str(-(Q * T) + ONE + 2 * Q) == "1 + 2*q - q*t"
+
+    @pytest.mark.parametrize("text", [
+        "2*q*q", "q t", "qq", "-", "", "q^-1", "t*q*t", "q*2", "2*3", "x",
+        "1 + + q", "(1 + q", "(q)/()", "(q)/(t^)"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_qt(text)
+
+    def test_parse_accepts_sums_of_terms(self):
+        assert parse_qt("0") == ZERO
+        assert parse_qt("q - q") == ZERO
+        assert parse_qt("-q") == -Q
+        assert parse_qt("t*q^2 + 3") == Q * Q * T + 3 * ONE
+        assert parse_qt("(1 - q*t)/(2)") == (ONE - Q * T) / (2 * ONE)
+        with pytest.raises(ZeroDivisionError):
+            parse_qt("(q)/(0)")
 
     def test_parse_roundtrip(self):
         rng = random.Random(17)
