@@ -4,8 +4,11 @@ polynomials P_Lambda with their integral form J_Lambda, eigenvalues, the
 circle-to-square raising relation, and the q,t-inversion identity.
 
 E_eta and H_a come from one memoized walk (_walk) and a rule each.  E_eta's
-rule (Knop-Sahi) swaps a descent through T_i, or else feeds the cyclic
-raising operator Phi_q; H_a's swaps an ascent through T_i, or else is x^a.
+rule (Knop-Sahi) swaps a descent through T_i, or else raises E_theta by a
+change of variables, E_eta = q^-s x_N E_theta(q x_N, x_1, .., x_{N-1})
+with s = theta_1, which on the eigenfunction E_theta equals the cyclic
+raising operator t^(N-r) Phi_q, r = r_theta(1); H_a's swaps an ascent
+through T_i, or else is x^a.
 Every constructed E_eta is monic at x^eta; eigen_cases states its
 certificate (monic, Bruhat-triangular, Cherednik eigenfunction) as cases for
 the verification runner.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from . import combinatorics, polyring, qt_ring
 from .qt_field import QtRational, ONE, T, qt_product, qt_sum
-from .polyring import DegreeGuardError, MultiPoly
+from .polyring import DegreeGuardError, MultiPoly, _relabel
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
 from .hecke_ops import (_TINV, apply_T, apply_Phi, apply_Y, apply_Lprime,
                         apply_tau_K_Tbar, symmetrize_t)
@@ -49,10 +52,11 @@ _E_CACHE = {}
 _H_CACHE = {}
 _P_CACHE = {}
 # Every memo table clear_caches() empties: these, qt_ring's tables of
-# cyclotomic polynomials and expanded denominators, combinatorics' table of
-# partitions, and the two structure appends here, because this module
-# cannot import structure.
+# cyclotomic polynomials, expanded denominators and evaluation points,
+# combinatorics' table of partitions, and the two structure appends here,
+# because this module cannot import structure.
 _CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED,
+           qt_ring._POINTS,
            combinatorics._PARTITIONS]
 
 
@@ -86,9 +90,14 @@ def _E_rule(eta):
                           [(nu[desc + 1] - nu[desc], r[desc] - r[desc + 1])])
         return nu, lambda ev: apply_T(ev, desc + 1, _TINV, beta)
     if any(eta):
+        # the raising step as a substitution (Knop-Sahi):
+        # E_eta = q^-s x_N E_theta(q x_N, x_1, .., x_{N-1}), s = theta_1
         theta = (eta[-1] - 1,) + eta[:-1]
-        c = QtRational.monomial(1, 0, n - circle_rows(theta)[0])
-        return theta, lambda ev: apply_Phi(ev).scale(c)
+        src = [*range(1, n), 0]
+        qs = QtRational.monomial(1, -theta[0], 0)
+        return theta, lambda ev: MultiPoly._raw(n, {
+            e[:-1] + (e[-1] + 1,): c * qs if theta[0] else c
+            for e, c in _relabel(ev, src, ((0, 1),)).terms.items()})
     return None, lambda _: MultiPoly.one(n)
 
 

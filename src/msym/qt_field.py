@@ -30,8 +30,9 @@ already lists, and reduction is trial division by them:
   * q -> 1/q, t -> 1/t maps each factor to itself up to a monomial.
 Phi_n(q^a t^b) divides a polynomial exactly when it divides each class of
 terms along the direction (a, b), a polynomial in u = q^a t^b
-(qt_ring._fdiv), so a trial division that fails costs one pass and no
-exception.
+(qt_ring._fdiv).  Most trial divisions fail, and a failure is mostly seen
+in one evaluation of the polynomial mod a prime at a point where q^a t^b
+is a root of Phi_n; it raises no exception.
 
 Every closed form msym states (norms, evaluations, inclusion and
 restriction factors, z_lambda(q,t), c_Lambda, the E_eta step) is a monomial

@@ -9,9 +9,13 @@ For gcd(a, b) = 1 the polynomial Phi_n(q^a t^b) is irreducible, with Phi_1(u)
 taken as 1 - u so that every factor has constant term 1.  The terms of a
 polynomial whose exponents differ by multiples of (a, b) form a class, a
 monomial times a polynomial in u = q^a t^b, and Phi_n(q^a t^b) divides the
-polynomial exactly when Phi_n(u) divides every class (_fdiv).  A factored
-denominator c q^i t^j prod Phi_n(q^a t^b)^k is kept as its lowest term
-c q^i t^j and a sorted tuple of ((n, a, b), k).
+polynomial exactly when Phi_n(u) divides every class (_fdiv).  Most trial
+divisions fail, and _fdiv rejects those with one evaluation mod the prime
+_P at a point where q^a t^b is a root of Phi_n: a nonzero value proves that
+Phi_n(q^a t^b) does not divide, and only a zero goes on to the division by
+classes, which decides.  A factored denominator
+c q^i t^j prod Phi_n(q^a t^b)^k is kept as its lowest term c q^i t^j and a
+sorted tuple of ((n, a, b), k).
 """
 
 from __future__ import annotations
@@ -135,9 +139,16 @@ def _p_eval(a, q0, t0):
 # the factors Phi_n(q^a t^b)
 # ---------------------------------------------------------------------------
 
+# A prime with every n <= 12 dividing _P - 1, so that Phi_n has its roots
+# mod _P, where _fdiv's rejection test evaluates; _G is its least primitive
+# root, so _G^((_P - 1)/n) is a root of Phi_n for every n dividing _P - 1.
+_P = 2147412961
+_G = 13
+
 # Memo tables; macdonald.clear_caches() empties them with the others.
 _PHI = {}       # n -> coefficients of Phi_n(u), constant term first
 _EXPANDED = {}  # (c, i, j, factors) -> (product expanded, factors)
+_POINTS = {}    # (n, a, b) -> powers of q0 and t0 mod _P (_point), or None
 
 
 def _udiv(g, f):
@@ -148,6 +159,13 @@ def _udiv(g, f):
     nq = len(g) - m
     if nq <= 0:
         return None
+    if m == 1:
+        # f = 1 + f1 u: the running sums h_k = g_k - f1 h_{k-1}
+        f1 = f[1]
+        h = [g[0]]
+        for c in g[1:]:
+            h.append(c - f1 * h[-1])
+        return None if h.pop() else h
     h = list(g)
     for j in range(nq):
         c = h[j]
@@ -187,29 +205,58 @@ def _classes(p, a, b):
     return classes
 
 
+def _point(key):
+    """Tables of the powers of q0 and t0 mod _P for key = (n, a, b), with
+    q0^a t0^b = w = _G^((_P - 1)/n) a root of Phi_n: q0 = w^x 3^b and
+    t0 = w^y 3^-a for a x + b y = 1.  None when n does not divide _P - 1.
+    Stored in _POINTS."""
+    n, a, b = key
+    pt = None
+    if (_P - 1) % n == 0:
+        w = pow(_G, (_P - 1) // n, _P)
+        x = pow(a, -1, b) if b > 1 else 1 - b
+        y = (1 - a * x) // b if b else 0
+        pt = (_powers([1, pow(w, x, _P) * pow(3, b, _P) % _P], 8),
+              _powers([1, pow(w, y, _P) * pow(3, -a, _P) % _P], 8))
+    _POINTS[key] = pt
+    return pt
+
+
+def _powers(tab, size):
+    """tab, the powers 1, x, x^2, .. mod _P, extended to size entries as a
+    new list: a table another thread may be reading is never changed."""
+    tab = list(tab)
+    while len(tab) < size:
+        tab.append(tab[-1] * tab[1] % _P)
+    return tab
+
+
 def _fdiv(p, key):
     """p / Phi_n(q^a t^b) for key = (n, a, b), or None when it does not
     divide p.  Phi_n(u) divides p exactly when it divides the polynomial in
     u of every class, and the quotient is theirs.
 
-    Most failures fail a cheaper test first: p(1, 1) is a multiple of
-    Phi_n(1), which is 0 for n = 1; and for n <= 2, p vanishes where u is
-    the root of Phi_n, such as q = 2^b, t = 2^-a for n = 1, with the sign
-    of q (a odd) or of t (b odd) flipped for n = 2.  Times 2^(a top), that
-    value is an integer."""
+    First p is evaluated mod _P at the point (q0, t0) that _point stores
+    for key, where q0^a t0^b is a root of Phi_n.  Where Phi_n(q^a t^b)
+    divides p the value is 0, so a nonzero value rejects with no division.
+    A zero proves nothing (p may vanish there by chance, or all its
+    coefficients be multiples of _P): the division by classes decides and
+    gives the quotient.  A key with no point (n does not divide _P - 1) goes
+    straight to the division."""
+    pt = _POINTS[key] if key in _POINTS else _point(key)
+    if pt is not None:
+        qs, ts = pt
+        try:
+            v = sum([c * qs[e0] * ts[e1] for (e0, e1), c in p.items()])
+        except IndexError:
+            qs = _powers(qs, 2 * max(e[0] for e in p) + 2)
+            ts = _powers(ts, 2 * max(e[1] for e in p) + 2)
+            _POINTS[key] = qs, ts
+            v = sum([c * qs[e0] * ts[e1] for (e0, e1), c in p.items()])
+        if v % _P:
+            return None
     n, a, b = key
     f = _phi(n)
-    at_one = sum(f)
-    s = sum(p.values())
-    if s % at_one if at_one else s:
-        return None
-    if n <= 2:
-        top = max(e[1] for e in p)
-        fq = a & 1 if n == 2 else 0   # 1: odd powers of q change sign
-        ft = fq ^ 1 if n == 2 else 0  # 1: odd powers of t change sign
-        if sum((-c if (e0 & fq) ^ (e1 & ft) else c)
-               << (b * e0 + a * (top - e1)) for (e0, e1), c in p.items()):
-            return None
     out = {}
     for (b0, b1), cl in _classes(p, a, b).items():
         lo = min(cl)

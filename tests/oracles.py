@@ -1,10 +1,12 @@
 """Independent oracles the tests compare the library against, and the check
 that every case of an identity holds."""
 
-from msym.hecke_ops import apply_T, apply_Tbar
+from msym.combinatorics import circle_rows
+from msym.hecke_ops import apply_Phi, apply_T, apply_Tbar
 from msym.kernels import BiPoly, _xy_series
 from msym.polyring import _relabel
 from msym.qt_field import QtRational, ONE, T
+from msym.qt_ring import _classes, _phi
 
 
 def holds(cases):
@@ -52,3 +54,62 @@ def apply_Y_inv(f, i, lo=1, hi=None):
     for j in range(1, i):
         f = apply_T(f, j + off)
     return f.scale(QtRational.monomial(1, 0, n - i))
+
+
+def raise_by_Phi(theta, e_theta):
+    """E_eta from e_theta = E_theta across the Knop-Sahi raising step, with
+    eta = (theta_2, .., theta_N, theta_1 + 1), as the cyclic raising
+    operator: E_eta = t^{N - r} Phi_q E_theta, r = r_theta(1)."""
+    n = len(theta)
+    return apply_Phi(e_theta).scale(
+        QtRational.monomial(1, 0, n - circle_rows(theta)[0]))
+
+
+def _udiv_long(g, f):
+    """g / f for coefficient lists (constant term first) with f[0] = 1 by
+    long division from the constant term up, or None when f does not
+    divide g."""
+    m = len(f) - 1
+    nq = len(g) - m
+    if nq <= 0:
+        return None
+    h = list(g)
+    for j in range(nq):
+        for l in range(1, m + 1):
+            h[j + l] -= h[j] * f[l]
+    if any(h[nq:]):
+        return None
+    return h[:nq]
+
+
+def fdiv_by_classes(p, key):
+    """p / Phi_n(q^a t^b) for key = (n, a, b), or None when it does not
+    divide p: Phi_n(u) divides each class of p's terms along (a, b), a
+    polynomial in u = q^a t^b, by long division.  p(1, 1) and, for n <= 2,
+    p at an integer root of Phi_n(q^a t^b) reject first."""
+    n, a, b = key
+    f = _phi(n)
+    at_one = sum(f)
+    s = sum(p.values())
+    if s % at_one if at_one else s:
+        return None
+    if n <= 2:
+        top = max(e[1] for e in p)
+        fq = a & 1 if n == 2 else 0   # 1: odd powers of q change sign
+        ft = fq ^ 1 if n == 2 else 0  # 1: odd powers of t change sign
+        if sum((-c if (e0 & fq) ^ (e1 & ft) else c)
+               << (b * e0 + a * (top - e1)) for (e0, e1), c in p.items()):
+            return None
+    out = {}
+    for (b0, b1), cl in _classes(p, a, b).items():
+        lo = min(cl)
+        g = [0] * (max(cl) - lo + 1)
+        for k, c in cl.items():
+            g[k - lo] = c
+        h = _udiv_long(g, f)
+        if h is None:
+            return None
+        for k, c in enumerate(h, lo):
+            if c:
+                out[(b0 + k * a, b1 + k * b)] = c
+    return out

@@ -13,7 +13,9 @@ from msym.hecke_ops import apply_T, apply_Y, apply_D
 from msym.macdonald import (apply_Psi, eigen_cases, eigenvalues, eta_bar,
                             hall_littlewood_H, integral_J, integral_c,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
-                            u_normalization, _walk)
+                            u_normalization, _build_E, _walk)
+
+from oracles import raise_by_Phi
 
 
 def x(n, i):
@@ -372,3 +374,31 @@ class TestColdConstruction:
         serial = build_all()
         for result in threaded:
             assert result == serial
+
+
+class TestRaisingStep:
+    def test_relabel_equals_the_raising_operator(self):
+        # every raising step (eta weakly increasing, so no descent) with
+        # N <= 6 and degree <= 5: x_N E_theta(q x_N, x_1, ..) q^-theta_1
+        # is t^{N-r} Phi_q E_theta
+        steps = 0
+        for eta in all_compositions(6, 5):
+            if not any(eta) or any(u > v for u, v in zip(eta, eta[1:])):
+                continue
+            theta = (eta[-1] - 1,) + eta[:-1]
+            assert _build_E(eta) == raise_by_Phi(theta, _build_E(theta)), eta
+            steps += 1
+        assert steps == 84
+
+    def test_raising_makes_no_hecke_step(self, cold_caches, monkeypatch):
+        # E_(0,0,1,1) is reached from E_0 by raising steps alone
+        from msym import hecke_ops, macdonald
+        calls = []
+        apply_T = hecke_ops.apply_T
+        for module in (hecke_ops, macdonald):
+            monkeypatch.setattr(module, "apply_T",
+                                lambda *args: calls.append(args)
+                                or apply_T(*args))
+        poly = nonsym_E((0, 0, 1, 1)).poly
+        assert calls == []
+        assert failed_cases((0, 0, 1, 1), poly) == []
