@@ -185,10 +185,6 @@ class MultiPoly:
         return _sum_polys(self.nvars, (self, -other))
 
     def __mul__(self, other):
-        if isinstance(other, QtRational):
-            return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(QtRational.from_int(other))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._require_same(other)
@@ -207,8 +203,6 @@ class MultiPoly:
             for eb, cb in b.items():
                 _bump(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
         return MultiPoly._raw(self.nvars, _settle(out))
-
-    __rmul__ = __mul__
 
     def scale(self, c):
         if not c or not self.terms:
@@ -231,18 +225,6 @@ class MultiPoly:
         if not 1 <= i <= self.nvars:
             raise IndexError("variable index %d out of range 1..%d" % (i, self.nvars))
 
-    def set_var_zero(self, i):
-        """Set x_i = 0; when i == nvars the result lives in nvars-1 variables."""
-        self._check_index(i)
-        drop_last = (i == self.nvars)
-        i -= 1
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                continue
-            out[e[:-1] if drop_last else e] = c
-        return MultiPoly._raw(self.nvars - 1 if drop_last else self.nvars, out)
-
     def drop_var(self, i):
         """Set x_i = 0 and renumber the later variables down by one."""
         self._check_index(i)
@@ -257,7 +239,7 @@ class MultiPoly:
     def extend(self, nvars):
         """View in a larger variable set (new trailing variables unused)."""
         if nvars < self.nvars:
-            raise ValueError("cannot shrink; use set_var_zero")
+            raise ValueError("cannot shrink; use drop_var")
         if nvars == self.nvars:
             return self
         pad = [-1] * (nvars - self.nvars)

@@ -39,18 +39,21 @@ restriction factors, z_lambda(q,t), c_Lambda, the E_eta step) is a monomial
 times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
 cancel by counting, with no trial division.
 
-A denominator that does not factor this way comes from QtRational(num, den)
-or parse_qt, and from an inverse or quotient of a value whose numerator does
-not factor: (ONE + Q + T).inverse() is one.  msym's own constructions never
-make one (the verify suites at small bounds make no gcd call).  Such a
-value, and every value computed from it, is reduced by the gcd in Z[q,t]
-instead, once per operation on the unreduced result: the heuristic gcd of
-Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989), one recursive function
-from t through q down to integers: evaluate a variable at an integer x, take
-the gcd of the images one level down, and read it back as the polynomial
-whose balanced base-x digits it has.  Exact division of both inputs by the
-lifted candidate is its certificate, and the quotients are the cofactors
-the fraction is reduced to: with x above twice the smaller input's largest
+A fraction whose denominator's factorization is not known (QtRational(num,
+den), parse_qt, an inverse, and any operation on a value whose denominator
+does not factor) is made canonical by one function, _fraction.  It factors
+the denominator and reduces by trial division; a denominator that does not
+factor, such as that of (ONE + Q + T).inverse(), is reduced by the gcd in
+Z[q,t] instead, once per operation on the unreduced result.  An inverse
+needs neither: its parts are coprime already.  msym's own constructions
+never make such a denominator (the verify suites at small bounds make no gcd
+call).  The gcd, _fraction's alone, is the heuristic gcd of Char, Geddes and
+Gonnet (J. Symb. Comp. 7, 1989), one recursive function from t through q
+down to integers: evaluate a variable at an integer x, take the gcd of the
+images one level down, and read it back as the polynomial whose balanced
+base-x digits it has.  Exact division of both inputs by the lifted
+candidate is its certificate, and the quotients are the cofactors the
+fraction is reduced to: with x above twice the smaller input's largest
 coefficient, a candidate that divides both is the gcd.  A rejected
 candidate makes x grow, and the loop ends because the images' spurious
 common factor stops growing with x (see _hgcd).  The result is
@@ -169,13 +172,6 @@ def _hgcd(a, b, k):
 # public types
 # ---------------------------------------------------------------------------
 
-def _sign_fixed(num, den):
-    """num, den with den's lowest term made positive."""
-    if den[min(den)] < 0:
-        return _pneg(num), _pneg(den)
-    return num, den
-
-
 def _reduced(t, c, i, j, fac, cands):
     """The canonical t / (c q^i t^j prod(fac)), cands the factors that may
     divide t."""
@@ -184,14 +180,22 @@ def _reduced(t, c, i, j, fac, cands):
     return QtRational._raw(t, den, fac)
 
 
-def _over(t, den, fac):
-    """The canonical t/den for a canonical den with factorization fac
-    (None: not known)."""
-    if fac is None:
-        _, t, den = _hgcd(t, den, 1)
-        t, den = _sign_fixed(t, den)
-        return QtRational._raw(t, den, None)
-    return _reduced(t, *_lowest(den), fac, fac)
+def _fraction(n, d, coprime=False):
+    """The canonical n/d for nonzero n and d, d's factorization not known:
+    d is factored over Phi_n(q^a t^b) and n divided by its factors, or, when
+    d does not factor, both by their gcd.  coprime (n and d share no factor,
+    as in an inverse) skips the division."""
+    parts = _factor(d)
+    if parts is None:
+        if not coprime:
+            _, n, d = _hgcd(n, d, 1)
+        if d[min(d)] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return QtRational._raw(n, d, None)
+    c, i, j, fac = parts
+    if c < 0:
+        n, c = _pneg(n), -c
+    return _reduced(n, c, i, j, fac, () if coprime else fac)
 
 
 def _terms(p):
@@ -203,38 +207,23 @@ def _terms(p):
 
 
 class QtRational:
-    """Canonical reduced element of Q(q,t).
+    """Canonical reduced element of Q(q,t), in three slots:
+      * num, the numerator;
+      * den, the denominator;
+      * fac, den's factorization, a sorted tuple of ((n, a, b), k) with
+        den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's lowest
+        term, or None when den is not known to factor so.
+    num and den are never mutated, so values share them.
+    QtRational(num, den) reduces any two polynomials by _fraction."""
 
-    fac is den's factorization, a sorted tuple of ((n, a, b), k) with
-    den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's lowest term,
-    or None when den is not known to factor so.  num and den are never
-    mutated, so values share them."""
+    __slots__ = ("num", "den", "fac")
 
-    __slots__ = ("num", "den", "fac", "_hash")
-
-    def __init__(self, num, den=None):
+    def __new__(cls, num, den=None):
         n = _terms(num)
         d = _ONE_TERMS if den is None else _terms(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        if not n:
-            d, fac = _ONE_TERMS, ()
-        else:
-            parts = _factor(d)
-            if parts is None:
-                _, n, d = _hgcd(n, d, 1)
-                n, d = _sign_fixed(n, d)
-                fac = None
-            else:
-                c, i, j, fac = parts
-                if c < 0:
-                    n, c = _pneg(n), -c
-                n, c, i, j, fac = _cancel(n, c, i, j, fac, fac)
-                d, fac = _den(c, i, j, fac)
-        self.num = n
-        self.den = d
-        self.fac = fac
-        self._hash = None
+        return _fraction(n, d) if n else ZERO
 
     # -- constructors --------------------------------------------------
 
@@ -244,7 +233,6 @@ class QtRational:
         x.num = num
         x.den = den
         x.fac = fac
-        x._hash = None
         return x
 
     @classmethod
@@ -302,7 +290,7 @@ class QtRational:
             return QtRational._raw(_pmul(n1, n2), _ONE_TERMS, ())
         f1, f2 = self.fac, other.fac
         if f1 is None or f2 is None:
-            return _over(_pmul(n1, n2), _pmul(d1, d2), None)
+            return _fraction(_pmul(n1, n2), _pmul(d1, d2))
         # each numerator is coprime to its own denominator, so only the
         # other operand's factors can cancel from it
         c1 = c2 = 1
@@ -335,16 +323,7 @@ class QtRational:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero in Q(q,t)")
-        num, den = self.den, self.num
-        parts = _factor(den)
-        if parts is None:
-            num, den = _sign_fixed(num, den)
-            return QtRational._raw(num, den, None)
-        c, i, j, fac = parts
-        if c < 0:
-            num, c = _pneg(num), -c
-        den, fac = _den(c, i, j, fac)
-        return QtRational._raw(num, den, fac)
+        return _fraction(self.den, self.num, coprime=True)
 
     def invert_params(self):
         """Substitute q -> 1/q and t -> 1/t.
@@ -364,25 +343,23 @@ class QtRational:
         sq, st = max(dq, nq), max(dt, nt)
         num = {(sq - e0, st - e1): c for (e0, e1), c in self.num.items()}
         den = {(sq - e0, st - e1): c for (e0, e1), c in self.den.items()}
-        num, den = _sign_fixed(num, den)
+        if den[min(den)] < 0:
+            num, den = _pneg(num), _pneg(den)
         return QtRational._raw(num, den, self.fac)
 
     # -- comparisons, hashing, printing -----------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self.num
-            return self.den == _ONE_TERMS and self.num == {(0, 0): other}
-        if not isinstance(other, QtRational):
+        if isinstance(other, QtRational):
+            return self.num == other.num and self.den == other.den
+        if not isinstance(other, int):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if other == 0:
+            return not self.num
+        return self.den == _ONE_TERMS and self.num == {(0, 0): other}
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()),
-                               frozenset(self.den.items())))
-        return self._hash
+        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
 
     def __str__(self):
         if self.den == _ONE_TERMS:
@@ -458,7 +435,10 @@ def qt_sum(values):
             return ZERO
         if d0 == _ONE_TERMS:
             return QtRational._raw(num, _ONE_TERMS, ())
-        return _over(num, d0, values[0].fac)
+        fac = values[0].fac
+        if fac is None:
+            return _fraction(num, d0)
+        return _reduced(num, *_lowest(d0), fac, fac)
     groups = {}
     for v in values:
         groups.setdefault(id(v.den), []).append(v)
@@ -477,7 +457,7 @@ def qt_sum(values):
             _pmul_into(t, num, den)
             den = _pmul(den, d)
         t = {e: c for e, c in t.items() if c}
-        return _over(t, den, None) if t else ZERO
+        return _fraction(t, den) if t else ZERO
     t, c, i, j, fac, cands = _lcm_sum(parts)
     if not t:
         return ZERO

@@ -143,7 +143,7 @@ def test_c05_inclusion_and_adjointness():
             if c:
                 g = g + monomial_m(lab, N).scale(QtRational.from_int(c))
         lhs = scalar_product_m(f, g, m + 1, verify=False)
-        rhs = scalar_product_m(f.set_var_zero(N), restrict_poly(g, m), m,
+        rhs = scalar_product_m(f.drop_var(N), restrict_poly(g, m), m,
                                verify=False)
         assert lhs == rhs
     _report(5, "inclusion and adjointness", t0, 600)

@@ -135,6 +135,40 @@ class TestExitCodes:
         rc, _, err = run(capsys, ["expand-p", "--m", "2", "--a", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["expand-p", "--a", "-1"], "--a entries must be nonnegative"),
+        (["expand-e", "--eta", "1,0", "--N", "3"],
+         "--N must equal the number of parts of --eta"),
+        (["restrict", "--m", "0"],
+         "restriction needs at least one circle (m >= 1)"),
+    ], ids=["expand-p", "expand-e", "restrict"])
+    def test_label_usage_errors(self, capsys, argv, message):
+        rc, out, err = run(capsys, argv)
+        assert rc == 2 and out == ""
+        assert err == "error: %s\n" % message
+
+    def test_m_defaults_to_the_length_of_a(self, capsys):
+        argv = ["eval", "--a", "1", "--lambda", "1", "--N", "3"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0 and (rc, out, "") == run(capsys, argv + ["--m", "1"])
+
+    def test_assertion_in_a_command_is_a_verification_failure(
+            self, capsys, monkeypatch):
+        def failing(mpart, N):
+            raise AssertionError("u_Lambda is wrong")
+        monkeypatch.setattr(macdonald, "u_normalization", failing)
+        saved = [dict(c) for c in macdonald._CACHES]
+        macdonald.clear_caches()
+        try:
+            rc, out, err = run(capsys, ["expand-p", "--m", "0", "--lambda",
+                                        "2", "--N", "2"])
+        finally:
+            macdonald.clear_caches()
+            for cache, entries in zip(macdonald._CACHES, saved):
+                cache.update(entries)
+        assert rc == 1 and out == ""
+        assert err == "verification failure: u_Lambda is wrong\n"
+
     def test_degree_guard_is_a_usage_error(self, capsys, monkeypatch):
         # E_(13) needs a degree-13 product, past a guard of 12: one error
         # line and exit 2, not a traceback and not the check-failure code

@@ -71,7 +71,7 @@ class TestNonsymE:
             n = len(eta)
             if n == 1:
                 continue
-            res = nonsym_E(eta).poly.set_var_zero(n)
+            res = nonsym_E(eta).poly.drop_var(n)
             if eta[-1] == 0:
                 assert res == nonsym_E(eta[:-1]).poly
             else:
@@ -160,7 +160,7 @@ class TestMsymP:
                 for lab in enumerate_mpartitions(m, d):
                     N = m + d + 1
                     big = msym_P(lab, N).poly
-                    assert big.set_var_zero(N) == msym_P(lab, N - 1).poly
+                    assert big.drop_var(N) == msym_P(lab, N - 1).poly
 
     def test_monic_in_monomial_basis(self):
         for m in (0, 1, 2):

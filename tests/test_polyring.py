@@ -161,16 +161,13 @@ class TestVariableOps:
         f = x(2, 1) * x(2, 1)
         assert _qshift(_qshift(f, 1, power=-1), 1) == f
 
-    def test_set_var_zero(self):
+    def test_drop_var(self):
         f = x(2, 1) + x(2, 2)
-        g = f.set_var_zero(2)
+        g = f.drop_var(2)
         assert g.nvars == 1 and g == MultiPoly.variable(1, 1)
-        assert MultiPoly.one(2).set_var_zero(2) == MultiPoly.one(1)
-        # interior index keeps the variable count
-        h = (x(3, 2) + x(3, 3)).set_var_zero(2)
-        assert h.nvars == 3 and h == x(3, 3)
+        assert MultiPoly.one(2).drop_var(2) == MultiPoly.one(1)
 
-    def test_set_var_zero_order_independent(self):
+    def test_drop_var_order_independent(self):
         rng = random.Random(4)
         for _ in range(10):
             f = _random_poly(rng, 3, 3)

@@ -701,3 +701,76 @@ class TestFactoredDenominators:
         assert _factor({(0, 0): 1, (1, 0): -2}) is None
         assert _factor(_pmul({(0, 0): 1, (1, 0): 1, (0, 1): 1},
                              {(0, 0): 1, (1, 1): -1})) is None
+
+
+def _counter(monkeypatch, module, name):
+    """Count the calls to module.name for the rest of the test."""
+    calls = []
+    f = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return f(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+_NUM = {(0, 0): 3, (1, 0): -1, (1, 2): 1}                 # 3 - q + q t^2
+_COMMON = {(1, 0): -2, (1, 1): 2, (2, 1): -2, (2, 2): 2}  # -2q(1 - t)(1 + qt)
+_GENERAL = {(0, 0): 1, (1, 0): 1, (0, 1): 1}              # 1 + q + t
+_BINOMIAL = {(0, 0): 1, (1, 1): -1}                       # 1 - qt
+
+
+class TestOneReduction:
+    # _fraction is the one reduction of a fraction whose denominator's
+    # factorization is not known, and the one caller of _hgcd
+
+    @pytest.mark.parametrize("d", [_GENERAL, _BINOMIAL])
+    @pytest.mark.parametrize("g", [_COMMON, _GENERAL])
+    def test_common_factor_cancels(self, monkeypatch, d, g):
+        from msym import qt_field
+        gcd_calls = _counter(monkeypatch, qt_field, "_hgcd")
+        x = QtRational(_pmul(_NUM, g), _pmul(d, g))
+        # the gcd runs only when the denominator does not factor
+        assert bool(gcd_calls) == (_factor(_pmul(d, g)) is None)
+        y = QtRational(_NUM, d)
+        assert (x.num, x.den) == (y.num, y.den) == (_NUM, d)
+        assert x == y and hash(x) == hash(y)
+
+    @pytest.mark.parametrize("x", [
+        (ONE - Q * T) / (ONE - T),
+        qt_product(-3, 2, -1, [(1, 2)], [(1, 0), (0, 1), (0, 1)]),
+        (ONE - Q) * (ONE - T) / (ONE - Q * T * T),
+    ])
+    def test_inverse_makes_no_trial_division(self, monkeypatch, x):
+        # a canonical num and den are coprime, so an inverse only factors
+        # its new denominator
+        from msym import qt_ring
+        calls = _counter(monkeypatch, qt_ring, "_fdiv")
+        _factor(x.num)
+        factoring = len(calls)
+        del calls[:]
+        y = x.inverse()
+        assert len(calls) == factoring
+        assert (y.num, y.den) == _gcd_reduced(x.den, x.num)
+        assert (x * y).is_one()
+
+    def test_inverse_makes_no_gcd(self, monkeypatch):
+        from msym import qt_field
+        calls = _counter(monkeypatch, qt_field, "_hgcd")
+        y = (ONE + Q + T).inverse()
+        assert calls == []
+        assert (y.num, y.den, y.fac) == (_ONE_TERMS, _GENERAL, None)
+
+    def test_operations_factor_before_any_gcd(self, monkeypatch):
+        # c = 1/(1 - q) comes out of the gcd with its factorization not
+        # known; a product, sum or inverse over it factors 1 - q again
+        from msym import qt_field
+        c = frac(_ONE_TERMS, _GENERAL) * frac(_GENERAL, {(0, 0): 1,
+                                                       (1, 0): -1})
+        assert c.fac is None and c == (ONE - Q).inverse()
+        calls = _counter(monkeypatch, qt_field, "_hgcd")
+        for y in (c * c, c + c, c + ONE, c.inverse() * Q):
+            assert y.fac is not None
+        assert calls == []

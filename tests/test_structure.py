@@ -227,7 +227,7 @@ class TestRestriction:
             f = random_element(rng, m, d, N)
             g = random_element(rng, m + 1, d, N)
             lhs = scalar_product_m(f, g, m + 1, verify=False)
-            rhs = scalar_product_m(f.set_var_zero(N), restrict_poly(g, m), m,
+            rhs = scalar_product_m(f.drop_var(N), restrict_poly(g, m), m,
                                    verify=False)
             assert lhs == rhs
 
