@@ -209,15 +209,6 @@ class MPartition:
             if label is not None:
                 yield Cell(r, size + 1, label)
 
-    def contains(self, cell):
-        r = cell.row
-        if not 1 <= r <= len(self._rows):
-            return False
-        size, label = self._rows[r - 1]
-        if cell.is_circle:
-            return label == cell.label and cell.col == size + 1
-        return 1 <= cell.col <= size
-
     def partition_i(self, i):
         """Lambda^(i): circles 1..i turned into squares, others discarded."""
         boosted = tuple(x + 1 for x in self.a[:i]) + self.a[i:]
@@ -278,14 +269,6 @@ class MPartition:
         if label is None:
             return base + len(circles)
         return base + sum(1 for lab in circles if lab < label)
-
-    @staticmethod
-    def coarm(cell):
-        return cell.col - 1
-
-    @staticmethod
-    def coleg(cell):
-        return cell.row - 1
 
 
 def dominance_leq(omega, lam):

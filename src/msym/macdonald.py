@@ -20,11 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import combinatorics, polyring, qt_ring
-from .qt_field import QtRational, ONE, T, qt_product, qt_sum
-from .polyring import DegreeGuardError, MultiPoly, _relabel
+from .qt_field import QtRational, qt_product, qt_sum
+from .polyring import DegreeGuardError, MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
-from .hecke_ops import (_TINV, apply_T, apply_Phi, apply_Y, apply_Lprime,
-                        apply_tau_K_Tbar, symmetrize_t)
+from .hecke_ops import (_TINV, apply_T, apply_Y, apply_tau_K_Tbar,
+                        symmetrize_t)
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ def _E_rule(eta):
         # the raising step as a substitution (Knop-Sahi):
         # E_eta = q^-s x_N E_theta(q x_N, x_1, .., x_{N-1}), s = theta_1
         theta = (eta[-1] - 1,) + eta[:-1]
-        src = [*range(1, n), 0]
-        qs = QtRational.monomial(1, -theta[0], 0)
+        s = theta[0]
         return theta, lambda ev: MultiPoly._raw(n, {
-            e[:-1] + (e[-1] + 1,): c * qs if theta[0] else c
-            for e, c in _relabel(ev, src, ((0, 1),)).terms.items()})
+            e[1:] + (e[0] + 1,):
+                c * QtRational.monomial(1, e[0] - s, 0) if e[0] != s else c
+            for e, c in ev.terms.items()})
     return None, lambda _: MultiPoly.one(n)
 
 
@@ -227,16 +227,6 @@ def eigenvalues(mpart):
                + [QtRational.monomial(-1, 0, 1 - i)
                   for i in range(mpart.m + 1, mpart.m + len(mpart.lam) + 1)])
     return EigenvalueVector(y, d)
-
-
-def apply_Psi(f, m):
-    """Psi_N = (1-t)(1 + T_{N-1} + T_{N-2}T_{N-1} + ... + T_m..T_{N-1})
-    Phi_q, the operator turning the 1-circle of an m-partition into a
-    square."""
-    if m < 1:
-        raise ValueError("the raising relation needs m >= 1")
-    g = apply_Lprime(apply_Phi(f), m - 1, f.nvars)
-    return g.scale(ONE - T)
 
 
 def psi_box_raise(mpart, N):

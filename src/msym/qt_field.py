@@ -1,4 +1,5 @@
-"""Exact arithmetic in the field Q(q,t).
+"""Exact arithmetic in Q(q,t), on the values msym makes: fractions whose
+denominator factors as c q^i t^j prod Phi_n(q^a t^b)^k.
 
 Scalars are reduced fractions of bivariate integer polynomials, stored as
 qt_ring's dicts {(q_exponent, t_exponent): int} with no negative exponents.
@@ -40,24 +41,12 @@ times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
 cancel by counting, with no trial division.
 
 A fraction whose denominator's factorization is not known (QtRational(num,
-den), parse_qt, an inverse, and any operation on a value whose denominator
-does not factor) is made canonical by one function, _fraction.  It factors
-the denominator and reduces by trial division; a denominator that does not
-factor, such as that of (ONE + Q + T).inverse(), is reduced by the gcd in
-Z[q,t] instead, once per operation on the unreduced result.  An inverse
-needs neither: its parts are coprime already.  msym's own constructions
-never make such a denominator (the verify suites at small bounds make no gcd
-call).  The gcd, _fraction's alone, is the heuristic gcd of Char, Geddes and
-Gonnet (J. Symb. Comp. 7, 1989), one recursive function from t through q
-down to integers: evaluate a variable at an integer x, take the gcd of the
-images one level down, and read it back as the polynomial whose balanced
-base-x digits it has.  Exact division of both inputs by the lifted
-candidate is its certificate, and the quotients are the cofactors the
-fraction is reduced to: with x above twice the smaller input's largest
-coefficient, a candidate that divides both is the gcd.  A rejected
-candidate makes x grow, and the loop ends because the images' spurious
-common factor stops growing with x (see _hgcd).  The result is
-deterministic: no randomness, no retry cap, no fallback.
+den), parse_qt, an inverse and so a quotient) is made canonical by one
+function, _fraction.  It factors the denominator and reduces by trial
+division; an inverse needs no division, since its parts are coprime
+already.  A denominator that does not factor so, such as 1 + q + t, is
+outside the domain: _fraction raises ValueError for it, and no other
+operation can make one.
 
 Every operation returns its result in this form.  qt_sum is the one
 addition: a + b is the two-term qt_sum((a, b)), and a sum of many
@@ -68,105 +57,11 @@ addition gives.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
                       _factor, _lcm_sum, _lowest, _p_eval, _p_str,
-                      _parse_poly, _pcontent_int, _pdiv_int, _pdivexact,
-                      _pmul, _pmul_into, _pneg, _pscale, _pshift)
-
-# ---------------------------------------------------------------------------
-# gcd, for denominators that do not factor
-# ---------------------------------------------------------------------------
-
-def _peval(a, k, x):
-    """a with variable k (0 = q, 1 = t) set to the integer x."""
-    pw = [1]
-    for _ in range(max(e[k] for e in a)):
-        pw.append(pw[-1] * x)
-    out = {}
-    for e, c in a.items():
-        f = (e[0], 0) if k else (0, e[1])
-        out[f] = out.get(f, 0) + c * pw[e[k]]
-    return {f: c for f, c in out.items() if c}
-
-
-def _genpoly(h, x, k):
-    """The polynomial whose coefficients of the powers of variable k are the
-    balanced base-x digits of h's coefficients, so that its value at x is h."""
-    out = {}
-    for e, c in h.items():
-        i = 0
-        while c:
-            d = c % x
-            if 2 * d > x:
-                d -= x
-            if d:
-                out[(e[0], i) if k else (i, e[1])] = d
-            c = (c - d) // x
-            i += 1
-    return out
-
-
-def _hgcd(a, b, k):
-    """(g, a/g, b/g) with g the gcd of a and b, up to sign, where a and b
-    involve variables 0..k only (k = -1: integers, which always take a
-    shortcut).
-
-    Each input loses its integer content and its monomial part first, at
-    every level, so the gcd returned one level down is exact: a proper
-    divisor of it would pass the division test below and leave a fraction
-    unreduced.  Then variable k is set to x, starting above
-    2*min(|a|_inf, |b|_inf) + 1, where a candidate that divides both inputs
-    is their gcd (Char, Geddes and Gonnet).  The two exact divisions that
-    certify it are the cofactors; a lift of 1 needs no test.
-
-    The loop ends.  Write a = g*a1, b = g*b1 with a1, b1 coprime; the
-    images' gcd is g(x)*D with D = gcd(a1(x), b1(x)).  For k = 0, D divides
-    the integer resultant of a1 and b1.  For k = 1, D is an integer once x
-    is past the roots of their resultant with respect to q, and it divides
-    the content of their resultant with respect to t (u*a1 + v*b1 equals
-    it), which does not depend on x.  So once x > 2*|D|*|g|_inf the digits
-    of g(x)*D are the coefficients of D*g, whose primitive part is g."""
-    if not a or not b:
-        g = dict(a or b)
-        one = {(0, 0): 1} if g else {}
-        return g, (one if a else {}), (one if b else {})
-    amq = min(e[0] for e in a)
-    amt = min(e[1] for e in a)
-    bmq = min(e[0] for e in b)
-    bmt = min(e[1] for e in b)
-    ca = _pcontent_int(a)
-    cb = _pcontent_int(b)
-    a0 = _pdiv_int(_pshift(a, -amq, -amt), ca)
-    b0 = _pdiv_int(_pshift(b, -bmq, -bmt), cb)
-    if a0 == b0:
-        g, qa, qb = a0, _ONE_TERMS, _ONE_TERMS
-    elif len(a0) == 1 or len(b0) == 1:
-        g, qa, qb = _ONE_TERMS, a0, b0
-    else:
-        x = 2 * min(max(map(abs, a0.values())),
-                    max(map(abs, b0.values()))) + 29
-        while True:
-            h = _hgcd(_peval(a0, k, x), _peval(b0, k, x), k - 1)[0]
-            g = _genpoly(h, x, k)
-            g = _pdiv_int(g, _pcontent_int(g))
-            if len(g) == 1 and (0, 0) in g:
-                g, qa, qb = _ONE_TERMS, a0, b0
-                break
-            try:
-                qa = _pdivexact(a0, g)
-                qb = _pdivexact(b0, g)
-                break
-            except ArithmeticError:
-                x = x * 73794 // 27011
-    cg = math.gcd(ca, cb)
-    mq, mt = min(amq, bmq), min(amt, bmt)
-    return (_pshift(_pscale(g, cg), mq, mt),
-            _pshift(_pscale(qa, ca // cg), amq - mq, amt - mt),
-            _pshift(_pscale(qb, cb // cg), bmq - mq, bmt - mt))
-
+                      _parse_poly, _pmul, _pneg)
 
 # ---------------------------------------------------------------------------
 # public types
@@ -182,16 +77,13 @@ def _reduced(t, c, i, j, fac, cands):
 
 def _fraction(n, d, coprime=False):
     """The canonical n/d for nonzero n and d, d's factorization not known:
-    d is factored over Phi_n(q^a t^b) and n divided by its factors, or, when
-    d does not factor, both by their gcd.  coprime (n and d share no factor,
-    as in an inverse) skips the division."""
+    d is factored over Phi_n(q^a t^b) and n divided by its factors.  coprime
+    (n and d share no factor, as in an inverse) skips the division.  A d
+    that does not factor so raises ValueError."""
     parts = _factor(d)
     if parts is None:
-        if not coprime:
-            _, n, d = _hgcd(n, d, 1)
-        if d[min(d)] < 0:
-            n, d = _pneg(n), _pneg(d)
-        return QtRational._raw(n, d, None)
+        raise ValueError("denominator %s does not factor over 1 - q^a t^b"
+                         % _p_str(d))
     c, i, j, fac = parts
     if c < 0:
         n, c = _pneg(n), -c
@@ -210,11 +102,12 @@ class QtRational:
     """Canonical reduced element of Q(q,t), in three slots:
       * num, the numerator;
       * den, the denominator;
-      * fac, den's factorization, a sorted tuple of ((n, a, b), k) with
-        den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's lowest
-        term, or None when den is not known to factor so.
+      * fac, den's factorization, always a sorted tuple of ((n, a, b), k)
+        with den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's
+        lowest term.
     num and den are never mutated, so values share them.
-    QtRational(num, den) reduces any two polynomials by _fraction."""
+    QtRational(num, den) reduces two polynomials by _fraction, and raises
+    ValueError when den does not factor so."""
 
     __slots__ = ("num", "den", "fac")
 
@@ -278,10 +171,10 @@ class QtRational:
         return qt_sum((self, -other))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, QtRational):
+            if not isinstance(other, int):
+                return NotImplemented
             other = QtRational.from_int(other)
-        elif not isinstance(other, QtRational):
-            return NotImplemented
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if not n1 or not n2:
@@ -289,8 +182,6 @@ class QtRational:
         if d1 == _ONE_TERMS and d2 == _ONE_TERMS:
             return QtRational._raw(_pmul(n1, n2), _ONE_TERMS, ())
         f1, f2 = self.fac, other.fac
-        if f1 is None or f2 is None:
-            return _fraction(_pmul(n1, n2), _pmul(d1, d2))
         # each numerator is coprime to its own denominator, so only the
         # other operand's factors can cancel from it
         c1 = c2 = 1
@@ -332,8 +223,8 @@ class QtRational:
         monomial is dropped.  The substitution is an automorphism of
         Z[q^+-1, t^+-1], so the reflections stay coprime and keep their
         content, and it maps each Phi_n(q^a t^b) to itself times a monomial
-        (and -1 for n = 1): the result needs its sign fixed, no gcd, and
-        keeps fac."""
+        (and -1 for n = 1): the result needs its sign fixed, no reduction,
+        and keeps fac."""
         if not self.num:
             return ZERO
         nq = max(e[0] for e in self.num)
@@ -407,17 +298,14 @@ def qt_sum(values):
 
     The values are grouped by denominator and each group's numerators are
     added with no reduction.  One group (as in every sum of polynomial
-    coefficients over one denominator) is reduced once over it.  Over
-    factored denominators the groups are brought to one lcm and the total
-    is reduced once, by trial division over the lcm's factors that can
-    cancel.  When a denominator does not factor, the groups are
-    cross-multiplied over the product of their denominators and the total
-    is reduced once by the gcd.  Between several denominators, values over
-    one share its dict (qt_ring._EXPANDED), so groups are keyed by its
-    identity, with no hashing; equal denominators in separate dicts form
-    separate groups, which costs trial divisions that fail but gives the
-    same canonical value: the form is unique, so the result is the one
-    term-by-term addition gives."""
+    coefficients over one denominator) is reduced once over it.  Several
+    groups are brought to one lcm and the total is reduced once, by trial
+    division over the lcm's factors that can cancel.  Between several
+    denominators, values over one share its dict (qt_ring._EXPANDED), so
+    groups are keyed by its identity, with no hashing; equal denominators
+    in separate dicts form separate groups, which costs trial divisions
+    that fail but gives the same canonical value: the form is unique, so
+    the result is the one term-by-term addition gives."""
     for v in values:
         # zeros are rare, so the list is copied only when one is there
         if not v.num:
@@ -436,28 +324,17 @@ def qt_sum(values):
         if d0 == _ONE_TERMS:
             return QtRational._raw(num, _ONE_TERMS, ())
         fac = values[0].fac
-        if fac is None:
-            return _fraction(num, d0)
         return _reduced(num, *_lowest(d0), fac, fac)
     groups = {}
     for v in values:
         groups.setdefault(id(v.den), []).append(v)
-    parts, general = [], False
+    parts = []
     for g in groups.values():
         num = _num_sum(g)
         if num:
             parts.append((num, g[0].den, g[0].fac, len(g) == 1))
-            general = general or g[0].fac is None
     if not parts:
         return ZERO
-    if general:
-        t, den = {}, _ONE_TERMS
-        for num, d, _, _ in parts:
-            t = _pmul(t, d)
-            _pmul_into(t, num, den)
-            den = _pmul(den, d)
-        t = {e: c for e, c in t.items() if c}
-        return _fraction(t, den) if t else ZERO
     t, c, i, j, fac, cands = _lcm_sum(parts)
     if not t:
         return ZERO
@@ -489,8 +366,9 @@ def qt_product(c, i, j, ups, downs):
 
 def parse_qt(s):
     """Parse the canonical text form, a polynomial or (polynomial)/(polynomial)
-    in _parse_poly's terms, back into a QtRational; anything else raises
-    ValueError."""
+    in _parse_poly's terms, back into a QtRational.  Anything else raises
+    ValueError, and so does a denominator that does not factor as
+    c q^i t^j prod Phi_n(q^a t^b)^k (_fraction)."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         i = s.index(")/(")

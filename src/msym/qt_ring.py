@@ -65,14 +65,6 @@ def _pmul_into(acc, a, b):
             acc[e] = acc.get(e, 0) + c * d
 
 
-def _pscale(a, c):
-    if c == 0:
-        return {}
-    if c == 1:
-        return dict(a)
-    return {e: c * v for e, v in a.items()}
-
-
 def _pshift(a, dq, dt):
     if dq == 0 and dt == 0:
         return dict(a)
@@ -92,40 +84,6 @@ def _pdiv_int(a, n):
     if n == 1:
         return dict(a)
     return {e: c // n for e, c in a.items()}
-
-
-def _pdivexact(a, b):
-    """Exact division in Z[q,t]; raises ArithmeticError if not exact."""
-    if not a:
-        return {}
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lb = max(b)
-    lcb = b[lb]
-    if len(b) == 1:
-        out = {}
-        for (e0, e1), c in a.items():
-            if e0 < lb[0] or e1 < lb[1] or c % lcb:
-                raise ArithmeticError("inexact polynomial division")
-            out[(e0 - lb[0], e1 - lb[1])] = c // lcb
-        return out
-    quot = {}
-    rem = dict(a)
-    while rem:
-        lr = max(rem)
-        de = (lr[0] - lb[0], lr[1] - lb[1])
-        c, r = divmod(rem[lr], lcb)
-        if de[0] < 0 or de[1] < 0 or r:
-            raise ArithmeticError("inexact polynomial division")
-        quot[de] = c
-        for (b0, b1), d in b.items():
-            e = (b0 + de[0], b1 + de[1])
-            s = rem.get(e, 0) - c * d
-            if s:
-                rem[e] = s
-            else:
-                rem.pop(e, None)
-    return quot
 
 
 def _p_eval(a, q0, t0):

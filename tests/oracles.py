@@ -2,7 +2,7 @@
 that every case of an identity holds."""
 
 from msym.combinatorics import circle_rows
-from msym.hecke_ops import apply_Phi, apply_T, apply_Tbar
+from msym.hecke_ops import apply_Lprime, apply_Phi, apply_T, apply_Tbar
 from msym.kernels import BiPoly, _xy_series
 from msym.polyring import _relabel
 from msym.qt_field import QtRational, ONE, T
@@ -113,3 +113,13 @@ def fdiv_by_classes(p, key):
             if c:
                 out[(b0 + k * a, b1 + k * b)] = c
     return out
+
+
+def apply_Psi(f, m):
+    """Psi_N = (1-t)(1 + T_{N-1} + T_{N-2}T_{N-1} + ... + T_m..T_{N-1})
+    Phi_q, the operator turning the 1-circle of an m-partition into a
+    square."""
+    if m < 1:
+        raise ValueError("the raising relation needs m >= 1")
+    g = apply_Lprime(apply_Phi(f), m - 1, f.nvars)
+    return g.scale(ONE - T)

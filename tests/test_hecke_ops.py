@@ -32,8 +32,9 @@ def rand_poly(rng, n, deg, nterms=6):
 
 
 def _binomial_fraction(a, b):
-    """(t - 1)/(1 - q^a t^-b)."""
-    return (T - ONE) / (ONE - QtRational.monomial(1, a, -b))
+    """(t - 1)/(1 - q^a t^b), the form of the coefficient c of E_eta's Hecke
+    steps."""
+    return (T - ONE) / (ONE - QtRational.monomial(1, a, b))
 
 
 scalar_strategy = st.one_of(
@@ -41,8 +42,9 @@ scalar_strategy = st.one_of(
     st.builds(lambda a, b: QtRational.monomial(1, a, b),
               st.integers(-2, 2), st.integers(-2, 2)),
     st.builds(_binomial_fraction, st.integers(1, 3), st.integers(0, 2)),
+    # (2 + qt)/((1 - q)(1 + t^2))
     st.just(QtRational({(0, 0): 2, (1, 1): 1},
-                       {(0, 0): 1, (1, 0): 1, (0, 2): 1})))
+                       {(0, 0): 1, (1, 0): -1, (0, 2): 1, (1, 2): -1})))
 
 
 def poly_strategy(n):

@@ -10,12 +10,12 @@ from msym.qt_field import QtRational, ONE, Q, T
 from msym.combinatorics import (MPartition, bruhat_less, compositions_of,
                                 enumerate_mpartitions)
 from msym.hecke_ops import apply_T, apply_Y, apply_D
-from msym.macdonald import (apply_Psi, eigen_cases, eigenvalues, eta_bar,
+from msym.macdonald import (eigen_cases, eigenvalues, eta_bar,
                             hall_littlewood_H, integral_J, integral_c,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
                             u_normalization, _build_E, _walk)
 
-from oracles import raise_by_Phi
+from oracles import apply_Psi, raise_by_Phi
 
 
 def x(n, i):
@@ -291,31 +291,6 @@ _POOL = ((0, 4, 4), (1, 3, 5), (2, 3, 5))
 
 
 class TestColdConstruction:
-    def test_construct_pool_makes_no_gcd_call(self, cold_caches,
-                                              monkeypatch):
-        # every denominator of a P_Lambda build factors over
-        # Phi_n(q^a t^b), so fractions are reduced by trial division; every
-        # gcd goes through _hgcd
-        from msym import macdonald, qt_field
-        calls = []
-        gcd = qt_field._hgcd
-
-        def counted(a, b, k):
-            calls.append((a, b))
-            return gcd(a, b, k)
-
-        monkeypatch.setattr(qt_field, "_hgcd", counted)
-        built = 0
-        for m, dmax, N in _POOL:
-            for d in range(dmax + 1):
-                for lab in enumerate_mpartitions(m, d,
-                                                 max_sym_length=N - m):
-                    macdonald.clear_caches()
-                    msym_P(lab, N)
-                    built += 1
-        assert built == 51
-        assert calls == []
-
     def test_construct_pool_canonical_forms_unchanged(self, cold_caches):
         # a golden hash of every coefficient's canonical num and den over
         # the pool, each label built from cold caches: a change to any

@@ -1,15 +1,14 @@
 """Exact rational-function arithmetic in q and t."""
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_product,
-                           qt_sum, _pmul, _pdivexact, _hgcd, _peval,
-                           _genpoly)
+                           qt_sum, _pmul)
 from msym.macdonald import clear_caches
 from msym.qt_ring import _ONE_TERMS, _factor
 
@@ -194,6 +193,9 @@ class TestQtProduct:
             qt_product(1, 0, 0, [(0, 0)], [(0, 0)])
 
 
+_UNIT = {(0, 0): 1}
+
+
 def _random_poly(rng, nterms=4, dmax=4):
     d = {}
     for _ in range(rng.randrange(1, nterms + 1)):
@@ -202,159 +204,101 @@ def _random_poly(rng, nterms=4, dmax=4):
     return {e: c for e, c in d.items() if c}
 
 
+def _random_den(rng, kind):
+    """A denominator that factors: a monomial, or ("factored") a signed
+    integer times a monomial times one or two binomials 1 +- q^a t^b."""
+    if kind == "monomial":
+        return {(rng.randrange(3), rng.randrange(3)): rng.choice((1, 2, 3))}
+    den = {(rng.randrange(2), rng.randrange(2)): rng.choice((1, 2, -1, -3))}
+    for _ in range(rng.randrange(1, 3)):
+        a, b = rng.choice(((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
+        den = _pmul(den, {(0, 0): 1, (a, b): rng.choice((1, -1))})
+    return den
+
+
 def _random_rational(rng):
-    num = _random_poly(rng)
-    den = _random_poly(rng) or {(0, 0): 1}
-    return QtRational(num, den)
+    """A random polynomial over 1, a monomial or a factored denominator."""
+    kind = rng.choice(("one", "monomial", "factored", "factored"))
+    den = _UNIT if kind == "one" else _random_den(rng, kind)
+    return QtRational(_random_poly(rng), den)
+
+
+def _random_invertible(rng):
+    """A random value whose numerator factors too, so that its inverse is
+    in the domain."""
+    return QtRational(_random_den(rng, "factored"),
+                      _random_den(rng, rng.choice(("monomial", "factored"))))
 
 
 @st.composite
-def gcd_inputs(draw):
-    """(a, b, g): polynomials in q and t, in q only or in t only, with
-    coefficients up to 5 or up to 10**30, each times a monomial."""
+def common_factor_inputs(draw):
+    """(a, d, g): a polynomial in q and t, in q only or in t only, with
+    coefficients up to 5 or up to 10**30, and d and g denominators that
+    factor, with contents up to 10**30 as well."""
     shape = draw(st.sampled_from(("qt", "q", "t")))
     cmax = draw(st.sampled_from((5, 10 ** 30)))
     dq, dt = (3 if shape != "t" else 0), (3 if shape != "q" else 0)
+    a = draw(st.dictionaries(
+        st.tuples(st.integers(0, dq), st.integers(0, dt)),
+        st.integers(-cmax, cmax).filter(bool), min_size=1, max_size=4))
+    exps = [(i, j) for i in range(dq + 1) for j in range(dt + 1)][1:]
 
-    def poly(nterms):
-        terms = draw(st.dictionaries(
-            st.tuples(st.integers(0, dq), st.integers(0, dt)),
-            st.integers(-cmax, cmax).filter(bool),
-            min_size=1, max_size=nterms))
-        mono = (draw(st.integers(0, min(dq, 2))),
-                draw(st.integers(0, min(dt, 2))))
-        return _pmul(terms, {mono: 1})
+    def den():
+        out = {(draw(st.integers(0, min(dq, 2))),
+                draw(st.integers(0, min(dt, 2)))):
+               draw(st.integers(-cmax, cmax).filter(bool))}
+        for _ in range(draw(st.integers(0, 2))):
+            e = draw(st.sampled_from(exps))
+            out = _pmul(out, {(0, 0): 1, e: draw(st.sampled_from((1, -1)))})
+        return out
 
-    return poly(4), poly(4), poly(3)
-
-
-def _gcd_within(a, b, seconds=10):
-    """The gcd of a and b with its smallest (lex, q-major) term positive,
-    failing instead of hanging if its loop does not end."""
-    def expire(signum, frame):
-        raise TimeoutError("gcd loop still running after %d s" % seconds)
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        g = _hgcd(a, b, 1)[0]
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-    if g and g[min(g)] < 0:
-        g = {e: -c for e, c in g.items()}
-    return g
+    return a, den(), den()
 
 
 class TestGcd:
-    def test_divides_both(self):
-        rng = random.Random(21)
-        for _ in range(200):
-            a, b, g = _random_poly(rng), _random_poly(rng), _random_poly(rng)
-            if not a or not b:
-                continue
-            if g:
-                a, b = _pmul(a, g), _pmul(b, g)
-            d = _hgcd(a, b, 1)[0]
-            _pdivexact(a, d)
-            _pdivexact(b, d)
-
-    def test_against_sympy(self):
-        sympy = pytest.importorskip("sympy")
-        qs, ts = sympy.symbols("q t")
-        rng = random.Random(42)
-        for _ in range(120):
-            a, b, g = _random_poly(rng), _random_poly(rng), _random_poly(rng)
-            if not a or not b:
-                continue
-            if g:
-                a, b = _pmul(a, g), _pmul(b, g)
-            mine = _hgcd(a, b, 1)[0]
-            pa = sympy.Poly(dict(a), qs, ts, domain=sympy.ZZ)
-            pb = sympy.Poly(dict(b), qs, ts, domain=sympy.ZZ)
-            theirs = {tuple(mon): int(c)
-                      for mon, c in sympy.gcd(pa, pb).terms()}
-            neg = {e: -c for e, c in theirs.items()}
-            assert mine == theirs or mine == neg
+    # a canonical num and den share no factor: the gcd, by sympy, is a unit
 
     @settings(max_examples=300, deadline=None)
-    @given(gcd_inputs())
-    def test_common_factor_against_sympy(self, abg):
-        sympy = pytest.importorskip("sympy")
-        qs, ts = sympy.symbols("q t")
-        a, b, g = abg
-        a, b = _pmul(a, g), _pmul(b, g)
-        mine = _gcd_within(a, b)
-        theirs = sympy.gcd(sympy.Poly(a, qs, ts, domain=sympy.ZZ),
-                           sympy.Poly(b, qs, ts, domain=sympy.ZZ))
-        theirs = {tuple(mon): int(c) for mon, c in theirs.terms()}
-        assert mine == theirs or mine == {e: -c for e, c in theirs.items()}
-
-    def test_fixed_divisor(self):
-        # every value of q(q+1)(q+2) and of (q+3)(q+4)(q+5) is a multiple of
-        # 6 (of 2 for (q+1)(q+2), left once q is stripped), so the images
-        # always share an integer the gcd must drop
-        a = _pmul(_pmul({(1, 0): 1}, {(1, 0): 1, (0, 0): 1}),
-                  {(1, 0): 1, (0, 0): 2})
-        b = _pmul(_pmul({(1, 0): 1, (0, 0): 3}, {(1, 0): 1, (0, 0): 4}),
-                  {(1, 0): 1, (0, 0): 5})
-        assert _gcd_within(a, b) == {(0, 0): 1}
-        qt = {(1, 0): 1, (0, 1): 1}
-        assert _gcd_within(_pmul(a, qt), _pmul(b, qt)) == qt
-
-    def test_first_lift_rejected(self):
-        # a = (t+1)(q+t), b = (t+33)(q+t) start at x = 2*1 + 29 = 31, where
-        # the images 32(q+31) and 64(q+31) share the spurious factor 32; the
-        # lift of 32(q+31) is (t+1)(q+t), which divides a but not b, so x
-        # must grow (to 84: 85(q+84) and 117(q+84) lift to q+t)
-        qt = {(1, 0): 1, (0, 1): 1}
-        a = _pmul(qt, {(0, 1): 1, (0, 0): 1})
-        b = _pmul(qt, {(0, 1): 1, (0, 0): 33})
-        g = _hgcd(_peval(a, 1, 31), _peval(b, 1, 31), 0)[0]
-        lift = _genpoly(g, 31, 1)
-        assert lift == a
-        with pytest.raises(ArithmeticError):
-            _pdivexact(b, lift)
-        assert _gcd_within(a, b) == qt
+    @given(common_factor_inputs())
+    def test_common_factor_against_sympy(self, adg):
+        # a g / d g, with g's factors and content cancelling
+        a, d, g = adg
+        x = QtRational(_pmul(a, g), _pmul(d, g))
+        assert (x.num, x.den) == _gcd_reduced(a, d)
 
     def test_canonical_form_against_sympy(self):
         # after random field operations, num/den is coprime in Z[q,t]
         # (integer content included) and den's lexicographically smallest
         # term is positive
-        sympy = pytest.importorskip("sympy")
-        qs, ts = sympy.symbols("q t")
         rng = random.Random(7)
         ops = (lambda a, b: a + b, lambda a, b: a - b,
                lambda a, b: a * b, lambda a, b: a / b)
         x = _random_rational(rng)
         checked = 0
         for _ in range(80):
-            y = _random_rational(rng)
             op = rng.randrange(5)
+            y = _random_invertible(rng) if op == 3 else _random_rational(rng)
             if op == 4:
                 # x + (w - x) = w: the sum's numerator shares a factor with
                 # the denominator (all of it when w is a polynomial), which
                 # the reduction must cancel
                 w = QtRational(_random_poly(rng)) if rng.randrange(2) else y
                 x = x + (w - x)
-            elif op == 3 and y.is_zero():
-                continue
             else:
                 x = ops[op](x, y)
             if x.is_zero() or len(x.num) > 40:
                 x = _random_rational(rng)
                 continue
-            pn = sympy.Poly(dict(x.num), qs, ts, domain=sympy.ZZ)
-            pd = sympy.Poly(dict(x.den), qs, ts, domain=sympy.ZZ)
-            g = sympy.gcd(pn, pd)
+            g = sympy.gcd(_sympy_poly(x.num), _sympy_poly(x.den))
             assert g.total_degree() == 0 and abs(int(g.LC())) == 1
             assert x.den[min(x.den)] > 0
             checked += 1
         assert checked > 40
 
 
-scalar_strategy = st.builds(
-    _random_rational,
-    st.integers(min_value=0, max_value=10 ** 6).map(random.Random))
+_seeds = st.integers(min_value=0, max_value=10 ** 6).map(random.Random)
+scalar_strategy = st.builds(_random_rational, _seeds)
+invertible_strategy = st.builds(_random_invertible, _seeds)
 
 
 class TestFieldAxioms:
@@ -373,53 +317,27 @@ class TestFieldAxioms:
         assert (a == b) == cross
 
     @settings(max_examples=40, deadline=None)
-    @given(scalar_strategy)
+    @given(invertible_strategy)
     def test_inverse_roundtrip(self, a):
-        if not a.is_zero():
-            assert (a * a.inverse()).is_one()
-            assert (ONE / a) * a == ONE
-
-
-def _random_den(rng, kind):
-    if kind == "monomial":
-        return {(rng.randrange(3), rng.randrange(3)): rng.choice((1, 2, 3))}
-    if kind == "factored":
-        # a monomial times one or two binomials 1 +- q^a t^b
-        den = {(rng.randrange(2), rng.randrange(2)): rng.choice((1, 2))}
-        for _ in range(rng.randrange(1, 3)):
-            a, b = rng.choice(((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)))
-            den = _pmul(den, {(0, 0): 1, (a, b): rng.choice((1, -1))})
-        return den
-    if kind == "general":
-        # (1 + q + t) does not factor over Phi_n(q^a t^b)
-        return _pmul({(0, 0): 1, (1, 0): 1, (0, 1): 1},
-                     _random_den(rng, "factored"))
-    return _random_poly(rng, nterms=3, dmax=3) or {(0, 0): 1}
+        assert (a * a.inverse()).is_one()
+        assert (ONE / a) * a == ONE
 
 
 def _random_terms(rng, kind, close):
-    """Nonzero values over one shared denominator, over distinct ones, over
-    monomial ones, over a mix, over binomial products that factor, or over
-    both those and denominators that do not factor ("both", where a value
-    over each comes first).  close="zero" appends the negations of a
-    shuffled copy, so the list sums to zero; close="factor" appends values
-    n_i/(A B) whose numerators add up to A r, so their group sum reduces to
-    r/B only after the numerators are added (A and B factor when the other
-    denominators do)."""
+    """Nonzero values over one shared denominator, over monomial ones, over
+    binomial products that factor, or over a mix of those two.
+    close="zero" appends the negations of a shuffled copy, so the list sums
+    to zero; close="factor" appends values n_i/(A B) whose numerators add up
+    to A r, so their group sum reduces to r/B only after the numerators are
+    added."""
     if kind == "shared":
-        dens = [_random_den(rng, "poly")]
+        dens = [_random_den(rng, "factored")]
     elif kind == "mixed":
-        dens = [_random_den(rng, rng.choice(("poly", "monomial")))
+        dens = [_random_den(rng, rng.choice(("factored", "monomial")))
                 for _ in range(3)]
-    elif kind == "both":
-        dens = [_random_den(rng, k) for k in ("general", "factored",
-                                              "factored")]
     else:
         dens = [_random_den(rng, kind) for _ in range(8)]
     values = []
-    if kind == "both":
-        values = [v for v in (QtRational(_random_poly(rng), d)
-                              for d in dens[:2]) if v]
     while len(values) < rng.randrange(1, 9):
         v = QtRational(_random_poly(rng), rng.choice(dens))
         if v:
@@ -429,16 +347,11 @@ def _random_terms(rng, kind, close):
         rng.shuffle(rest)
         values += rest
     elif close == "factor":
-        if kind in ("factored", "both"):
-            # A along a direction no other denominator has, so only the
-            # group's own sum can cancel it
-            a = {(0, 0): 1, rng.choice(((3, 1), (1, 3), (2, 3))):
-                 rng.choice((1, -1))}
-            den = _pmul(a, _random_den(rng, "factored"))
-        else:
-            a = _random_poly(rng, nterms=2, dmax=3) or {(1, 0): 1, (0, 0): 2}
-            den = _pmul(a, _random_poly(rng, nterms=3, dmax=3)
-                        or {(0, 1): 1})
+        # A along a direction no other denominator has, so only the group's
+        # own sum can cancel it
+        a = {(0, 0): 1, rng.choice(((3, 1), (1, 3), (2, 3))):
+             rng.choice((1, -1))}
+        den = _pmul(a, _random_den(rng, "factored"))
         nums = [_random_poly(rng) for _ in range(3)]
         last = _pmul(a, _random_poly(rng) or {(0, 0): 1})
         for n in nums:
@@ -454,8 +367,7 @@ def _random_terms(rng, kind, close):
 class TestGroupedSum:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6),
-           st.sampled_from(("shared", "distinct", "monomial", "mixed",
-                            "factored", "both")),
+           st.sampled_from(("shared", "monomial", "mixed", "factored")),
            st.sampled_from(("none", "zero", "factor")))
     def test_equals_left_fold_and_is_canonical(self, seed, kind, close):
         rng = random.Random(seed)
@@ -471,7 +383,7 @@ class TestGroupedSum:
             assert s.is_zero() and s.den == {(0, 0): 1}
         # + is itself a qt_sum, so the fold above is no independent check:
         # cross-multiply over the product of the distinct denominators and
-        # reduce by the gcd
+        # reduce by sympy's gcd
         num, den, dens = {}, _UNIT, []
         for v in values:
             if v.den not in dens:
@@ -550,9 +462,6 @@ def _in_qt(coeffs, a, b):
     return {(k * a, k * b): c for k, c in enumerate(coeffs) if c}
 
 
-_UNIT = {(0, 0): 1}
-
-
 # factors drawn half the time, so that operands share them; (1, 2, 2) is
 # 1 - q^2 t^2 = (1 - qt)(1 + qt)
 _PALETTE = ((1, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 2))
@@ -560,12 +469,11 @@ _PALETTE = ((1, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 2))
 
 @st.composite
 def factored_leaf(draw):
-    """(value, num, den): an integer, a monomial, f^k / f^j with f one
+    """(value, num, den): an integer, a monomial, or f^k / f^j with f one
     Phi_n(q^a t^b) (n <= 6, a, b <= 3; gcd(a, b) may exceed 1, so that f
-    splits) or one binomial 1 +- q^a t^b, or a fraction over a general
-    denominator."""
+    splits) or one binomial 1 +- q^a t^b."""
     kind = draw(st.sampled_from(("int", "monomial", "phi", "phi",
-                                 "binomial", "binomial", "general")))
+                                 "binomial", "binomial")))
     if kind == "int":
         k = draw(st.integers(-3, 3).filter(bool))
         return QtRational.from_int(k), {(0, 0): k}, _UNIT
@@ -574,15 +482,6 @@ def factored_leaf(draw):
         i, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         return (QtRational.monomial(c, i, j), {(max(i, 0), max(j, 0)): c},
                 {(max(-i, 0), max(-j, 0)): 1})
-    if kind == "general":
-        num = draw(st.dictionaries(st.tuples(st.integers(0, 2),
-                                             st.integers(0, 2)),
-                                   st.integers(-3, 3).filter(bool),
-                                   min_size=1, max_size=3))
-        den = draw(st.sampled_from(({(0, 0): 1, (1, 0): 2, (0, 1): 1},
-                                    {(0, 0): 3, (1, 1): -1},
-                                    {(1, 0): 1, (0, 1): 1})))
-        return QtRational(num, den), num, den
     n, a, b = draw(st.one_of(
         st.sampled_from(_PALETTE),
         st.tuples(st.integers(1, 6), st.integers(0, 3), st.integers(0, 3))))
@@ -631,7 +530,8 @@ def _evaluate(node):
         return qt_sum([x for x, _, _ in parts]), num, den
     (x, n1, d1), (y, n2, d2) = _evaluate(args[0]), _evaluate(args[1])
     if op == "/":
-        assume(y)
+        # a divisor whose numerator does not factor is outside the domain
+        assume(y and _factor(y.num) is not None)
         return x / y, _pmul(n1, d2), _pmul(d1, n2)
     if op == "*":
         return x * y, _pmul(n1, n2), _pmul(d1, d2)
@@ -648,37 +548,69 @@ def _padd_dicts(a, b):
     return {e: c for e, c in out.items() if c}
 
 
+_QS, _TS = sympy.symbols("q t")
+_SYMPY_FIELD = sympy.field("q,t", sympy.ZZ)[0]
+
+
+def _sympy_poly(p):
+    return sympy.Poly(dict(p), _QS, _TS, domain=sympy.ZZ)
+
+
 def _gcd_reduced(num, den):
-    """num/den in canonical form, reduced by the gcd."""
+    """num/den in canonical form, reduced by sympy's gcd."""
     if not num:
         return {}, _UNIT
-    g = _hgcd(num, den, 1)[0]
-    num, den = _pdivexact(num, g), _pdivexact(den, g)
+    _, num, den = _sympy_poly(num).cofactors(_sympy_poly(den))
+    num = {e: int(c) for e, c in num.terms()}
+    den = {e: int(c) for e, c in den.terms()}
     if den[min(den)] < 0:
         num = {e: -c for e, c in num.items()}
         den = {e: -c for e, c in den.items()}
     return num, den
 
 
+def _sympy_value(node):
+    """The value of an expression tree (_factored_expr) computed by sympy
+    alone, from the leaves' num and den."""
+    if isinstance(node[0], QtRational):
+        _, num, den = node
+        return (_sympy_poly(num).as_expr() / _sympy_poly(den).as_expr())
+    op, *args = node
+    if op == "invert":
+        return _sympy_value(args[0]).subs({_QS: 1 / _QS, _TS: 1 / _TS},
+                                          simultaneous=True)
+    if op == "sum":
+        return sympy.Add(*map(_sympy_value, args[0]))
+    x, y = _sympy_value(args[0]), _sympy_value(args[1])
+    return {"+": x + y, "-": x - y, "*": x * y, "/": x / y}[op]
+
+
 class TestFactoredDenominators:
     @settings(max_examples=300, deadline=None)
     @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
     def test_equals_gcd_reduction(self, expr):
-        # a leaf alone checks the constructor and inverse; every tree
-        # combines factored and general operands
+        # a leaf alone checks the constructor and inverse
         x, num, den = _evaluate(expr)
         assert (x.num, x.den) == _gcd_reduced(num, den)
-        if x.fac is not None:
-            # the factorization describes den exactly
-            lowest = min(x.den)
-            expanded = {lowest: x.den[lowest]}
-            for (n, a, b), k in x.fac:
-                phi = _cyclotomic(n)
-                if n == 1:
-                    phi = [-v for v in phi]
-                for _ in range(k):
-                    expanded = _pmul(expanded, _in_qt(phi, a, b))
-            assert expanded == x.den
+        # the factorization describes den exactly
+        lowest = min(x.den)
+        expanded = {lowest: x.den[lowest]}
+        for (n, a, b), k in x.fac:
+            phi = _cyclotomic(n)
+            if n == 1:
+                phi = [-v for v in phi]
+            for _ in range(k):
+                expanded = _pmul(expanded, _in_qt(phi, a, b))
+        assert expanded == x.den
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
+    def test_field_ops_against_sympy(self, expr):
+        # the whole tree evaluated in sympy, with no msym arithmetic: the
+        # unreduced num and den above come from msym's own products
+        x = _evaluate(expr)[0]
+        f = _SYMPY_FIELD.from_expr(_sympy_value(expr))
+        assert (x.num, x.den) == _gcd_reduced(dict(f.numer), dict(f.denom))
 
     def test_den_one_is_shared(self):
         # a quotient that cancels to a polynomial holds the one shared
@@ -718,22 +650,21 @@ def _counter(monkeypatch, module, name):
 
 _NUM = {(0, 0): 3, (1, 0): -1, (1, 2): 1}                 # 3 - q + q t^2
 _COMMON = {(1, 0): -2, (1, 1): 2, (2, 1): -2, (2, 2): 2}  # -2q(1 - t)(1 + qt)
-_GENERAL = {(0, 0): 1, (1, 0): 1, (0, 1): 1}              # 1 + q + t
+_SQUARE = {(0, 0): 1, (2, 1): -2, (4, 2): 1}              # (1 - q^2 t)^2
+_CYCLO = {(0, 0): 1, (1, 1): 1, (2, 2): 1}                # Phi_3(qt)
 _BINOMIAL = {(0, 0): 1, (1, 1): -1}                       # 1 - qt
+_GENERAL = {(0, 0): 1, (1, 0): 1, (0, 1): 1}              # 1 + q + t
 
 
 class TestOneReduction:
     # _fraction is the one reduction of a fraction whose denominator's
-    # factorization is not known, and the one caller of _hgcd
+    # factorization is not known, and the one place that rejects a
+    # denominator that does not factor
 
-    @pytest.mark.parametrize("d", [_GENERAL, _BINOMIAL])
-    @pytest.mark.parametrize("g", [_COMMON, _GENERAL])
-    def test_common_factor_cancels(self, monkeypatch, d, g):
-        from msym import qt_field
-        gcd_calls = _counter(monkeypatch, qt_field, "_hgcd")
+    @pytest.mark.parametrize("d", [_CYCLO, _BINOMIAL])
+    @pytest.mark.parametrize("g", [_COMMON, _SQUARE])
+    def test_common_factor_cancels(self, d, g):
         x = QtRational(_pmul(_NUM, g), _pmul(d, g))
-        # the gcd runs only when the denominator does not factor
-        assert bool(gcd_calls) == (_factor(_pmul(d, g)) is None)
         y = QtRational(_NUM, d)
         assert (x.num, x.den) == (y.num, y.den) == (_NUM, d)
         assert x == y and hash(x) == hash(y)
@@ -745,7 +676,7 @@ class TestOneReduction:
     ])
     def test_inverse_makes_no_trial_division(self, monkeypatch, x):
         # a canonical num and den are coprime, so an inverse only factors
-        # its new denominator
+        # its new denominator and is (den, num) with the sign fixed
         from msym import qt_ring
         calls = _counter(monkeypatch, qt_ring, "_fdiv")
         _factor(x.num)
@@ -753,24 +684,18 @@ class TestOneReduction:
         del calls[:]
         y = x.inverse()
         assert len(calls) == factoring
-        assert (y.num, y.den) == _gcd_reduced(x.den, x.num)
+        num, den = x.den, x.num
+        if den[min(den)] < 0:
+            num = {e: -c for e, c in num.items()}
+            den = {e: -c for e, c in den.items()}
+        assert (y.num, y.den) == (num, den)
         assert (x * y).is_one()
 
-    def test_inverse_makes_no_gcd(self, monkeypatch):
-        from msym import qt_field
-        calls = _counter(monkeypatch, qt_field, "_hgcd")
-        y = (ONE + Q + T).inverse()
-        assert calls == []
-        assert (y.num, y.den, y.fac) == (_ONE_TERMS, _GENERAL, None)
-
-    def test_operations_factor_before_any_gcd(self, monkeypatch):
-        # c = 1/(1 - q) comes out of the gcd with its factorization not
-        # known; a product, sum or inverse over it factors 1 - q again
-        from msym import qt_field
-        c = frac(_ONE_TERMS, _GENERAL) * frac(_GENERAL, {(0, 0): 1,
-                                                       (1, 0): -1})
-        assert c.fac is None and c == (ONE - Q).inverse()
-        calls = _counter(monkeypatch, qt_field, "_hgcd")
-        for y in (c * c, c + c, c + ONE, c.inverse() * Q):
-            assert y.fac is not None
-        assert calls == []
+    def test_denominator_that_does_not_factor_raises(self):
+        general = ONE + Q + T
+        assert _factor(_GENERAL) is None
+        for make in (lambda: QtRational(_NUM, _GENERAL), general.inverse,
+                     lambda: ONE / general,
+                     lambda: parse_qt("(1)/(1 + q + t)")):
+            with pytest.raises(ValueError, match="does not factor"):
+                make()

