@@ -10,16 +10,17 @@ Canonical form of a fraction num/den:
   * gcd(num, den) = 1 in Z[q,t] (including integer content),
   * the coefficient of the lexicographically smallest exponent pair of den
     (q-major, then t) is positive.
-Equality and hashing rely on this canonical form being unique.
 
-Denominators are kept factored.  Every denominator msym builds divides a
-product of binomials 1 - q^a t^b (Knop, J. reine angew. Math. 482, 1997;
+A denominator is its factorization.  Every denominator msym builds divides
+a product of binomials 1 - q^a t^b (Knop, J. reine angew. Math. 482, 1997;
 Sahi, IMRN 1996), and 1 - u^g is the product of the cyclotomic polynomials
-Phi_d(u), d | g.  So next to the expanded den a value keeps its
-factorization c q^i t^j prod Phi_n(q^a t^b)^k with gcd(a, b) = 1, where
-c q^i t^j is den's lowest term and Phi_1(u) is taken as 1 - u.  Each such
-factor is irreducible, so a numerator can share with den only factors den
-already lists, and reduction is trial division by them:
+Phi_d(u), d | g.  So a value keeps in place of den its key (c, i, j, fac):
+den = c q^i t^j prod Phi_n(q^a t^b)^k with gcd(a, b) = 1, c q^i t^j den's
+lowest term, Phi_1(u) taken as 1 - u and fac the sorted tuple of
+((n, a, b), k).  The canonical form makes num and key unique, so equality
+and hashing read them, and den is expanded only on demand (qt_ring._den).
+Each factor is irreducible, so a numerator can share with den only factors
+den already lists, and reduction is trial division by them:
   * a product merges the exponents and divides each numerator by the other
     operand's factors;
   * a sum takes the lcm, the largest exponent of each factor, and divides
@@ -45,8 +46,10 @@ den), parse_qt, an inverse and so a quotient) is made canonical by one
 function, _fraction.  It factors the denominator and reduces by trial
 division; an inverse needs no division, since its parts are coprime
 already.  A denominator that does not factor so, such as 1 + q + t, is
-outside the domain: _fraction raises ValueError for it, and no other
-operation can make one.
+outside the domain, and _fraction raises ValueError for it.  It factors
+the denominator as given, before any cancellation, so a given den, or a
+divisor's numerator, must factor itself, even where the value is in the
+domain: QtRational(1 + q + t, 1 + q + t) raises.
 
 Every operation returns its result in this form.  qt_sum is the one
 addition: a + b is the two-term qt_sum((a, b)), and a sum of many
@@ -60,20 +63,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
-                      _factor, _lcm_sum, _lowest, _p_eval, _p_str,
+                      _factor, _key, _lcm_sum, _p_eval, _p_str,
                       _parse_poly, _pmul, _pneg)
+
+_ONE_KEY = (1, 0, 0, ())  # the key of the denominator 1
 
 # ---------------------------------------------------------------------------
 # public types
 # ---------------------------------------------------------------------------
-
-def _reduced(t, c, i, j, fac, cands):
-    """The canonical t / (c q^i t^j prod(fac)), cands the factors that may
-    divide t."""
-    t, c, i, j, fac = _cancel(t, c, i, j, fac, cands)
-    den, fac = _den(c, i, j, fac)
-    return QtRational._raw(t, den, fac)
-
 
 def _fraction(n, d, coprime=False):
     """The canonical n/d for nonzero n and d, d's factorization not known:
@@ -87,7 +84,8 @@ def _fraction(n, d, coprime=False):
     c, i, j, fac = parts
     if c < 0:
         n, c = _pneg(n), -c
-    return _reduced(n, c, i, j, fac, () if coprime else fac)
+    return QtRational._raw(*_cancel(n, (c, i, j, fac),
+                                    () if coprime else fac))
 
 
 def _terms(p):
@@ -99,17 +97,14 @@ def _terms(p):
 
 
 class QtRational:
-    """Canonical reduced element of Q(q,t), in three slots:
-      * num, the numerator;
-      * den, the denominator;
-      * fac, den's factorization, always a sorted tuple of ((n, a, b), k)
-        with den = c q^i t^j prod Phi_n(q^a t^b)^k and c q^i t^j den's
-        lowest term.
-    num and den are never mutated, so values share them.
-    QtRational(num, den) reduces two polynomials by _fraction, and raises
-    ValueError when den does not factor so."""
+    """Canonical reduced element of Q(q,t), in two slots: num, the
+    numerator, and key, the denominator's (c, i, j, fac) (module docstring).
+    den is a read-only property, key expanded.  num and den are never
+    mutated, so values share them.  QtRational(num, den) reduces two
+    polynomials by _fraction, and raises ValueError when den itself does
+    not factor, as in QtRational(1 + q + t, 1 + q + t)."""
 
-    __slots__ = ("num", "den", "fac")
+    __slots__ = ("num", "key")
 
     def __new__(cls, num, den=None):
         n = _terms(num)
@@ -121,28 +116,29 @@ class QtRational:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def _raw(cls, num, den, fac):
+    def _raw(cls, num, key):
         x = object.__new__(cls)
         x.num = num
-        x.den = den
-        x.fac = fac
+        x.key = key
         return x
 
     @classmethod
     def from_int(cls, n):
         if n == 0:
             return ZERO
-        return cls._raw({(0, 0): n}, _ONE_TERMS, ())
+        return cls._raw({(0, 0): n}, _ONE_KEY)
 
     @classmethod
     def monomial(cls, coeff=1, qexp=0, texp=0):
         """coeff * q**qexp * t**texp; negative exponents go to the denominator."""
         if coeff == 0:
             return ZERO
-        nq, nt = max(qexp, 0), max(texp, 0)
-        dq, dt = max(-qexp, 0), max(-texp, 0)
-        return cls._raw({(nq, nt): coeff},
-                        {(dq, dt): 1} if dq or dt else _ONE_TERMS, ())
+        return cls._raw({(max(qexp, 0), max(texp, 0)): coeff},
+                        (1, max(-qexp, 0), max(-texp, 0), ()))
+
+    @property
+    def den(self):
+        return _den(*self.key)
 
     # -- predicates ------------------------------------------------------
 
@@ -150,7 +146,7 @@ class QtRational:
         return not self.num
 
     def is_one(self):
-        return self.num == _ONE_TERMS and self.den == _ONE_TERMS
+        return self.key == _ONE_KEY and self.num == _ONE_TERMS
 
     def __bool__(self):
         return bool(self.num)
@@ -163,7 +159,7 @@ class QtRational:
         return qt_sum((self, other))
 
     def __neg__(self):
-        return QtRational._raw(_pneg(self.num), self.den, self.fac)
+        return QtRational._raw(_pneg(self.num), self.key)
 
     def __sub__(self, other):
         if not isinstance(other, QtRational):
@@ -175,34 +171,33 @@ class QtRational:
             if not isinstance(other, int):
                 return NotImplemented
             other = QtRational.from_int(other)
-        n1, d1 = self.num, self.den
-        n2, d2 = other.num, other.den
+        n1, k1 = self.num, self.key
+        n2, k2 = other.num, other.key
         if not n1 or not n2:
             return ZERO
-        if d1 == _ONE_TERMS and d2 == _ONE_TERMS:
-            return QtRational._raw(_pmul(n1, n2), _ONE_TERMS, ())
-        f1, f2 = self.fac, other.fac
         # each numerator is coprime to its own denominator, so only the
-        # other operand's factors can cancel from it
-        c1 = c2 = 1
-        i1 = j1 = i2 = j2 = 0
-        if d2 != _ONE_TERMS:
-            c2, i2, j2 = _lowest(d2)
-            n1, c2, i2, j2, f2 = _cancel(n1, c2, i2, j2, f2, f2)
-        if d1 != _ONE_TERMS:
-            c1, i1, j1 = _lowest(d1)
-            n2, c1, i1, j1, f1 = _cancel(n2, c1, i1, j1, f1, f1)
-        if f1 and f2:
+        # other operand's factors can cancel from it; over 1, the other
+        # key is the product's
+        if k1 == _ONE_KEY:
+            if k2 != _ONE_KEY:
+                n1, k1 = _cancel(n1, k2, k2[3])
+        elif k2 == _ONE_KEY:
+            n2, k1 = _cancel(n2, k1, k1[3])
+        else:
+            n1, (c2, i2, j2, f2) = _cancel(n1, k2, k2[3])
+            n2, (c1, i1, j1, f1) = _cancel(n2, k1, k1[3])
             exps = dict(f1)
             for key, k in f2:
                 exps[key] = exps.get(key, 0) + k
-            f1 = _fac_of(exps)
-        den, fac = _den(c1 * c2, i1 + i2, j1 + j2, f1 or f2)
-        return QtRational._raw(_pmul(n1, n2), den, fac)
+            k1 = _key(c1 * c2, i1 + i2, j1 + j2, _fac_of(exps))
+        return QtRational._raw(_pmul(n1, n2), k1)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """self times other's inverse, so other.num must factor as a den
+        does: QtRational(1 + q + t, 1 - q) / QtRational(1 + q + t, 1 - t)
+        raises ValueError, though the quotient is (1 - t)/(1 - q)."""
         if not isinstance(other, QtRational):
             return NotImplemented
         if not other.num:
@@ -224,36 +219,35 @@ class QtRational:
         Z[q^+-1, t^+-1], so the reflections stay coprime and keep their
         content, and it maps each Phi_n(q^a t^b) to itself times a monomial
         (and -1 for n = 1): the result needs its sign fixed, no reduction,
-        and keeps fac."""
+        and keeps c and fac.  den's highest term becomes the lowest."""
         if not self.num:
             return ZERO
-        nq = max(e[0] for e in self.num)
-        nt = max(e[1] for e in self.num)
-        dq = max(e[0] for e in self.den)
-        dt = max(e[1] for e in self.den)
-        sq, st = max(dq, nq), max(dt, nt)
-        num = {(sq - e0, st - e1): c for (e0, e1), c in self.num.items()}
-        den = {(sq - e0, st - e1): c for (e0, e1), c in self.den.items()}
-        if den[min(den)] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return QtRational._raw(num, den, self.fac)
+        c, _, _, fac = self.key
+        den = self.den
+        dq, dt = max(den)
+        sq = max(dq, max(e[0] for e in self.num))
+        st = max(dt, max(e[1] for e in self.num))
+        num = {(sq - e0, st - e1): v for (e0, e1), v in self.num.items()}
+        if den[dq, dt] < 0:
+            num = _pneg(num)
+        return QtRational._raw(num, (c, sq - dq, st - dt, fac))
 
     # -- comparisons, hashing, printing -----------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QtRational):
-            return self.num == other.num and self.den == other.den
+            return self.num == other.num and self.key == other.key
         if not isinstance(other, int):
             return NotImplemented
         if other == 0:
             return not self.num
-        return self.den == _ONE_TERMS and self.num == {(0, 0): other}
+        return self.key == _ONE_KEY and self.num == {(0, 0): other}
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self.num.items()), self.key))
 
     def __str__(self):
-        if self.den == _ONE_TERMS:
+        if self.key == _ONE_KEY:
             return _p_str(self.num)
         return "(%s)/(%s)" % (_p_str(self.num), _p_str(self.den))
 
@@ -269,10 +263,10 @@ class QtRational:
         return _p_eval(self.num, q0, t0) / d
 
 
-ZERO = QtRational._raw({}, _ONE_TERMS, ())
-ONE = QtRational._raw({(0, 0): 1}, _ONE_TERMS, ())
-Q = QtRational._raw({(1, 0): 1}, _ONE_TERMS, ())
-T = QtRational._raw({(0, 1): 1}, _ONE_TERMS, ())
+ZERO = QtRational._raw({}, _ONE_KEY)
+ONE = QtRational._raw({(0, 0): 1}, _ONE_KEY)
+Q = QtRational._raw({(1, 0): 1}, _ONE_KEY)
+T = QtRational._raw({(0, 1): 1}, _ONE_KEY)
 
 
 def _num_sum(values):
@@ -296,16 +290,12 @@ def qt_sum(values):
     The empty sum is ZERO, a lone nonzero value comes back unchanged, and
     zeros are skipped.
 
-    The values are grouped by denominator and each group's numerators are
-    added with no reduction.  One group (as in every sum of polynomial
-    coefficients over one denominator) is reduced once over it.  Several
-    groups are brought to one lcm and the total is reduced once, by trial
-    division over the lcm's factors that can cancel.  Between several
-    denominators, values over one share its dict (qt_ring._EXPANDED), so
-    groups are keyed by its identity, with no hashing; equal denominators
-    in separate dicts form separate groups, which costs trial divisions
-    that fail but gives the same canonical value: the form is unique, so
-    the result is the one term-by-term addition gives."""
+    The values are grouped by their denominator's key and each group's
+    numerators are added with no reduction.  One group (as in every sum of
+    polynomial coefficients over one denominator) is reduced once over it.
+    Several groups are brought to one lcm and the total is reduced once, by
+    trial division over the lcm's factors that can cancel.  The form is
+    unique, so the result is the one term-by-term addition gives."""
     for v in values:
         # zeros are rare, so the list is copied only when one is there
         if not v.num:
@@ -313,32 +303,29 @@ def qt_sum(values):
             break
     if len(values) < 2:
         return values[0] if values else ZERO
-    d0 = values[0].den
+    k0 = values[0].key
     for v in values:
-        if v.den is not d0 and v.den != d0:
+        if v.key != k0:
             break
     else:
         num = _num_sum(values)
         if not num:
             return ZERO
-        if d0 == _ONE_TERMS:
-            return QtRational._raw(num, _ONE_TERMS, ())
-        fac = values[0].fac
-        return _reduced(num, *_lowest(d0), fac, fac)
+        if k0 == _ONE_KEY:
+            return QtRational._raw(num, _ONE_KEY)
+        return QtRational._raw(*_cancel(num, k0, k0[3]))
     groups = {}
     for v in values:
-        groups.setdefault(id(v.den), []).append(v)
+        groups.setdefault(v.key, []).append(v)
     parts = []
-    for g in groups.values():
+    for key, g in groups.items():
         num = _num_sum(g)
         if num:
-            parts.append((num, g[0].den, g[0].fac, len(g) == 1))
+            parts.append((num, key, len(g) == 1))
     if not parts:
         return ZERO
-    t, c, i, j, fac, cands = _lcm_sum(parts)
-    if not t:
-        return ZERO
-    return _reduced(t, c, i, j, fac, cands)
+    t, key, cands = _lcm_sum(parts)
+    return QtRational._raw(*_cancel(t, key, cands)) if t else ZERO
 
 
 def qt_product(c, i, j, ups, downs):
@@ -357,11 +344,11 @@ def qt_product(c, i, j, ups, downs):
                 return ZERO
             for key in _binomial(a, b):
                 exps[key] = exps.get(key, 0) + s
-    num, _ = _den(c, max(i, 0), max(j, 0),
-                  _fac_of({key: max(k, 0) for key, k in exps.items()}))
-    den, fac = _den(1, max(-i, 0), max(-j, 0),
-                    _fac_of({key: max(-k, 0) for key, k in exps.items()}))
-    return QtRational._raw(num, den, fac)
+    num = _den(c, max(i, 0), max(j, 0),
+               _fac_of({key: max(k, 0) for key, k in exps.items()}))
+    return QtRational._raw(num, (1, max(-i, 0), max(-j, 0),
+                                 _fac_of({key: max(-k, 0)
+                                          for key, k in exps.items()})))
 
 
 def parse_qt(s):

@@ -14,8 +14,9 @@ divisions fail, and _fdiv rejects those with one evaluation mod the prime
 _P at a point where q^a t^b is a root of Phi_n: a nonzero value proves that
 Phi_n(q^a t^b) does not divide, and only a zero goes on to the division by
 classes, which decides.  A factored denominator
-c q^i t^j prod Phi_n(q^a t^b)^k is kept as its lowest term c q^i t^j and a
-sorted tuple of ((n, a, b), k).
+c q^i t^j prod Phi_n(q^a t^b)^k is kept as its key (c, i, j, fac): its
+lowest term c q^i t^j and fac, a sorted tuple of ((n, a, b), k).  _den
+expands a key on demand.
 """
 
 from __future__ import annotations
@@ -105,7 +106,9 @@ _G = 13
 
 # Memo tables; macdonald.clear_caches() empties them with the others.
 _PHI = {}       # n -> coefficients of Phi_n(u), constant term first
-_EXPANDED = {}  # (c, i, j, factors) -> (product expanded, factors)
+_EXPANDED = {}  # (c, i, j, fac) -> c q^i t^j prod(fac) expanded (_den)
+_KEYS = {}      # (c, i, j, fac) -> itself, the one copy values share (_key)
+_ROOTS = {}     # n -> _G^((_P - 1)/n), a root of Phi_n mod _P
 _POINTS = {}    # (n, a, b) -> powers of q0 and t0 mod _P (_point), or None
 
 
@@ -167,11 +170,13 @@ def _point(key):
     """Tables of the powers of q0 and t0 mod _P for key = (n, a, b), with
     q0^a t0^b = w = _G^((_P - 1)/n) a root of Phi_n: q0 = w^x 3^b and
     t0 = w^y 3^-a for a x + b y = 1.  None when n does not divide _P - 1.
-    Stored in _POINTS."""
+    Stored in _POINTS, and w, which depends on n alone, in _ROOTS."""
     n, a, b = key
     pt = None
     if (_P - 1) % n == 0:
-        w = pow(_G, (_P - 1) // n, _P)
+        w = _ROOTS.get(n)
+        if w is None:
+            w = _ROOTS[n] = pow(_G, (_P - 1) // n, _P)
         x = pow(a, -1, b) if b > 1 else 1 - b
         y = (1 - a * x) // b if b else 0
         pt = (_powers([1, pow(w, x, _P) * pow(3, b, _P) % _P], 8),
@@ -294,34 +299,37 @@ def _factor(p):
 
 
 def _den(c, i, j, fac):
-    """c q^i t^j prod(fac), expanded, and fac: the shared copies every value
-    over this denominator (or with this numerator, from qt_product) holds."""
+    """c q^i t^j prod(fac) expanded, memoized in _EXPANDED; the key
+    (1, 0, 0, ()) gives _ONE_TERMS itself."""
     key = (c, i, j, fac)
-    hit = _EXPANDED.get(key)
-    if hit is None:
+    p = _EXPANDED.get(key)
+    if p is None:
         p = _ONE_TERMS if (c, i, j) == (1, 0, 0) else {(i, j): c}
         for (n, a, b), k in fac:
             f = {(s * a, s * b): v for s, v in enumerate(_phi(n)) if v}
             for _ in range(k):
                 p = _pmul(p, f)
-        hit = _EXPANDED[key] = (p, fac)
-    return hit
+        _EXPANDED[key] = p
+    return p
 
 
-def _lowest(den):
-    """den's lowest term c q^i t^j as (c, i, j)."""
-    e = min(den)
-    return den[e], e[0], e[1]
+def _key(c, i, j, fac):
+    """The key (c, i, j, fac), as the one copy _KEYS holds, so that values
+    over one denominator share it."""
+    key = (c, i, j, fac)
+    return _KEYS.setdefault(key, key)
 
 
 def _fac_of(exps):
     return tuple(sorted((key, k) for key, k in exps.items() if k))
 
 
-def _cancel(t, c, i, j, fac, cands):
-    """Divide t and the denominator c q^i t^j prod(fac) by their common
-    factors.  cands lists (factor, most times it may divide t); fac is
-    returned as it came when no factor cancels."""
+def _cancel(t, key, cands):
+    """Divide t and the denominator key (c, i, j, fac) by their common
+    factors, as (t, key).  cands lists (factor, most times it may divide
+    t); t and key come back as they came when nothing cancels."""
+    t0 = t
+    c, i, j, fac = key
     if c != 1:
         g = math.gcd(_pcontent_int(t), c)
         if g != 1:
@@ -336,45 +344,42 @@ def _cancel(t, c, i, j, fac, cands):
             j -= mj
     exps = None
     # a factor has two terms or more, so it cannot divide a monomial
-    for key, k in cands if len(t) > 1 else ():
+    for f, k in cands if len(t) > 1 else ():
         while k:
-            quot = _fdiv(t, key)
+            quot = _fdiv(t, f)
             if quot is None:
                 break
             t = quot
             k -= 1
             exps = exps or dict(fac)
-            exps[key] -= 1
-    if exps:
-        fac = _fac_of(exps)
-    return t, c, i, j, fac
+            exps[f] -= 1
+    if t is t0:
+        return t, key
+    return t, _key(c, i, j, _fac_of(exps) if exps else fac)
 
 
 def _lcm_sum(parts):
-    """sum num/den over parts (num, den, fac, reduced) with factored dens, as
-    (t, c, i, j, fac, cands): t over their lcm c q^i t^j prod(fac), which
-    takes the largest exponent of each factor.  A factor of the lcm can
-    divide t only if two parts have it to the lcm's power, or one part
-    whose num is not known to be coprime to its den (reduced false); cands
-    lists those factors."""
+    """sum num/den over parts (num, key, reduced), key den's, as
+    (t, key, cands): t over the lcm of the dens, which takes the largest
+    exponent of each factor.  A factor of the lcm can divide t only if two
+    parts have it to the lcm's power, or one part whose num is not known to
+    be coprime to its den (reduced false); cands lists those factors."""
     lcm, c, i, j = {}, 1, 0, 0
-    exps = []
-    for num, den, fac, reduced in parts:
-        cp, ip, jp = _lowest(den)
+    for _, (cp, ip, jp, fac), _ in parts:
         c = c * cp // math.gcd(c, cp)
         i, j = max(i, ip), max(j, jp)
-        exps.append((cp, ip, jp, dict(fac), 1 if reduced else 2))
-        for key, k in fac:
-            if k > lcm.get(key, 0):
-                lcm[key] = k
+        for f, k in fac:
+            if k > lcm.get(f, 0):
+                lcm[f] = k
     acc = {}
-    for (num, *_), (cp, ip, jp, e, _) in zip(parts, exps):
-        cof = _fac_of({key: k - e.get(key, 0) for key, k in lcm.items()})
-        _pmul_into(acc, num, _den(c // cp, i - ip, j - jp, cof)[0])
+    for num, (cp, ip, jp, fac), _ in parts:
+        e = dict(fac)
+        cof = _fac_of({f: k - e.get(f, 0) for f, k in lcm.items()})
+        _pmul_into(acc, num, _den(c // cp, i - ip, j - jp, cof))
     fac = _fac_of(lcm)
-    cands = [(key, k) for key, k in fac
-             if sum(w for *_, e, w in exps if e.get(key) == k) > 1]
-    return {e: v for e, v in acc.items() if v}, c, i, j, fac, cands
+    cands = [(f, k) for f, k in fac
+             if sum(2 - r for _, key, r in parts if (f, k) in key[3]) > 1]
+    return {e: v for e, v in acc.items() if v}, _key(c, i, j, fac), cands
 
 
 # ---------------------------------------------------------------------------

@@ -149,13 +149,13 @@ class TestFactorials:
     def test_closed_form_matches_division_chain(self, inverse):
         # the closed product against [k]_v! built as k field divisions
         # prod (1 - v^j)/(1 - v), v = t or 1/t: the same canonical form,
-        # factorization included
+        # the denominator's key included
         v = T.inverse() if inverse else T
         chain = vp = ONE
         for k in range(13):
             got = t_factorial(k, inverse)
-            assert (got.num, got.den, got.fac) == \
-                (chain.num, chain.den, chain.fac), k
+            assert (got.num, got.key, got.den) == \
+                (chain.num, chain.key, chain.den), k
             vp = vp * v
             chain = chain * (ONE - vp) / (ONE - v)
 
@@ -182,8 +182,8 @@ class TestQtProduct:
         for a, b in downs:
             chain = chain / (ONE - QtRational.monomial(1, a, b))
         got = qt_product(c, i, j, ups, downs)
-        assert (got.num, got.den, got.fac) == \
-            (chain.num, chain.den, chain.fac)
+        assert (got.num, got.key, got.den) == \
+            (chain.num, chain.key, chain.den)
 
     def test_zero_pair(self):
         assert qt_product(3, 1, -2, [(1, 1), (0, 0)], [(0, 1)]).is_zero()
@@ -592,16 +592,25 @@ class TestFactoredDenominators:
         # a leaf alone checks the constructor and inverse
         x, num, den = _evaluate(expr)
         assert (x.num, x.den) == _gcd_reduced(num, den)
-        # the factorization describes den exactly
-        lowest = min(x.den)
-        expanded = {lowest: x.den[lowest]}
-        for (n, a, b), k in x.fac:
+        # the key describes den exactly: c q^i t^j prod Phi_n(q^a t^b)^k
+        c, i, j, fac = x.key
+        expanded = {(i, j): c}
+        for (n, a, b), k in fac:
             phi = _cyclotomic(n)
             if n == 1:
                 phi = [-v for v in phi]
             for _ in range(k):
                 expanded = _pmul(expanded, _in_qt(phi, a, b))
         assert expanded == x.den
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
+    def test_key_is_the_factorization_of_den(self, expr):
+        # values compare and hash by key, so every operation, inversion and
+        # qt_sum included, must leave it canonical: den factored afresh
+        # gives the key back
+        x = _evaluate(expr)[0]
+        assert _factor(x.den) == x.key
 
     @settings(max_examples=100, deadline=None)
     @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
@@ -613,11 +622,22 @@ class TestFactoredDenominators:
         assert (x.num, x.den) == _gcd_reduced(dict(f.numer), dict(f.denom))
 
     def test_den_one_is_shared(self):
-        # a quotient that cancels to a polynomial holds the one shared
-        # denominator 1, so qt_sum puts it in one group with the integers
+        # a quotient that cancels to a polynomial holds the key of 1, so
+        # qt_sum puts it in one group with the integers, and its den is the
+        # one shared polynomial 1
         clear_caches()
         x = (ONE - Q) * (ONE - Q).inverse()
+        assert x.key == ONE.key == (1, 0, 0, ())
         assert x.den is _ONE_TERMS
+
+    def test_equal_keys_are_shared(self):
+        # products, sums and cancellations make their keys through
+        # qt_ring._key, so values over one denominator hold one copy of it
+        a = (ONE - Q).inverse() * (ONE - T).inverse()
+        b = (ONE - T).inverse() * (ONE + Q).inverse()
+        b = b * (ONE + Q) * (Q - Q * Q).inverse() * Q
+        c = qt_sum([(ONE - T).inverse(), Q * (ONE - Q).inverse(), a])
+        assert a == b and a.key is b.key is c.key
 
     def test_factor_examples(self):
         # 1 - q^2 t^2 = (1 - qt)(1 + qt); -2 - 2q^3 = -2 (1 + q)(1 - q + q^2);
@@ -694,8 +714,34 @@ class TestOneReduction:
     def test_denominator_that_does_not_factor_raises(self):
         general = ONE + Q + T
         assert _factor(_GENERAL) is None
+        # a given denominator, or a divisor's numerator, must factor itself:
+        # the last two values, 1 and (1 - t)/(1 - q), lie in the domain but
+        # raise all the same
         for make in (lambda: QtRational(_NUM, _GENERAL), general.inverse,
                      lambda: ONE / general,
-                     lambda: parse_qt("(1)/(1 + q + t)")):
+                     lambda: parse_qt("(1)/(1 + q + t)"),
+                     lambda: QtRational(_GENERAL, _GENERAL),
+                     lambda: QtRational(_GENERAL, {(0, 0): 1, (1, 0): -1})
+                     / QtRational(_GENERAL, {(0, 0): 1, (0, 1): -1})):
             with pytest.raises(ValueError, match="does not factor"):
                 make()
+
+    @pytest.mark.parametrize("remake", ["clear_caches", "invert_params"])
+    def test_equal_denominators_are_one_group(self, monkeypatch, remake):
+        # x and y have the denominator 1 - qt, y's built on another path:
+        # after clear_caches(), or as -qt/(1 - qt), the q,t-inversion of
+        # 1/(1 - qt); z's denominator differs, so qt_sum takes the lcm of
+        # two groups, not three
+        from msym import qt_field
+        x = QtRational(_NUM, _BINOMIAL)
+        if remake == "clear_caches":
+            clear_caches()
+            y = QtRational(_COMMON, _BINOMIAL)
+        else:
+            y = QtRational(_UNIT, _BINOMIAL).invert_params()
+        z = QtRational(_NUM, _CYCLO)
+        assert x.key == y.key != z.key
+        total = (x + y) + z
+        calls = _counter(monkeypatch, qt_field, "_lcm_sum")
+        assert qt_sum([x, y, z]) == total
+        assert [len(parts) for parts, in calls] == [2]

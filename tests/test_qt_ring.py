@@ -35,13 +35,15 @@ def random_key(rng, nmax):
 
 @pytest.fixture
 def cold_points():
-    """qt_ring._POINTS emptied for the test and refilled afterwards, so
-    every table the test reads starts at its first size."""
-    saved = dict(_POINTS)
-    _POINTS.clear()
+    """qt_ring._POINTS and _ROOTS emptied for the test and refilled
+    afterwards, so every table the test reads starts at its first size."""
+    saved = [(table, dict(table)) for table in (_POINTS, qt_ring._ROOTS)]
+    for table, _ in saved:
+        table.clear()
     yield
-    _POINTS.clear()
-    _POINTS.update(saved)
+    for table, entries in saved:
+        table.clear()
+        table.update(entries)
 
 
 def test_modulus_has_the_roots_of_unity():
@@ -78,6 +80,26 @@ def assert_points_are_roots():
             assert all(x == pow(tab[1], k, _P) for k, x in enumerate(tab))
         w = pow(qs[1], a, _P) * pow(ts[1], b, _P) % _P
         assert sum(c * pow(w, k, _P) for k, c in enumerate(_phi(n))) % _P == 0
+
+
+def test_each_root_is_computed_once(cold_points, monkeypatch):
+    # w = _G^((_P - 1)/n) depends on n alone: one modular power of _G per
+    # order n, however many directions (a, b) share it
+    powers = []
+
+    def counted(base, *args):
+        if base == _G:
+            powers.append(args)
+        return pow(base, *args)
+
+    monkeypatch.setattr(qt_ring, "pow", counted, raising=False)
+    orders = (1, 2, 3, 6)
+    for n in orders:
+        for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)):
+            qt_ring._point((n, a, b))
+    assert powers == [((_P - 1) // n, _P) for n in orders]
+    assert len(_POINTS) == 20
+    assert_points_are_roots()
 
 
 def test_multiples_match_the_oracle(cold_points):
