@@ -95,11 +95,11 @@ def _run(identity, bounds, cases, point):
     True); the clock starts before the first case is built.  The witness of
     every case whose sides differ is listed (None fails the identity but is
     not listed)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     failed = [w for w, lhs, rhs in cases if not _same(lhs, rhs, point)]
     e = {"identity": identity, "bounds": bounds,
          "status": "fail" if failed else "pass",
-         "time_s": round(time.time() - t0, 3)}
+         "time_s": round(time.perf_counter() - t0, 3)}
     witnesses = sorted(str(w) for w in failed if w is not None)
     if witnesses:
         e["witnesses"] = witnesses

@@ -191,10 +191,6 @@ class MPartition:
         """Label of the circle ending row r, or None for a symmetric row."""
         return self._circle_of_row.get(r)
 
-    def circle_row(self, i):
-        """Row of the i-circle."""
-        return self._row_of_circle[i]
-
     def cells(self):
         """Squares of the diagram, row by row."""
         for r, (size, _) in enumerate(self._rows, start=1):

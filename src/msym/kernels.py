@@ -7,9 +7,10 @@ them; the witness is None where the identity makes a single comparison.
 
 A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
-(every identity here is bihomogeneous, so truncation is sound).  Infinite
-products are expanded factor by factor through truncated geometric series;
-no closed (a;q)-infinity manipulation is ever needed.
+(every identity here is bihomogeneous, so truncation is sound).  K_0 is its
+power-sum expansion, and a finite product over pairs (x_i, y_j) multiplies
+in one truncated series in z = c x_i y_j per pair: (1 - t z)/(1 - z) =
+1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 """
 
 from __future__ import annotations
@@ -127,18 +128,16 @@ def k0_truncated(Nx, Ny, maxdeg):
 
 
 def _km_bracket(m, Nx, Ny, maxdeg, qinv):
-    """prod_{i+j<=m}(1 - t c x_i y_j) * prod_{i+j<=m+1} 1/(1 - c x_i y_j)
-    with c = 1/q (qinv) or c = 1, truncated."""
+    """prod_{i+j<=m} (1 - t c x_i y_j)/(1 - c x_i y_j) prod_{i+j=m+1}
+    1/(1 - c x_i y_j), c = 1/q (qinv) or 1, truncated; one series per pair."""
     s = -1 if qinv else 0
-    factor = [ONE, -(T * QtRational.monomial(1, s, 0))]
     geometric = [QtRational.monomial(1, s * k, 0) for k in range(maxdeg + 1)]
+    ratio = [ONE] + [(ONE - T) * c for c in geometric[1:]]
     acc = BiPoly.one(Nx, Ny)
     for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i + j <= m:
-                acc = acc.mul(_xy_series(Nx, Ny, i, j, factor), maxdeg)
-            if i + j <= m + 1:
-                acc = acc.mul(_xy_series(Nx, Ny, i, j, geometric), maxdeg)
+        for j in range(1, m + 2 - i):
+            series = ratio if i + j <= m else geometric
+            acc = acc.mul(_xy_series(Nx, Ny, i, j, series), maxdeg)
     return acc
 
 
@@ -199,15 +198,13 @@ def hl_kernel_cases(m, maxdeg):
 def _cauchy_lhs(m, N, maxdeg):
     """K_0(x, y~) prod_{i<j<=m} (1-t x_i y_j)/(1-x_i y_j)
     * prod_{i<=m} 1/(1-x_i y_i) on alphabets of size N, with y_1..y_m
-    scaled by q."""
-    factor = [ONE, -T]
-    geometric = [ONE] * (maxdeg + 1)
+    scaled by q: each pair is one series in x_i y_j."""
+    ratio = [ONE] + [ONE - T] * maxdeg
     acc = k0_truncated(N, N, maxdeg).scale_y_block_q(m)
     for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            acc = acc.mul(_xy_series(N, N, i, j, factor), maxdeg)
-            acc = acc.mul(_xy_series(N, N, i, j, geometric), maxdeg)
-        acc = acc.mul(_xy_series(N, N, i, i, geometric), maxdeg)
+        for j in range(i, m + 1):
+            series = ratio if j > i else [ONE] * (maxdeg + 1)
+            acc = acc.mul(_xy_series(N, N, i, j, series), maxdeg)
     return acc
 
 

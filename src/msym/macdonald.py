@@ -218,8 +218,7 @@ def integral_J(mpart, N):
 
 def eigenvalues(mpart):
     """Joint eigenvalues: Y_i for i=1..m and the operator D."""
-    y = tuple(QtRational.monomial(1, mpart.a[i - 1], 1 - mpart.circle_row(i))
-              for i in range(1, mpart.m + 1))
+    y = tuple(eta_bar(mpart.a + mpart.lam, i) for i in range(1, mpart.m + 1))
     sizes = mpart.row_sizes()
     d = qt_sum([QtRational.monomial(1, sizes[r - 1], 1 - r)
                 for r in range(1, mpart.nrows() + 1)

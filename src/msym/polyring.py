@@ -8,7 +8,8 @@ x_1-major, leading monomial first.
 Every monomial substitution x_j -> q^w x_k (embedding in more variables, and
 in hecke_ops and kernels the rotation omega, tau K_{w_m} and the y-alphabet
 maps) is one call to _relabel, the single loop that moves exponents between
-positions or scales by a q-power of them.
+positions or scales by a q-power of them; the one exception is the E_eta
+raising step, one comprehension in macdonald._E_rule.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 from operator import itemgetter
 
 from .qt_field import QtRational, ZERO, ONE, qt_sum
+from .qt_ring import _signed_join
 
 # Products, and macdonald._build_E before its first Hecke step, enforce this
 # degree guard so runaway computations fail fast.  MSYM_MAXDEG overrides it.
@@ -288,8 +290,6 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         many = len(self.terms) > 1
         parts = []
         for e, c in self.sorted_terms():
@@ -307,13 +307,8 @@ class MultiPoly:
                 if " " in cs or "/" in cs:
                     cs = "(%s)" % cs
                 s = cs + "*" + mono
-            if not parts:
-                parts.append(s)
-            elif s.startswith("-"):
-                parts.append(" - " + s[1:])
-            else:
-                parts.append(" + " + s)
-        return "".join(parts)
+            parts.append(s)
+        return _signed_join(parts)
 
     def __repr__(self):
         return "MultiPoly(%d: %s)" % (self.nvars, self)

@@ -244,6 +244,9 @@ class QtRational:
         return self.key == _ONE_KEY and self.num == {(0, 0): other}
 
     def __hash__(self):
+        # an integer value hashes as the int it equals
+        if self.key == _ONE_KEY and self.num.keys() <= {(0, 0)}:
+            return hash(self.num.get((0, 0), 0))
         return hash((frozenset(self.num.items()), self.key))
 
     def __str__(self):

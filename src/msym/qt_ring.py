@@ -406,19 +406,19 @@ def _pterm_str(c, e0, e1):
     return "%d*%s" % (c, m)
 
 
+def _signed_join(terms):
+    """The sum of the term strings, a term's leading minus written as " - "
+    after the first; "0" for no terms."""
+    out = []
+    for s in terms:
+        if out:
+            s = " - " + s[1:] if s[0] == "-" else " + " + s
+        out.append(s)
+    return "".join(out) or "0"
+
+
 def _p_str(a):
-    if not a:
-        return "0"
-    parts = []
-    for e in sorted(a):
-        s = _pterm_str(a[e], e[0], e[1])
-        if not parts:
-            parts.append(s)
-        elif s.startswith("-"):
-            parts.append(" - " + s[1:])
-        else:
-            parts.append(" + " + s)
-    return "".join(parts)
+    return _signed_join(_pterm_str(a[e], e[0], e[1]) for e in sorted(a))
 
 
 _FACTOR = re.compile(r"([0-9]+)|([qt])(?:\^([0-9]+))?")

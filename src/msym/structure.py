@@ -126,33 +126,23 @@ def _basis_inverse(basis_kind, m, degree, N):
     labels = enumerate_mpartitions(m, degree, max_sym_length=N - m)
     cols = {lab: m_coords(_basis_poly(basis_kind, lab, N), m, verify=False)
             for lab in labels}
-    # Gauss-Jordan: maintain, for each basis label, its expression over the
-    # m-basis (rows) while reducing to the identity.
-    idx = {lab: i for i, lab in enumerate(labels)}
+    # Gauss-Jordan on the augmented rows [A | I] -> [I | A^-1], where column
+    # L of A holds basis_L over the m-basis
     n = len(labels)
-    mat = [[cols[lab].get(row, ZERO) for lab in labels] for row in labels]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    rows = [[cols[lab].get(row, ZERO) for lab in labels]
+            + [ONE if i == j else ZERO for j in range(n)]
+            for i, row in enumerate(labels)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if mat[r][col])
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        d = mat[col][col].inverse()
-        mat[col] = [v * d for v in mat[col]]
-        inv[col] = [v * d for v in inv[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [a - c * b for a, b in zip(mat[r], mat[col])]
-                inv[r] = [a - c * b for a, b in zip(inv[r], inv[col])]
-    # column Omega of the inverse: m_Omega = sum_L inv[L][Omega] basis_L
-    out = {}
-    for j, om in enumerate(labels):
-        col_map = {}
-        for i, lab in enumerate(labels):
-            if inv[i][j]:
-                col_map[lab] = inv[i][j]
-        out[om] = col_map
+        piv = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        d = rows[col][col].inverse()
+        rows[col] = [v * d for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and (c := row[col]):
+                rows[r] = [a - c * b for a, b in zip(row, rows[col])]
+    # column Omega of the inverse: m_Omega = sum_L A^-1[L][Omega] basis_L
+    out = {om: {lab: v for lab, row in zip(labels, rows) if (v := row[n + j])}
+           for j, om in enumerate(labels)}
     _BASIS_INVERSE_CACHE[key] = out
     return out
 

@@ -111,6 +111,18 @@ class TestJson:
             assert set(entry) >= {"identity", "bounds", "status", "time_s"}
             assert entry["status"] == "pass"
 
+    def test_time_s_survives_a_wall_clock_step_back(self, capsys,
+                                                     monkeypatch):
+        import itertools
+        import time
+        clock = itertools.count(1e9, -1000.0)
+        monkeypatch.setattr(time, "time", lambda: next(clock))
+        rc, out, _ = run(capsys, ["--json", "verify", "symmetry",
+                                  "--m-max", "1", "--deg-max", "2"])
+        assert rc == 0
+        report = json.loads(out)["report"]
+        assert report and all(e["time_s"] >= 0 for e in report)
+
     def test_byte_stability(self, capsys):
         argv = ["--json", "inclusion", "--m", "1", "--a", "1"]
         _, out1, _ = run(capsys, argv)

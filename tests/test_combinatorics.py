@@ -83,10 +83,9 @@ class TestDiagrams:
     def test_row_layout(self):
         lam = MPartition((2, 0, 2, 1), (3, 2))
         assert lam.row_sizes() == (3, 2, 2, 2, 1, 0)
-        assert lam.circle_row(1) == 2
-        assert lam.circle_row(2) == 6
-        assert lam.circle_row(3) == 3
-        assert lam.circle_row(4) == 5
+        # circle i ends row r(i) of a + lam, as in the Y_i eigenvalue
+        assert circle_rows(lam.a + lam.lam)[:lam.m] == (2, 6, 3, 5)
+        assert [lam.row_label(r) for r in (2, 6, 3, 5)] == [1, 2, 3, 4]
         assert lam.row_label(4) is None
 
     def test_partition_i(self):

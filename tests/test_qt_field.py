@@ -92,6 +92,16 @@ class TestCanonicalForm:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @pytest.mark.parametrize("x, n", [
+        (ZERO, 0), (ONE, 1), (QtRational.from_int(-3), -3),
+        (QtRational.from_int(7), 7)], ids=["0", "1", "-3", "7"])
+    def test_integer_value_hashes_as_its_int(self, x, n):
+        assert x == n and n == x
+        assert hash(x) == hash(n)
+        assert {n: "a"}.get(x) == "a" and {x: "a"}.get(n) == "a"
+        assert len({x, n}) == 1
+        assert x != n + 1 and x + Q != n
+
 
 class TestEval:
     def test_examples(self):

@@ -101,6 +101,30 @@ class TestExpansion:
                     for om in e.coeffs:
                         assert dominance_leq(om, lab), (str(om), str(lab))
 
+    def test_pivot_below_the_diagonal_is_swapped_up(self, monkeypatch):
+        # basis_L = (k + 2) m_{L'} with L' the label after L, cyclically:
+        # every diagonal entry of the transition matrix is zero, so each
+        # Gauss-Jordan column takes its pivot from a lower row
+        from msym import structure
+        labels = enumerate_mpartitions(0, 3, max_sym_length=3)
+        shift = {lab: (k, labels[(k + 1) % len(labels)])
+                 for k, lab in enumerate(labels)}
+
+        def cyclic(kind, lab, N):
+            k, nxt = shift[lab]
+            return monomial_m(nxt, N).scale(QtRational.from_int(k + 2))
+
+        monkeypatch.setattr(structure, "_basis_poly", cyclic)
+        structure._BASIS_INVERSE_CACHE.clear()
+        try:
+            f = random_element(random.Random(5), 0, 3, 3)
+            f = f + monomial_m(labels[0], 3).scale(ONE - Q)
+            e = expand_in_basis(f, 0, "p_Lambda_t", verify=False)
+            assert _sum_polys(3, [cyclic(None, lab, 3).scale(c)
+                                  for lab, c in e.coeffs.items()]) == f
+        finally:
+            structure._BASIS_INVERSE_CACHE.clear()
+
     def test_json_shape(self):
         f = x(2, 1) + x(2, 2)
         data = expand_in_basis(f, 0, "m_Lambda").to_json()
