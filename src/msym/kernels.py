@@ -20,7 +20,7 @@ from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
                             partitions_of, compositions_of)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
-from .structure import z_lambda_qt, norm_formula, powersum_t, _norm_pairs
+from .structure import norm_formula, powersum_t, _norm_pairs, _z_lambda
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
 
 
@@ -118,11 +118,22 @@ def _pair_sum(Nx, Ny, maxdeg, terms):
     return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, _settle(out)))
 
 
+def _z_qt_inverse(lam):
+    """1/z_lambda(q,t) = prod (1-t^{lam_i})/(1-q^{lam_i}) / z_lambda in
+    closed form: the product of binomials is one qt_product, whose numerator
+    has content 1, so the integer z_lambda joins its denominator's key with
+    no inverse and no trial division."""
+    r = qt_product(1, 0, 0, [(0, part) for part in lam],
+                   [(part, 0) for part in lam])
+    c, i, j, fac = r.key
+    return QtRational._raw(r.num, (c * _z_lambda(lam), i, j, fac))
+
+
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
     return _pair_sum(Nx, Ny, maxdeg, (
-        (z_lambda_qt(lam).inverse(), powersum_t(MPartition((), lam), Nx),
+        (_z_qt_inverse(lam), powersum_t(MPartition((), lam), Nx),
          powersum_t(MPartition((), lam), Ny))
         for d in range(maxdeg + 1) for lam in partitions_of(d)))
 

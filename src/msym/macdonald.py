@@ -23,8 +23,8 @@ from . import combinatorics, polyring, qt_ring
 from .qt_field import QtRational, qt_product, qt_sum
 from .polyring import DegreeGuardError, MultiPoly
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
-from .hecke_ops import (_TINV, apply_T, apply_Y, apply_tau_K_Tbar,
-                        symmetrize_t)
+from .hecke_ops import (_TINV, apply_Lprime, apply_T, apply_Y,
+                        apply_tau_K_Tbar)
 
 
 @dataclass(frozen=True)
@@ -165,33 +165,45 @@ def eta_for(mpart, N):
     return mpart.a + tuple(tail)
 
 
-def u_normalization(mpart, N):
-    """u_{Lambda,N}(t) = t^binom(k,2) prod [n]_{1/t}! over the multiplicities
-    n of the k = N - m parts of (lambda, 0, ..): the factor making P_Lambda
-    monic, with [n]_{1/t}! = t^-binom(n,2) prod_{j<=n} (1-t^j)/(1-t)."""
+def _chain_scale(mpart, N):
+    """[n0]_t! / u_{Lambda,N}, with k = N - m and n0 = k - len(lambda): the
+    scale from msym_P's chain to P_Lambda, t^{C(n0,2) - C(k,2)} over
+    [n]_{1/t}! = t^{-C(n,2)} prod_{j<=n} (1 - t^j)/(1 - t) for each
+    multiplicity n of lambda's nonzero parts, as one qt_product."""
     k = N - mpart.m
-    counts = Counter(mpart.lam + (0,) * (k - len(mpart.lam))).values()
-    return qt_product(1, 0, (k * (k - 1) - sum(n * (n - 1) for n in counts))
-                      // 2, [(0, j) for n in counts for j in range(1, n + 1)],
-                      [(0, 1)] * k)
+    n0 = k - len(mpart.lam)
+    counts = Counter(mpart.lam).values()
+    return qt_product(1, 0, (n0 * (n0 - 1) - k * (k - 1)
+                             + sum(n * (n - 1) for n in counts)) // 2,
+                      [(0, 1)] * len(mpart.lam),
+                      [(0, j) for n in counts for j in range(1, n + 1)])
 
 
 def msym_P(mpart, N):
     """m-symmetric Macdonald polynomial P_Lambda in N variables (zero when
     N < m + length(lambda)); the coefficient of m_Lambda is checked to be 1
-    on construction."""
+    on construction.
+
+    The paper's P_Lambda is S^t_{m+1,N} E_eta / u_{Lambda,N}.  eta's tail
+    starts with n0 = N - m - len(lambda) zeros, and T_i E_eta = t E_eta
+    wherever eta_i = eta_{i+1} (the stabilizer property), so the first
+    n0 - 1 chains of symmetrize_t multiply by [n0]_t! and no more.  So
+    P_Lambda is L'_{m+1,N} .. L'_{m+1,m+n0+1} E_eta times _chain_scale's
+    closed form, with no inverse and no trial division."""
     m = mpart.m
     if N < m:
         raise ValueError("need N >= m")
-    if N < m + len(mpart.lam):
+    n0 = N - m - len(mpart.lam)
+    if n0 < 0:
         return LabeledPoly(mpart, MultiPoly.zero(N), "P")
     key = (mpart, N)
     poly = _P_CACHE.get(key)
     if poly is None:
-        eta = eta_for(mpart, N)
-        sym = symmetrize_t(_build_E(eta), m)
-        poly = sym.scale(u_normalization(mpart, N).inverse())
-        lead = mpart.a + mpart.lam + (0,) * (N - m - len(mpart.lam))
+        poly = _build_E(eta_for(mpart, N))
+        for top in range(m + max(n0, 1) + 1, N + 1):
+            poly = apply_Lprime(poly, m, top)
+        poly = poly.scale(_chain_scale(mpart, N))
+        lead = mpart.a + mpart.lam + (0,) * n0
         if not poly.coefficient_of(lead).is_one():
             raise AssertionError(
                 "normalization failed: coefficient of m_%s is %s"

@@ -37,7 +37,8 @@ in one evaluation of the polynomial mod a prime at a point where q^a t^b
 is a root of Phi_n; it raises no exception.
 
 Every closed form msym states (norms, evaluations, inclusion and
-restriction factors, z_lambda(q,t), c_Lambda, the E_eta step) is a monomial
+restriction factors, z_lambda(q,t), c_Lambda, the E_eta step, the scale of
+P_Lambda) is a monomial
 times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
 cancel by counting, with no trial division.
 

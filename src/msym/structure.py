@@ -174,12 +174,18 @@ def expand_in_basis(f, m, basis_kind, verify=True):
 # scalar products and norms
 # ---------------------------------------------------------------------------
 
-def z_lambda_qt(lam):
-    """z_lambda(q,t) = z_lambda prod (1-q^{lam_i})/(1-t^{lam_i})."""
+def _z_lambda(lam):
+    """The integer z_lambda = prod_i i^{m_i} m_i!, m_i the multiplicity of
+    i in lam."""
     z = 1
     for i, mult in Counter(lam).items():
         z *= i ** mult * math.factorial(mult)
-    return qt_product(z, 0, 0, [(part, 0) for part in lam],
+    return z
+
+
+def z_lambda_qt(lam):
+    """z_lambda(q,t) = z_lambda prod (1-q^{lam_i})/(1-t^{lam_i})."""
+    return qt_product(_z_lambda(lam), 0, 0, [(part, 0) for part in lam],
                       [(0, part) for part in lam])
 
 

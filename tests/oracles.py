@@ -1,11 +1,15 @@
 """Independent oracles the tests compare the library against, and the check
 that every case of an identity holds."""
 
+from collections import Counter
+
 from msym.combinatorics import circle_rows
-from msym.hecke_ops import apply_Lprime, apply_Phi, apply_T, apply_Tbar
+from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
+                            symmetrize_t)
 from msym.kernels import BiPoly, _xy_series
+from msym.macdonald import eta_for, nonsym_E
 from msym.polyring import _relabel
-from msym.qt_field import QtRational, ONE, T
+from msym.qt_field import QtRational, ONE, T, qt_product
 from msym.qt_ring import _classes, _phi
 
 
@@ -28,6 +32,25 @@ def k0_product_truncated(Nx, Ny, maxdeg):
         for j in range(1, Ny + 1):
             acc = acc.mul(_xy_series(Nx, Ny, i, j, coeffs), maxdeg)
     return acc
+
+
+def u_normalization(mpart, N):
+    """u_{Lambda,N}(t) = t^binom(k,2) prod [n]_{1/t}! over the multiplicities
+    n of the k = N - m parts of (lambda, 0, ..): the factor making P_Lambda
+    monic, with [n]_{1/t}! = t^-binom(n,2) prod_{j<=n} (1-t^j)/(1-t)."""
+    k = N - mpart.m
+    counts = Counter(mpart.lam + (0,) * (k - len(mpart.lam))).values()
+    return qt_product(1, 0, (k * (k - 1) - sum(n * (n - 1) for n in counts))
+                      // 2, [(0, j) for n in counts for j in range(1, n + 1)],
+                      [(0, 1)] * k)
+
+
+def symmetrized_P(mpart, N):
+    """The paper's definition P_Lambda = S^t_{m+1,N} E_eta / u_{Lambda,N}
+    in N >= m + length(lambda) variables: the full symmetrizer, then the
+    inverse of u."""
+    sym = symmetrize_t(nonsym_E(eta_for(mpart, N)).poly, mpart.m)
+    return sym.scale(u_normalization(mpart, N).inverse())
 
 
 def apply_omega_inv(f, lo=1, hi=None):

@@ -168,7 +168,7 @@ class TestExitCodes:
             self, capsys, monkeypatch):
         def failing(mpart, N):
             raise AssertionError("u_Lambda is wrong")
-        monkeypatch.setattr(macdonald, "u_normalization", failing)
+        monkeypatch.setattr(macdonald, "_chain_scale", failing)
         saved = [dict(c) for c in macdonald._CACHES]
         macdonald.clear_caches()
         try:

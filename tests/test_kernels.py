@@ -4,9 +4,10 @@ import pytest
 
 from msym.qt_field import ONE, Q, T
 from msym.polyring import MultiPoly, _relabel
-from msym.combinatorics import MPartition, enumerate_mpartitions
+from msym.combinatorics import (MPartition, enumerate_mpartitions,
+                                partitions_of)
 from msym.macdonald import msym_P
-from msym.structure import norm_formula, scalar_product_m
+from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
 from msym import kernels
 from msym.kernels import (BiPoly, cauchy_cases, cauchy_identity_check,
                           hl_kernel_cases, k0_truncated,
@@ -57,6 +58,14 @@ class TestK0:
     def test_product_form_oracle(self):
         for (nx, ny, d) in [(1, 1, 3), (2, 2, 3), (2, 3, 2)]:
             assert k0_truncated(nx, ny, d) == k0_product_truncated(nx, ny, d)
+
+    def test_closed_form_inverse_of_z_lambda(self):
+        # the closed form's canonical num and key are the inverse's
+        for d in range(7):
+            for lam in partitions_of(d):
+                z_inv = z_lambda_qt(lam).inverse()
+                c = kernels._z_qt_inverse(lam)
+                assert (c.num, c.key) == (z_inv.num, z_inv.key)
 
     def test_bihomogeneous(self):
         k = k0_truncated(2, 2, 3)

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from msym.polyring import MultiPoly, _relabel
 from msym.qt_field import QtRational, ONE, Q, T
@@ -13,9 +14,9 @@ from msym.hecke_ops import apply_T, apply_Y, apply_D
 from msym.macdonald import (eigen_cases, eigenvalues, eta_bar,
                             hall_littlewood_H, integral_J, integral_c,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
-                            u_normalization, _build_E, _walk)
+                            _build_E, _walk)
 
-from oracles import apply_Psi, raise_by_Phi
+from oracles import apply_Psi, raise_by_Phi, symmetrized_P, u_normalization
 
 
 def x(n, i):
@@ -180,6 +181,29 @@ class TestMsymP:
         # one symmetric row of size 1 at N=2: u = t
         assert u_normalization(MPartition((), (1,)), 2) == T
 
+    def test_equals_full_symmetrizer_over_u(self):
+        # the shortened chain times its closed-form scale against the
+        # paper's S^t E_eta / u, at every N from m + len(lambda) (n0 = 0)
+        # to m + degree + 2, so n0 = 0 and 1, k = N - m <= 1 and zero
+        # blocks of up to 4 all occur
+        for m in range(3):
+            for d in range(4):
+                for lab in enumerate_mpartitions(m, d):
+                    for N in range(m + len(lab.lam), m + d + 3):
+                        assert msym_P(lab, N).poly == symmetrized_P(lab, N)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stabilizer_property(self, data):
+        # T_i E_eta = t E_eta wherever eta_i = eta_{i+1}: the identity that
+        # lets msym_P skip the chains acting on eta's zero block
+        n = data.draw(st.integers(2, 4))
+        eta = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        i = data.draw(st.integers(1, n - 1))
+        eta[i] = eta[i - 1]
+        e = nonsym_E(eta).poly
+        assert apply_T(e, i) == e.scale(T)
+
 
 class TestEigenvalues:
     def test_y_eigenvalue_example(self):
@@ -308,6 +332,25 @@ class TestColdConstruction:
                                        sorted(c.den.items()))).encode())
         assert h.hexdigest() == ("e31cf6f80a20e80d2322fb108189f63d"
                                  "fc01062b594786a1c35ba1c1107ee7d0")
+
+    def test_zero_block_chains_are_skipped(self, cold_caches,
+                                           monkeypatch):
+        # eta = (0,0,0,0,0,1): the zero block's four chains act by [5]_t!,
+        # so only L'_{1,6} is applied, 5 generators against the full
+        # symmetrizer's 1 + 2 + 3 + 4 + 5 = 15
+        from msym import hecke_ops
+        nonsym_E((0, 0, 0, 0, 0, 1))
+        calls = []
+        apply_T = hecke_ops.apply_T
+
+        def counted(*args):
+            calls.append(args[1])
+            return apply_T(*args)
+
+        monkeypatch.setattr(hecke_ops, "apply_T", counted)
+        P = msym_P(MPartition((), (1,)), 6).poly
+        assert calls == [5, 4, 3, 2, 1]
+        assert P == sum((x(6, i) for i in range(2, 7)), x(6, 1))
 
     def test_walks_cache_the_same_keys(self, cold_caches):
         # the E and H walks store every composition on each build's chain

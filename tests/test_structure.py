@@ -11,7 +11,7 @@ from msym.combinatorics import (MPartition, enumerate_mpartitions, inversions,
                                 compositions_of)
 from msym.hecke_ops import apply_Y, apply_D
 from msym.macdonald import (eta_for, integral_c, msym_P, nonsym_E,
-                            u_normalization)
+                            _chain_scale)
 from msym.structure import (evaluation_point, evaluation_u,
                             expand_in_basis, gram_schmidt_basis,
                             inclusion_coeffs, monomial_m, norm_formula,
@@ -20,7 +20,8 @@ from msym.structure import (evaluation_point, evaluation_u,
                             principal_specialization_e, _basis_poly,
                             restrict_poly, restriction, scalar_product_m,
                             sesquilinear_product, z_lambda_qt)
-from oracles import apply_Y_inv
+from msym.kernels import _z_qt_inverse
+from oracles import apply_Y_inv, u_normalization
 
 
 def x(n, i):
@@ -431,4 +432,6 @@ def test_closed_forms_make_no_trial_division(monkeypatch):
                 z_lambda_qt(lab.lam)
                 integral_c(lab)
                 u_normalization(lab, N)
+                _chain_scale(lab, N)
+                _z_qt_inverse(lab.lam)
     assert not calls, sorted(set(calls))
