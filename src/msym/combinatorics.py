@@ -3,9 +3,10 @@ arm/leg statistics, Bruhat and dominance orders, and enumeration.
 
 Conventions (everything 1-based):
   * the diagram of an m-partition (a; lam) is the Young diagram of the
-    multiset a U lam, rows weakly decreasing; the i-circle sits at the right
-    of a row of size a_i; among rows of equal size circled rows come first,
-    circles ordered top to bottom by increasing label;
+    multiset a U lam; the i-circle sits at the right of a row of size a_i;
+  * its rows are the entries of a + lam in the one order _row_order gives:
+    sizes weakly decreasing, ties in index order, so among rows of equal
+    size circled rows come first, circles top to bottom by increasing label;
   * r(i) is the row carrying the i-circle;
   * a composition of length N is drawn the same way with circles 1..N.
 """
@@ -40,14 +41,19 @@ def sort_desc(comp):
     return tuple(sorted(comp, reverse=True))
 
 
+def _row_order(comp):
+    """Indices of comp sorted by (-comp[i], i): the diagram's rows top to
+    bottom.  The sort is stable, so reverse=True keeps ties in index order."""
+    return sorted(range(len(comp)), key=comp.__getitem__, reverse=True)
+
+
 def circle_rows(comp):
     """Row of the i-circle in the composition's diagram, as a tuple r with
-    r[i-1] = row of circle i.  Equal entries get rows in index order."""
-    n = len(comp)
-    return tuple(
-        1 + sum(1 for j in range(n) if comp[j] > comp[i])
-        + sum(1 for j in range(i) if comp[j] == comp[i])
-        for i in range(n))
+    r[i-1] = row of circle i: the inverse of _row_order, 1-based."""
+    rows = [0] * len(comp)
+    for r, i in enumerate(_row_order(comp), start=1):
+        rows[i] = r
+    return tuple(rows)
 
 
 def dominance_leq_partition(mu, lam):
@@ -115,10 +121,11 @@ class Cell:
 
 
 class MPartition:
-    """Pair (a; lam): a composition a with m parts and a partition lam."""
+    """Pair (a; lam): a composition a with m parts and a partition lam.  The
+    diagram is _rows, one (size, label) per row in _row_order(a + lam), with
+    label i for a row ending in the i-circle and None for a symmetric row."""
 
-    __slots__ = ("a", "lam", "_rows", "_circle_of_row", "_row_of_circle",
-                 "_hash")
+    __slots__ = ("a", "lam", "_rows", "_hash")
 
     def __init__(self, a, lam=()):
         self.a = tuple(int(x) for x in a)
@@ -130,22 +137,10 @@ class MPartition:
         if any(x < 0 for x in lam):
             raise ValueError("negative entry in lambda")
         self.lam = lam
-        self._build_diagram()
+        comp, m = self.a + lam, len(self.a)
+        self._rows = tuple((comp[i], i + 1 if i < m else None)
+                           for i in _row_order(comp))
         self._hash = None
-
-    def _build_diagram(self):
-        entries = [(size, label) for label, size in enumerate(self.a, start=1)]
-        entries += [(size, None) for size in self.lam]
-        # weakly decreasing sizes; circled rows first within a size block,
-        # circles by increasing label
-        entries.sort(key=lambda sl: (-sl[0], 0 if sl[1] else 1, sl[1] or 0))
-        self._rows = tuple(entries)
-        self._row_of_circle = {}
-        self._circle_of_row = {}
-        for r, (size, label) in enumerate(entries, start=1):
-            if label is not None:
-                self._row_of_circle[label] = r
-                self._circle_of_row[r] = label
 
     # -- basics -----------------------------------------------------------
 
@@ -189,7 +184,7 @@ class MPartition:
 
     def row_label(self, r):
         """Label of the circle ending row r, or None for a symmetric row."""
-        return self._circle_of_row.get(r)
+        return self._rows[r - 1][1] if 1 <= r <= len(self._rows) else None
 
     def cells(self):
         """Squares of the diagram, row by row."""
@@ -216,55 +211,43 @@ class MPartition:
 
     # -- arm/leg statistics --------------------------------------------------
 
-    def _circles_in_col(self, col, below_row):
-        """Labels of circles sitting in the given column, below the row."""
-        out = []
-        for label, r in self._row_of_circle.items():
-            if r > below_row and self._rows[r - 1][0] + 1 == col:
-                out.append(label)
-        return out
+    def _below(self, cell):
+        """Squares below the cell, and the labels of the circles below it in
+        its column."""
+        rows = self._rows[cell.row:]
+        return (sum(1 for size, _ in rows if size >= cell.col),
+                [label for size, label in rows
+                 if label is not None and size + 1 == cell.col])
 
     def arm(self, cell):
         """a(s): squares to the right, plus one if the row ends in a circle."""
-        size, label = self._rows[cell.row - 1]
         if cell.is_circle:
             return 0
-        return size - cell.col + (1 if label is not None else 0)
+        return self.arm_tilde(cell) + (self._rows[cell.row - 1][1] is not None)
 
     def arm_tilde(self, cell):
-        size, _ = self._rows[cell.row - 1]
+        """a~(s): squares to the right."""
         if cell.is_circle:
             return 0
-        return size - cell.col
-
-    def _squares_below(self, cell):
-        return sum(1 for r in range(cell.row + 1, len(self._rows) + 1)
-                   if self._rows[r - 1][0] >= cell.col)
+        return self._rows[cell.row - 1][0] - cell.col
 
     def leg(self, cell):
         """l(s): squares below, plus the circles below in the column whose
-        label is smaller than the label ending the row (if any)."""
+        label is smaller than the label ending the row (none if no circle
+        ends it)."""
         if cell.is_circle:
             return 0
-        base = self._squares_below(cell)
-        label = self._rows[cell.row - 1][1]
-        if label is None:
-            return base
-        smaller = sum(1 for lab in self._circles_in_col(cell.col, cell.row)
-                      if lab < label)
-        return base + smaller
+        squares, circles = self._below(cell)
+        label = self._rows[cell.row - 1][1] or 0
+        return squares + sum(1 for lab in circles if lab < label)
 
     def leg_tilde(self, cell):
         """l~(s): as l(s), except all column circles count when the row does
         not end in a circle."""
-        if cell.is_circle:
-            return 0
-        base = self._squares_below(cell)
-        label = self._rows[cell.row - 1][1]
-        circles = self._circles_in_col(cell.col, cell.row)
-        if label is None:
-            return base + len(circles)
-        return base + sum(1 for lab in circles if lab < label)
+        if cell.is_circle or self._rows[cell.row - 1][1] is not None:
+            return self.leg(cell)
+        squares, circles = self._below(cell)
+        return squares + len(circles)
 
 
 def dominance_leq(omega, lam):

@@ -15,6 +15,8 @@ in one truncated series in z = c x_i y_j per pair: (1 - t z)/(1 - z) =
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
@@ -120,13 +122,9 @@ def _pair_sum(Nx, Ny, maxdeg, terms):
 
 def _z_qt_inverse(lam):
     """1/z_lambda(q,t) = prod (1-t^{lam_i})/(1-q^{lam_i}) / z_lambda in
-    closed form: the product of binomials is one qt_product, whose numerator
-    has content 1, so the integer z_lambda joins its denominator's key with
-    no inverse and no trial division."""
-    r = qt_product(1, 0, 0, [(0, part) for part in lam],
-                   [(part, 0) for part in lam])
-    c, i, j, fac = r.key
-    return QtRational._raw(r.num, (c * _z_lambda(lam), i, j, fac))
+    closed form: one qt_product, with no inverse and no trial division."""
+    return qt_product(Fraction(1, _z_lambda(lam)), 0, 0,
+                      [(0, part) for part in lam], [(part, 0) for part in lam])
 
 
 def k0_truncated(Nx, Ny, maxdeg):

@@ -37,8 +37,8 @@ in one evaluation of the polynomial mod a prime at a point where q^a t^b
 is a root of Phi_n; it raises no exception.
 
 Every closed form msym states (norms, evaluations, inclusion and
-restriction factors, z_lambda(q,t), c_Lambda, the E_eta step, the scale of
-P_Lambda) is a monomial
+restriction factors, z_lambda(q,t) and its inverse, c_Lambda, the E_eta
+step, the scale of P_Lambda) is a rational times a monomial
 times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
 cancel by counting, with no trial division.
 
@@ -333,8 +333,10 @@ def qt_sum(values):
 
 
 def qt_product(c, i, j, ups, downs):
-    """c q^i t^j prod_ups (1 - q^a t^b) / prod_downs (1 - q^a t^b) for an
-    int c != 0, ints i, j and a, b >= 0: the one constructor of closed forms.
+    """c q^i t^j prod_ups (1 - q^a t^b) / prod_downs (1 - q^a t^b) for a
+    nonzero int or Fraction c, ints i, j and a, b >= 0: the one constructor
+    of closed forms.  c's numerator joins the numerator, its denominator the
+    denominator's key (the binomials' product has content 1).
     A (0, 0) pair gives ZERO in ups and raises ZeroDivisionError in downs.
     The binomials' factors (qt_ring._binomial) are irreducible, so they
     cancel by counting, and the factors left over with positive exponents
@@ -348,9 +350,9 @@ def qt_product(c, i, j, ups, downs):
                 return ZERO
             for key in _binomial(a, b):
                 exps[key] = exps.get(key, 0) + s
-    num = _den(c, max(i, 0), max(j, 0),
+    num = _den(c.numerator, max(i, 0), max(j, 0),
                _fac_of({key: max(k, 0) for key, k in exps.items()}))
-    return QtRational._raw(num, (1, max(-i, 0), max(-j, 0),
+    return QtRational._raw(num, (c.denominator, max(-i, 0), max(-j, 0),
                                  _fac_of({key: max(-k, 0)
                                           for key, k in exps.items()})))
 

@@ -18,6 +18,16 @@ def holds(cases):
     return all(lhs == rhs for _, lhs, rhs in cases)
 
 
+def circle_rows_by_count(comp):
+    """Row of each circle in the composition's diagram by counting: one plus
+    the entries larger than comp[i], plus the equal entries before it."""
+    n = len(comp)
+    return tuple(
+        1 + sum(1 for j in range(n) if comp[j] > comp[i])
+        + sum(1 for j in range(i) if comp[j] == comp[i])
+        for i in range(n))
+
+
 def k0_product_truncated(Nx, Ny, maxdeg):
     """Independent product form of K_0: for each pair (i,j) the factor
     prod_k (1 - t x_i y_j q^k)/(1 - x_i y_j q^k) expands by the q-binomial

@@ -1,5 +1,6 @@
 """Circled diagrams, statistics, and orders."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -9,6 +10,8 @@ from msym.combinatorics import (Cell, MPartition, bruhat_less, circle_rows,
                                 enumerate_mpartitions, inversions,
                                 coinversions, n_stat, partitions_of, sort_desc,
                                 unique_permutations)
+
+from oracles import circle_rows_by_count
 
 
 def _contains(lam, cell):
@@ -44,6 +47,14 @@ class TestRearrange:
 
     def test_zero_one(self):
         assert circle_rows((0, 1)) == (2, 1)
+
+    def test_matches_count_oracle(self):
+        # every composition with at most 6 parts and degree at most 6
+        comps = [eta for n in range(7) for d in range(7)
+                 for eta in compositions_of(d, n)]
+        assert len(comps) == 1716
+        for eta in comps:
+            assert circle_rows(eta) == circle_rows_by_count(eta), eta
 
     def test_sorting_property(self):
         for eta in itertools.product(range(3), repeat=4):
@@ -87,6 +98,7 @@ class TestDiagrams:
         assert circle_rows(lam.a + lam.lam)[:lam.m] == (2, 6, 3, 5)
         assert [lam.row_label(r) for r in (2, 6, 3, 5)] == [1, 2, 3, 4]
         assert lam.row_label(4) is None
+        assert lam.row_label(0) is None and lam.row_label(7) is None
 
     def test_partition_i(self):
         lam = MPartition((2, 0, 2, 1), (3, 2))
@@ -164,6 +176,25 @@ class TestStatistics:
                         assert at <= a <= at + 1
                         if lab.row_label(cell.row) is None:
                             assert lab.leg(cell) <= lab.leg_tilde(cell)
+
+    def test_diagrams_and_statistics_unchanged(self):
+        # a golden hash of the rows, circle labels and all four statistics
+        # of every cell and circle over the 635 m-partitions with m <= 3 and
+        # degree <= 6: two circles in one column (m = 3) tell l from a leg
+        # that counts the circles with larger labels
+        h = hashlib.sha256()
+        labels = [lab for m in range(4) for d in range(7)
+                  for lab in enumerate_mpartitions(m, d)]
+        assert len(labels) == 635
+        for lab in labels:
+            h.update(repr((
+                lab.a, lab.lam, lab.row_sizes(),
+                tuple(lab.row_label(r) for r in range(1, lab.nrows() + 1)),
+                tuple((c.row, c.col, c.label, lab.arm(c), lab.arm_tilde(c),
+                       lab.leg(c), lab.leg_tilde(c))
+                      for c in lab.cells_with_circles()))).encode())
+        assert h.hexdigest() == ("f7db1dc609fc4421bca60f5808fd28b7"
+                                 "f940e591b57b1f37812cc2c75d848a59")
 
     def test_circle_cells_have_zero_stats(self):
         for m in range(1, 3):

@@ -195,6 +195,19 @@ class TestQtProduct:
         assert (got.num, got.key, got.den) == \
             (chain.num, chain.key, chain.den)
 
+    @pytest.mark.parametrize("a, b", [(1, 2), (4, 6), (-3, 4), (-10, 15),
+                                      (7, 1)])
+    @pytest.mark.parametrize("ups, downs", [([], []),
+                                            ([(0, 1), (2, 1)], [(1, 0)])])
+    def test_fraction_c(self, a, b, ups, downs):
+        # c's numerator joins the numerator and its denominator the key,
+        # as dividing the int-c product by c's reduced denominator does
+        c = Fraction(a, b)
+        got = qt_product(c, 2, -1, ups, downs)
+        want = (qt_product(c.numerator, 2, -1, ups, downs)
+                / QtRational.from_int(c.denominator))
+        assert (got.num, got.key) == (want.num, want.key)
+
     def test_zero_pair(self):
         assert qt_product(3, 1, -2, [(1, 1), (0, 0)], [(0, 1)]).is_zero()
         with pytest.raises(ZeroDivisionError):
