@@ -530,16 +530,6 @@ def cmd_verify(args):
 # argument parser
 # ---------------------------------------------------------------------------
 
-def _add_label_args(p, with_n=True):
-    p.add_argument("--m", type=int, default=None,
-                   help="number of non-symmetric entries")
-    p.add_argument("--a", default="", help="comma-separated a entries")
-    p.add_argument("--lambda", dest="lam", default="",
-                   help="comma-separated partition entries (empty allowed)")
-    if with_n:
-        p.add_argument("--N", type=int, default=None, help="variable count")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="msym",
@@ -555,30 +545,30 @@ def build_parser():
                    help="run the full eigenvalue certificate")
     p.set_defaults(fn=cmd_expand_e)
 
-    p = sub.add_parser("expand-p", help="m-symmetric Macdonald polynomial")
-    _add_label_args(p)
-    p.set_defaults(fn=cmd_expand_p)
-
-    p = sub.add_parser("norm", help="squared norm of P_Lambda")
-    _add_label_args(p)
-    p.add_argument("--check", action="store_true",
-                   help="recompute through the scalar product")
-    p.set_defaults(fn=cmd_norm)
-
-    p = sub.add_parser("inclusion", help="inclusion coefficients psi")
-    _add_label_args(p, with_n=False)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(fn=cmd_inclusion)
-
-    p = sub.add_parser("restrict", help="restriction of P_Lambda")
-    _add_label_args(p, with_n=False)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(fn=cmd_restrict)
-
-    p = sub.add_parser("eval", help="principal specialization")
-    _add_label_args(p)
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(fn=cmd_eval)
+    # the label commands: name, help, function, takes --N, and the --check
+    # help ("" for none), or None for no --check
+    for name, text, fn, with_n, check in (
+            ("expand-p", "m-symmetric Macdonald polynomial", cmd_expand_p,
+             True, None),
+            ("norm", "squared norm of P_Lambda", cmd_norm, True,
+             "recompute through the scalar product"),
+            ("inclusion", "inclusion coefficients psi", cmd_inclusion, False,
+             ""),
+            ("restrict", "restriction of P_Lambda", cmd_restrict, False, ""),
+            ("eval", "principal specialization", cmd_eval, True, "")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--m", type=int, default=None,
+                       help="number of non-symmetric entries")
+        p.add_argument("--a", default="", help="comma-separated a entries")
+        p.add_argument("--lambda", dest="lam", default="",
+                       help="comma-separated partition entries (empty "
+                            "allowed)")
+        if with_n:
+            p.add_argument("--N", type=int, default=None,
+                           help="variable count")
+        if check is not None:
+            p.add_argument("--check", action="store_true", help=check)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("kernel", help="reproducing-kernel data")
     p.add_argument("--m", type=_int_at_least(0), default=0)

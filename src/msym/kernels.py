@@ -156,14 +156,19 @@ def km_pre_truncated(m, Nx, Ny, maxdeg):
         _km_bracket(m, Nx, Ny, maxdeg, qinv=True), maxdeg)
 
 
+def _sym_bracket(m, Nx, Ny, maxdeg, qinv):
+    """t^{-binom(m,2)} T^{(x)}_{w_m} of _km_bracket(...), a MultiPoly."""
+    bracket = _km_bracket(m, Nx, Ny, maxdeg, qinv).poly
+    return apply_T_word(bracket, longest_word(m)).scale(
+        QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
+
+
 def km_truncated(m, Nx, Ny, maxdeg):
     """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated."""
     if Nx < m or Ny < m:
         raise ValueError("alphabets must have at least m letters")
-    bracket = _km_bracket(m, Nx, Ny, maxdeg, qinv=True).poly
-    bracket = BiPoly(Nx, Ny, apply_T_word(bracket, longest_word(m)))
-    out = k0_truncated(Nx, Ny, maxdeg).mul(bracket, maxdeg)
-    return out.scale(QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
+    return k0_truncated(Nx, Ny, maxdeg).mul(
+        BiPoly(Nx, Ny, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)), maxdeg)
 
 
 def _P_basis(m, N, maxdeg):
@@ -193,9 +198,7 @@ def hl_kernel_cases(m, maxdeg):
     """t-symmetrized Hall-Littlewood kernel:
     t^{-binom(m,2)} T^{(x)}_{w_m}[prod(1-t x_i y_j)/prod(1-x_i y_j)]
       = sum_a t^{-Inv(a)} H_a(x;t) H_a(y;t)."""
-    bracket = _km_bracket(m, m, m, maxdeg, qinv=False).poly
-    lhs = apply_T_word(bracket, longest_word(m)).scale(
-        QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
+    lhs = _sym_bracket(m, m, m, maxdeg, qinv=False)
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, (

@@ -139,21 +139,25 @@ def eigen_cases(eta, poly):
         yield ("eigen", eta, i), apply_Y(poly, i), poly.scale(eta_bar(eta, i))
 
 
+def _composition(v):
+    """v as a tuple of ints, checked to be a composition."""
+    v = tuple(int(x) for x in v)
+    if any(x < 0 for x in v):
+        raise ValueError("composition entries must be nonnegative")
+    return v
+
+
 def nonsym_E(eta):
     """The monic non-symmetric Macdonald polynomial E_eta in len(eta)
     variables."""
-    eta = tuple(int(v) for v in eta)
-    if any(v < 0 for v in eta):
-        raise ValueError("composition entries must be nonnegative")
+    eta = _composition(eta)
     return LabeledPoly(eta, _build_E(eta), "E")
 
 
 def hall_littlewood_H(a):
     """Non-symmetric Hall-Littlewood polynomial H_a(x_1..x_m; t): x^a for
     dominant a, transported by T_i across descents otherwise."""
-    a = tuple(int(v) for v in a)
-    if any(v < 0 for v in a):
-        raise ValueError("composition entries must be nonnegative")
+    a = _composition(a)
     return LabeledPoly(a, _walk(_H_CACHE, a, _H_rule), "H")
 
 

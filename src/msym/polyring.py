@@ -18,7 +18,7 @@ import os
 from operator import itemgetter
 
 from .qt_field import QtRational, ZERO, ONE, qt_sum
-from .qt_ring import _signed_join
+from .qt_ring import _signed_join, _term_str
 
 # Products, and macdonald._build_E before its first Hecke step, enforce this
 # degree guard so runaway computations fail fast.  MSYM_MAXDEG overrides it.
@@ -252,17 +252,10 @@ class MultiPoly:
             raise ValueError("exponent vector length != nvars")
         return self.terms.get(tuple(expvec), ZERO)
 
-    def map_coeff(self, fn):
-        out = {}
-        for e, c in self.terms.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return MultiPoly._raw(self.nvars, out)
-
     def invert_params(self):
         """Substitute (q,t) -> (1/q, 1/t) in every coefficient."""
-        return self.map_coeff(lambda c: c.invert_params())
+        return MultiPoly._raw(self.nvars, {e: c.invert_params()
+                                           for e, c in self.terms.items()})
 
     def substitute(self, values):
         """Full evaluation: values[i] is a QtRational for x_{i+1}."""
@@ -290,24 +283,15 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
 
     def __str__(self):
+        # a sum or fraction is bracketed before a monomial or among terms
         many = len(self.terms) > 1
+        names = ["x%d" % k for k in range(1, self.nvars + 1)]
         parts = []
         for e, c in self.sorted_terms():
-            mono = "*".join(
-                ("x%d" % (k + 1)) if ek == 1 else ("x%d^%d" % (k + 1, ek))
-                for k, ek in enumerate(e) if ek)
             cs = str(c)
-            if not mono:
-                s = "(%s)" % cs if many and (" " in cs or "/" in cs) else cs
-            elif c.is_one():
-                s = mono
-            elif cs == "-1":
-                s = "-" + mono
-            else:
-                if " " in cs or "/" in cs:
-                    cs = "(%s)" % cs
-                s = cs + "*" + mono
-            parts.append(s)
+            if (many or any(e)) and (" " in cs or "/" in cs):
+                cs = "(%s)" % cs
+            parts.append(_term_str(cs, names, e))
         return _signed_join(parts)
 
     def __repr__(self):

@@ -386,24 +386,19 @@ def _lcm_sum(parts):
 # text form
 # ---------------------------------------------------------------------------
 
-def _pterm_str(c, e0, e1):
-    mono = []
-    if e0 == 1:
-        mono.append("q")
-    elif e0 > 1:
-        mono.append("q^%d" % e0)
-    if e1 == 1:
-        mono.append("t")
-    elif e1 > 1:
-        mono.append("t^%d" % e1)
-    m = "*".join(mono)
-    if not m:
-        return str(c)
-    if c == 1:
-        return m
-    if c == -1:
-        return "-" + m
-    return "%d*%s" % (c, m)
+def _term_str(cs, names, exps):
+    """The term with coefficient text cs and monomial prod names[k]^exps[k]:
+    an exponent of 1 left out, a coefficient "1" or "-1" written as its
+    sign, otherwise cs*monomial; cs alone for the empty monomial."""
+    mono = "*".join(v if k == 1 else "%s^%d" % (v, k)
+                    for v, k in zip(names, exps) if k)
+    if not mono:
+        return cs
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return "-" + mono
+    return cs + "*" + mono
 
 
 def _signed_join(terms):
@@ -418,7 +413,7 @@ def _signed_join(terms):
 
 
 def _p_str(a):
-    return _signed_join(_pterm_str(a[e], e[0], e[1]) for e in sorted(a))
+    return _signed_join(_term_str(str(a[e]), "qt", e) for e in sorted(a))
 
 
 _FACTOR = re.compile(r"([0-9]+)|([qt])(?:\^([0-9]+))?")

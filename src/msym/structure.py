@@ -343,18 +343,18 @@ def evaluation_u(mpart, f):
 
 def gram_schmidt_basis(m, degree, N):
     """Orthogonalize the monomial basis in a dominance-compatible order with
-    respect to <.,.>_m; returns {label: polynomial}."""
+    respect to <.,.>_m; returns {label: polynomial}.  The earlier outputs
+    are orthogonal, so each projection coefficient is read from m_Lambda
+    itself, and each output is one accumulation."""
     labels = enumerate_mpartitions(m, degree, max_sym_length=N - m)
-    done = []
     out = {}
     norms = {}
     for lab in labels:
-        g = monomial_m(lab, N)
-        for prev in done:
-            c = scalar_product_m(g, out[prev], m, verify=False) / norms[prev]
-            if c:
-                g = g - out[prev].scale(c)
+        mono = monomial_m(lab, N)
+        proj = [p.scale(-c) for prev, p in out.items()
+                if (c := scalar_product_m(mono, p, m, verify=False)
+                    / norms[prev])]
+        g = _sum_polys(N, [mono, *proj])
         out[lab] = g
         norms[lab] = scalar_product_m(g, g, m, verify=False)
-        done.append(lab)
     return out

@@ -4,6 +4,7 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from msym import cli, kernels, macdonald
 from msym.polyring import MultiPoly
@@ -510,3 +511,95 @@ class TestGoldenJson:
                       + "\n").encode())
         assert h.hexdigest() == ("8ec2ea860c073f7954ccd756a47313b2"
                                  "494f8ec704341fd40ee8e791dddb4c3c")
+
+
+class TestGoldenText:
+    def test_text_outputs_unchanged(self, capsys):
+        # the text twin of the JSON golden: it holds MultiPoly.__str__ and
+        # the table layouts byte for byte, with the timings dropped
+        import hashlib
+        import re
+        from msym import macdonald
+        h = hashlib.sha256()
+        for argv in _GOLDEN:
+            macdonald.clear_caches()
+            rc, out, _ = run(capsys, argv)
+            text = re.sub(r" \(\d+\.\d{3}s\)", "", out)
+            h.update((json.dumps([argv, rc, text]) + "\n").encode())
+        assert h.hexdigest() == ("aecd0464345e09e2ec6830cda1a440df"
+                                 "12e32b22b8ac2422c432aebb5800014d")
+
+
+_QT_POINTS = (("1", "1"), ("0", "0"), ("-1", "1"), ("2", "3"),
+              ("1/2", "-1"), ("x", "1"))
+
+
+@st.composite
+def _cli_argv(draw):
+    """argv for one of the 8 subcommands with small bounds: labels with
+    m <= 2 and parts <= 2, sometimes an --a that does not match --m or a
+    --lambda that is not decreasing, an unknown suite, kernel --m -1 and
+    --qt-point at poles or malformed."""
+    small = st.integers(0, 2)
+
+    def csv(max_size):
+        return ",".join(map(str, draw(st.lists(small, max_size=max_size))))
+
+    def maybe(*flag_and_value):
+        return list(flag_and_value) if draw(st.booleans()) else []
+
+    cmd = draw(st.sampled_from(["expand-e", "expand-p", "norm", "inclusion",
+                                "restrict", "eval", "kernel", "verify"]))
+    argv = maybe("--json") + [cmd]
+    if cmd == "expand-e":
+        argv += ["--eta", csv(3)] + maybe("--N", str(draw(st.integers(0, 5))))
+    elif cmd == "kernel":
+        argv += ["--m", str(draw(st.integers(-1, 2))),
+                 "--maxdeg", str(draw(small))] + maybe("--full")
+    elif cmd == "verify":
+        argv += [draw(st.sampled_from(sorted(cli.SUITES) + ["nosuch"]))]
+        for flag in ("--m-max", "--deg-max", "--maxdeg", "--count"):
+            argv += maybe(flag, str(draw(small)))
+        argv += maybe("--N", str(draw(st.integers(1, 2))))
+        argv += maybe("--qt-point", *draw(st.sampled_from(_QT_POINTS)))
+    else:
+        m = draw(small)
+        size = draw(st.sampled_from([m, m, m, (m + 1) % 3]))
+        a = draw(st.lists(small, min_size=size, max_size=size))
+        lam = sorted(draw(st.lists(small, max_size=2)),
+                     reverse=draw(st.sampled_from([True, True, False])))
+        argv += ["--m", str(m), "--a", ",".join(map(str, a)),
+                 "--lambda", ",".join(map(str, lam))]
+        if cmd in ("expand-p", "norm", "eval"):
+            argv += maybe("--N", str(draw(st.integers(0, 5))))
+    if cmd not in ("expand-p", "kernel", "verify"):
+        argv += maybe("--check")
+    return argv
+
+
+class TestContract:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_cli_argv())
+    @example(["verify", "orthogonality", "--m-max", "1", "--deg-max", "1",
+              "--qt-point", "1", "1"])
+    @example(["verify", "cauchy", "--qt-point", "x", "1"])
+    @example(["kernel", "--m", "-1"])
+    @example(["norm", "--m", "1", "--a", "1", "--lambda", "1,2"])
+    def test_exit_codes_and_streams(self, argv):
+        # exit 0 with an empty stderr, or exit 2 with one error line or an
+        # argparse usage block; never a traceback or an escaped exception
+        import contextlib
+        import io
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in out + err
+        assert rc in (0, 2), (argv, rc, err)
+        if rc == 0:
+            assert err == ""
+        else:
+            lines = err.splitlines()
+            assert (err.startswith("usage: ")
+                    or (len(lines) == 1 and lines[0].startswith("error: "))), \
+                (argv, err)
