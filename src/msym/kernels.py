@@ -7,10 +7,10 @@ them; the witness is None where the identity makes a single comparison.
 
 A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
-(every identity here is bihomogeneous, so truncation is sound).  K_0 is its
-power-sum expansion, and a finite product over pairs (x_i, y_j) multiplies
-in one truncated series in z = c x_i y_j per pair: (1 - t z)/(1 - z) =
-1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
+(every identity here is bihomogeneous, so truncation is sound).  Pair sums
+run over orbit representatives; K_0 from integer power-sum counts.  Each
+pair (x_i, y_j) of a finite product multiplies in one truncated series in
+z = c x_i y_j: (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from fractions import Fraction
 from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
-                            partitions_of, compositions_of)
+                            partitions_of, compositions_of,
+                            unique_permutations)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
-from .structure import norm_formula, powersum_t, _norm_pairs, _z_lambda
+from .structure import norm_formula, _norm_pairs, _z_lambda
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
 
 
@@ -106,18 +107,33 @@ def _xy_series(nx, ny, i, j, coeffs):
     return BiPoly(nx, ny, MultiPoly(nx + ny, terms))
 
 
-def _pair_sum(Nx, Ny, maxdeg, terms):
-    """sum c f(x) g(y) over the (c, f, g) in terms, truncated; f lives in
-    Nx variables and g in Ny.  Every product of a term of f with a term of
-    c g goes into one accumulation, so each coefficient is reduced once."""
+def _rep_terms(f, m, maxdeg):
+    """The terms of f of degree <= maxdeg at orbit representatives: their
+    exponents' tails after position m are weakly decreasing."""
+    return [(e, v) for e, v in f.items() if sum(e) <= maxdeg
+            and tuple(sorted(e[m:], reverse=True)) == e[m:]]
+
+
+def _pair_sum(Nx, Ny, maxdeg, m, terms):
+    """sum c f(x) g(y) over the (c, f, g) in terms, truncated; f and g map
+    exponents in Nx and Ny variables to coefficients and are symmetric in
+    the variables after the m-th.  Each pair of representatives gets one
+    accumulation, reduced once, and its coefficient object is written to
+    every monomial of the orbit pair (a, S mu; b, S nu)."""
     out = {}
     for c, f, g in terms:
-        cg = [(e, v * c) for e, v in g.terms.items() if sum(e) <= maxdeg]
-        for ef, v in f.terms.items():
-            if sum(ef) <= maxdeg:
-                for e, w in cg:
-                    _bump(out, ef + e, v * w)
-    return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, _settle(out)))
+        cg = [(e, v * c) for e, v in _rep_terms(g, m, maxdeg)]
+        for ef, v in _rep_terms(f, m, maxdeg):
+            for e, w in cg:
+                _bump(out, (ef, e), v * w)
+    orbits = {e: [e[:m] + s for s in unique_permutations(e[m:])]
+              for e in {e for pair in out for e in pair}}
+    full = {}
+    for (a, b), c in _settle(out).items():
+        for ea in orbits[a]:
+            for eb in orbits[b]:
+                full[ea + eb] = c
+    return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, full))
 
 
 def _z_qt_inverse(lam):
@@ -127,12 +143,26 @@ def _z_qt_inverse(lam):
                       [(0, part) for part in lam], [(part, 0) for part in lam])
 
 
+def _powersum_counts(lam, N):
+    """The integer counts [x^mu] p_lambda(x_1..x_N) at the partitions mu
+    (padded to N), expanded over Z one part at a time."""
+    counts = {(0,) * N: 1}
+    for part in lam:
+        nxt = {}
+        for e, c in counts.items():
+            for i in range(N):
+                f = e[:i] + (e[i] + part,) + e[i + 1:]
+                nxt[f] = nxt.get(f, 0) + c
+        counts = nxt
+    return dict(_rep_terms(counts, 0, sum(lam)))
+
+
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
-    return _pair_sum(Nx, Ny, maxdeg, (
-        (_z_qt_inverse(lam), powersum_t(MPartition((), lam), Nx),
-         powersum_t(MPartition((), lam), Ny))
+    return _pair_sum(Nx, Ny, maxdeg, 0, (
+        (_z_qt_inverse(lam), _powersum_counts(lam, Nx),
+         _powersum_counts(lam, Ny))
         for d in range(maxdeg + 1) for lam in partitions_of(d)))
 
 
@@ -181,8 +211,8 @@ def _P_basis(m, N, maxdeg):
 def km_sum_truncated(m, N, maxdeg):
     """sum_Lambda b_Lambda P_Lambda(x) P_Lambda(y) with
     b_Lambda = 1/<P_Lambda, P_Lambda>_m, both alphabets of size N."""
-    return _pair_sum(N, N, maxdeg, (
-        (norm_formula(lab).inverse(), p, p)
+    return _pair_sum(N, N, maxdeg, m, (
+        (norm_formula(lab).inverse(), p.terms, p.terms)
         for lab, p in _P_basis(m, N, maxdeg).items()))
 
 
@@ -201,8 +231,8 @@ def hl_kernel_cases(m, maxdeg):
     lhs = _sym_bracket(m, m, m, maxdeg, qinv=False)
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
-    rhs = _pair_sum(m, m, maxdeg, (
-        (QtRational.monomial(1, 0, -inversions(a)), h, h)
+    rhs = _pair_sum(m, m, maxdeg, m, (
+        (QtRational.monomial(1, 0, -inversions(a)), h.terms, h.terms)
         for a, h in hs.items()))
     yield None, lhs, rhs.poly
 
@@ -233,8 +263,8 @@ def cauchy_cases(m, maxdeg):
     alphabets of size m + maxdeg."""
     N = m + maxdeg
     lhs = _cauchy_lhs(m, N, maxdeg)
-    rhs = _pair_sum(N, N, maxdeg, (
-        (_cauchy_coeff(lab), p, p.invert_params())
+    rhs = _pair_sum(N, N, maxdeg, m, (
+        (_cauchy_coeff(lab), p.terms, p.invert_params().terms)
         for lab, p in _P_basis(m, N, maxdeg).items()))
     yield None, lhs.poly, rhs.poly
 
@@ -250,8 +280,8 @@ def nonsym_cauchy_cases(m, maxdeg):
     lhs = _cauchy_lhs(m, m, maxdeg)
     es = {eta: nonsym_E(eta).poly
           for d in range(maxdeg + 1) for eta in compositions_of(d, m)}
-    rhs = _pair_sum(m, m, maxdeg, (
-        (_cauchy_coeff(MPartition(eta, ())), e, e.invert_params())
+    rhs = _pair_sum(m, m, maxdeg, m, (
+        (_cauchy_coeff(MPartition(eta, ())), e.terms, e.invert_params().terms)
         for eta, e in es.items()))
     yield None, lhs.poly, rhs.poly
 

@@ -1,5 +1,7 @@
 """Truncated reproducing kernels and Cauchy-type identities."""
 
+import hashlib
+
 import pytest
 
 from msym.qt_field import ONE, Q, T
@@ -7,7 +9,8 @@ from msym.polyring import MultiPoly, _relabel
 from msym.combinatorics import (MPartition, enumerate_mpartitions,
                                 partitions_of)
 from msym.macdonald import msym_P
-from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
+from msym.structure import (norm_formula, powersum_t, scalar_product_m,
+                            z_lambda_qt)
 from msym import kernels
 from msym.kernels import (BiPoly, cauchy_cases, cauchy_identity_check,
                           hl_kernel_cases, k0_truncated,
@@ -56,7 +59,10 @@ class TestK0:
         assert k.poly.coefficient_of((1, 1)) == (ONE - T) / (ONE - Q)
 
     def test_product_form_oracle(self):
-        for (nx, ny, d) in [(1, 1, 3), (2, 2, 3), (2, 3, 2)]:
+        # square, unequal and empty alphabets, and degree 0
+        for (nx, ny, d) in [(1, 1, 3), (2, 2, 3), (2, 3, 2), (4, 4, 3),
+                            (3, 2, 4), (1, 4, 4), (5, 5, 2), (0, 2, 3),
+                            (2, 0, 3), (3, 3, 0)]:
             assert k0_truncated(nx, ny, d) == k0_product_truncated(nx, ny, d)
 
     def test_closed_form_inverse_of_z_lambda(self):
@@ -71,25 +77,69 @@ class TestK0:
         k = k0_truncated(2, 2, 3)
         assert all(sum(e[:2]) == sum(e[2:]) for e in k.poly.terms)
 
+    def test_orbit_shares_one_coefficient(self):
+        # K_0 is symmetric in each alphabet: every monomial of an orbit pair
+        # holds the one coefficient object of its representatives
+        k = k0_truncated(3, 3, 3)
+        first = {}
+        for e, c in k.poly.terms.items():
+            orbit = (tuple(sorted(e[:3])), tuple(sorted(e[3:])))
+            assert first.setdefault(orbit, c) is c
+        assert len(first) < len(k.poly.terms)
 
-def _pair_sum_by_products(Nx, Ny, maxdeg, terms):
-    """The pair sum as truncated BiPoly products, scaled and added one term
-    at a time: the oracle for the one-accumulation _pair_sum."""
+
+def _pair_sum_by_products(Nx, Ny, maxdeg, m, terms):
+    """The pair sum as truncated BiPoly products of the full polynomials,
+    scaled and added one term at a time: the oracle for _pair_sum, which
+    reads only orbit representatives.  It reads every term and ignores m."""
     acc = BiPoly(Nx, Ny)
     for c, f, g in terms:
-        term = _in_x(f, Ny).mul(_in_y(g, Nx), maxdeg)
+        term = _in_x(MultiPoly(Nx, f), Ny).mul(_in_y(MultiPoly(Ny, g), Nx),
+                                               maxdeg)
         acc = acc + term.scale(c)
     return acc
+
+
+def _full_powersum(lam, N):
+    """Every term of p_lambda(x_1..x_N), for the oracle: k0_truncated hands
+    _pair_sum only its representatives."""
+    return powersum_t(MPartition((), lam), N).terms
+
+
+def _cauchy_rhs(m, maxdeg):
+    """The P-basis side of cauchy_cases(m, maxdeg)."""
+    return next(cauchy_cases(m, maxdeg))[2]
 
 
 @pytest.mark.parametrize("build,args", [
     (k0_truncated, (1, 1, 3)), (k0_truncated, (2, 3, 3)),
     (km_sum_truncated, (0, 2, 2)), (km_sum_truncated, (1, 3, 2)),
-    (km_sum_truncated, (2, 3, 2))])
+    (km_sum_truncated, (2, 3, 2)),
+    # nontrivial orbits, unequal alphabets, m > 0 tails
+    (k0_truncated, (4, 2, 3)), (km_sum_truncated, (1, 4, 3)),
+    (_cauchy_rhs, (1, 2))])
 def test_pair_sum_matches_product_oracle(monkeypatch, build, args):
-    fused = build(*args)
+    by_orbits = build(*args)
     monkeypatch.setattr(kernels, "_pair_sum", _pair_sum_by_products)
-    assert fused == build(*args)
+    monkeypatch.setattr(kernels, "_powersum_counts", _full_powersum)
+    assert by_orbits == build(*args)
+
+
+def test_bench_kernel_outputs_unchanged():
+    # a golden hash of the text of every kernel the benchmark's kernels
+    # workload builds, then of K_0(5, 5, 4): any change to the pair sums,
+    # the bracket or the truncated product must leave it as it is
+    h = hashlib.sha256()
+    specs = [(m, nx, ny, d) for m in (0, 1, 2) for d in (2, 3, 4)
+             for nx in range(max(m, 1), 5) for ny in range(max(m, 1), 5)
+             if nx + ny + d <= 9]
+    assert len(specs) == 93
+    for m, nx, ny, d in specs:
+        h.update(("%d %d %d %d\n%s\n"
+                  % (m, nx, ny, d, km_truncated(m, nx, ny, d))).encode())
+    h.update(str(k0_truncated(5, 5, 4)).encode())
+    assert h.hexdigest() == ("0690a48cfad3de0cf9586b15491d5781"
+                             "72f9b46bedf465b82a0795ae35aca221")
 
 
 class TestKm:

@@ -419,7 +419,8 @@ class TestGroupedSum:
                     cof = _pmul(cof, d)
             num = _padd_dicts(num, _pmul(v.num, cof))
         assert (s.num, s.den) == _gcd_reduced(num, den)
-        # zeros are skipped; the empty sum, a lone value, x - x
+        # zeros are skipped; the empty sum, a lone value, x - x, and the
+        # values less themselves, where every denominator group cancels
         with_zeros = list(values)
         for _ in range(rng.randrange(1, 4)):
             with_zeros.insert(rng.randrange(len(with_zeros) + 1), ZERO)
@@ -428,6 +429,7 @@ class TestGroupedSum:
         x = values[rng.randrange(len(values))]
         assert qt_sum([x]) is x and qt_sum([ZERO, x, ZERO]) is x
         assert (x - x) is ZERO and qt_sum([x, -x]) is ZERO
+        assert qt_sum(values + [-v for v in values]) is ZERO
 
 
 class TestTextForm:
@@ -768,3 +770,24 @@ class TestOneReduction:
         calls = _counter(monkeypatch, qt_field, "_lcm_sum")
         assert qt_sum([x, y, z]) == total
         assert [len(parts) for parts, in calls] == [2]
+
+    @pytest.mark.parametrize("case", ["coprime", "cancelling"])
+    def test_two_keys_are_two_parts(self, monkeypatch, case):
+        # two values over two keys reach _lcm_sum as two parts, each its
+        # own value; the sum is the cross-multiplied fraction, reduced.  In
+        # the second case 1 - q cancels: the sum is t/((1 - t)(1 - qt))
+        from msym import qt_field
+        if case == "coprime":
+            x, z = QtRational(_NUM, _BINOMIAL), QtRational(_NUM, _CYCLO)
+        else:
+            x = ONE / ((ONE - Q) * (ONE - T))
+            z = -ONE / ((ONE - Q) * (ONE - Q * T))
+        num = _pmul(x.num, z.den)
+        for e, c in _pmul(z.num, x.den).items():
+            num[e] = num.get(e, 0) + c
+        term_by_term = QtRational(num, _pmul(x.den, z.den))
+        calls = _counter(monkeypatch, qt_field, "_lcm_sum")
+        assert qt_sum([x, z]) == term_by_term
+        assert calls == [([(x.num, x.key, True), (z.num, z.key, True)],)]
+        if case == "cancelling":
+            assert term_by_term == T / ((ONE - T) * (ONE - Q * T))
