@@ -337,3 +337,13 @@ def unique_permutations(seq):
                 break
         seq[k], seq[i] = seq[i], seq[k]
         seq[k + 1:] = reversed(seq[k + 1:])
+
+
+def is_orbit_rep(e, m):
+    """Whether e[m:], the part orbit(e, m) permutes, is weakly decreasing."""
+    return tuple(sorted(e[m:], reverse=True)) == e[m:]
+
+
+def orbit(e, m):
+    """The orbit of e: e[:m] + s for every distinct permutation s of e[m:]."""
+    return [e[:m] + s for s in unique_permutations(e[m:])]

@@ -20,8 +20,8 @@ from fractions import Fraction
 from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
-                            partitions_of, compositions_of,
-                            unique_permutations)
+                            partitions_of, compositions_of, is_orbit_rep,
+                            orbit)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
 from .structure import norm_formula, _norm_pairs, _z_lambda
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
@@ -108,10 +108,9 @@ def _xy_series(nx, ny, i, j, coeffs):
 
 
 def _rep_terms(f, m, maxdeg):
-    """The terms of f of degree <= maxdeg at orbit representatives: their
-    exponents' tails after position m are weakly decreasing."""
-    return [(e, v) for e, v in f.items() if sum(e) <= maxdeg
-            and tuple(sorted(e[m:], reverse=True)) == e[m:]]
+    """The terms of f of degree <= maxdeg at orbit representatives."""
+    return [(e, v) for e, v in f.items()
+            if sum(e) <= maxdeg and is_orbit_rep(e, m)]
 
 
 def _pair_sum(Nx, Ny, maxdeg, m, terms):
@@ -126,13 +125,9 @@ def _pair_sum(Nx, Ny, maxdeg, m, terms):
         for ef, v in _rep_terms(f, m, maxdeg):
             for e, w in cg:
                 _bump(out, (ef, e), v * w)
-    orbits = {e: [e[:m] + s for s in unique_permutations(e[m:])]
-              for e in {e for pair in out for e in pair}}
-    full = {}
-    for (a, b), c in _settle(out).items():
-        for ea in orbits[a]:
-            for eb in orbits[b]:
-                full[ea + eb] = c
+    orbits = {e: orbit(e, m) for e in {e for pair in out for e in pair}}
+    full = {ea + eb: c for (a, b), c in _settle(out).items()
+            for ea in orbits[a] for eb in orbits[b]}
     return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, full))
 
 
@@ -144,8 +139,7 @@ def _z_qt_inverse(lam):
 
 
 def _powersum_counts(lam, N):
-    """The integer counts [x^mu] p_lambda(x_1..x_N) at the partitions mu
-    (padded to N), expanded over Z one part at a time."""
+    """The integer counts [x^mu] p_lambda(x_1..x_N), one part at a time."""
     counts = {(0,) * N: 1}
     for part in lam:
         nxt = {}
@@ -154,7 +148,7 @@ def _powersum_counts(lam, N):
                 f = e[:i] + (e[i] + part,) + e[i + 1:]
                 nxt[f] = nxt.get(f, 0) + c
         counts = nxt
-    return dict(_rep_terms(counts, 0, sum(lam)))
+    return counts
 
 
 def k0_truncated(Nx, Ny, maxdeg):

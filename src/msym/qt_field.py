@@ -298,8 +298,7 @@ def qt_sum(values):
     numerators are added with no reduction.  One group (as in every sum of
     polynomial coefficients over one denominator) is reduced once over it.
     Several groups are brought to one lcm and the total is reduced once, by
-    trial division over the lcm's factors that can cancel; two values over
-    two keys go to the lcm as they are, with no grouping.  The form is
+    trial division over the lcm's factors that can cancel.  The form is
     unique, so the result is the one term-by-term addition gives."""
     for v in values:
         # zeros are rare, so the list is copied only when one is there
@@ -319,15 +318,16 @@ def qt_sum(values):
         if k0 == _ONE_KEY:
             return QtRational._raw(num, _ONE_KEY)
         return QtRational._raw(*_cancel(num, k0, k0[3]))
-    if len(values) == 2:
-        parts = [(v.num, v.key, True) for v in values]
-    else:
-        groups = {}
-        for v in values:
-            groups.setdefault(v.key, []).append(v)
-        # groups that cancel are dropped; with none left t is empty
-        parts = [(num, key, len(g) == 1) for key, g in groups.items()
-                 for num in [_num_sum(g)] if num]
+    groups = {}
+    for v in values:
+        groups.setdefault(v.key, []).append(v)
+    parts = []
+    for key, g in groups.items():
+        num = _num_sum(g)
+        if num:
+            parts.append((num, key, len(g) == 1))
+    if not parts:
+        return ZERO
     t, key, cands = _lcm_sum(parts)
     return QtRational._raw(*_cancel(t, key, cands)) if t else ZERO
 

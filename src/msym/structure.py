@@ -18,7 +18,7 @@ from .qt_field import QtRational, ONE, ZERO, qt_product, qt_sum
 from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
-                            sort_desc, unique_permutations, dominance_key)
+                            sort_desc, dominance_key, is_orbit_rep, orbit)
 from .macdonald import msym_P, hall_littlewood_H, _CACHES, _c_pairs
 from .hecke_ops import apply_tau_K_Tbar
 
@@ -57,10 +57,7 @@ def monomial_m(mpart, N):
     if N < m + len(mpart.lam):
         raise ValueError("N too small to realize m_%s" % mpart)
     shape = mpart.lam + (0,) * (N - m - len(mpart.lam))
-    terms = {}
-    for alpha in unique_permutations(shape):
-        terms[mpart.a + alpha] = ONE
-    return MultiPoly(N, terms)
+    return MultiPoly(N, dict.fromkeys(orbit(mpart.a + shape, m), ONE))
 
 
 def powersum(k, N):
@@ -90,9 +87,8 @@ def m_coords(f, m, verify=True):
     N = f.nvars
     coords = {}
     for e, c in f.terms.items():
-        suff = tuple(sorted(e[m:], reverse=True))
-        if e[m:] == suff:
-            coords[MPartition(e[:m], suff)] = c
+        if is_orbit_rep(e, m):
+            coords[MPartition(e[:m], e[m:])] = c
     if verify:
         recon = _sum_polys(N, [monomial_m(lab, N).scale(c)
                                for lab, c in coords.items()])

@@ -8,8 +8,8 @@ import pytest
 from msym.combinatorics import (Cell, MPartition, bruhat_less, circle_rows,
                                 compositions_of, dominance_leq,
                                 enumerate_mpartitions, inversions,
-                                coinversions, n_stat, partitions_of, sort_desc,
-                                unique_permutations)
+                                coinversions, is_orbit_rep, n_stat, orbit,
+                                partitions_of, sort_desc, unique_permutations)
 
 from oracles import circle_rows_by_count
 
@@ -283,3 +283,15 @@ class TestUniquePermutations:
         perms = list(unique_permutations([1, 1, 0]))
         assert sorted(perms) == [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
         assert len(perms) == len(set(perms))
+
+    def test_orbits_and_representatives(self):
+        # the entries after position m are permuted; each orbit has exactly
+        # one representative, its tail weakly decreasing
+        for m in range(4):
+            for e in itertools.product(range(3), repeat=4):
+                orb = orbit(e, m)
+                assert e in orb and len(orb) == len(set(orb))
+                assert all(f[:m] == e[:m] and sorted(f) == sorted(e)
+                           for f in orb)
+                assert [f for f in orb if is_orbit_rep(f, m)] == [
+                    e[:m] + tuple(sorted(e[m:], reverse=True))]
