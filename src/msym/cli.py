@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .qt_field import QtRational, ONE, ZERO, T
 from .polyring import MultiPoly, DegreeGuardError, _sum_polys
-from .combinatorics import MPartition, enumerate_mpartitions, compositions_of
+from .combinatorics import (MPartition, enumerate_mpartitions, compositions_of,
+                            mpartitions_upto)
 from .hecke_ops import (apply_T, apply_Tbar, apply_Y, apply_R, apply_L,
                         symmetrize_t)
 from .macdonald import eigen_cases, nonsym_E, msym_P, invert_qt
@@ -31,20 +32,16 @@ from . import kernels
 # helpers
 # ---------------------------------------------------------------------------
 
-def _usage_error(msg):
-    print("error: %s" % msg, file=sys.stderr)
-    raise SystemExit(2)
-
-
 def _parse_csv(s, what):
     if s is None or s == "":
         return ()
     try:
         vals = tuple(int(v) for v in s.split(","))
     except ValueError:
-        _usage_error("malformed %s %r (expect comma-separated integers)" % (what, s))
+        raise ValueError("malformed %s %r (expect comma-separated integers)"
+                         % (what, s))
     if any(v < 0 for v in vals):
-        _usage_error("%s entries must be nonnegative" % what)
+        raise ValueError("%s entries must be nonnegative" % what)
     return vals
 
 
@@ -55,9 +52,10 @@ def _parse_label(args):
     if m is None:
         m = len(a)
     if m != len(a):
-        _usage_error("--m %d does not match %d entries in --a" % (m, len(a)))
+        raise ValueError("--m %d does not match %d entries in --a"
+                         % (m, len(a)))
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-        _usage_error("--lambda must be weakly decreasing")
+        raise ValueError("--lambda must be weakly decreasing")
     return MPartition(a, lam)
 
 
@@ -125,12 +123,6 @@ def _rand_msym(rng, m, d, N):
         for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)])
 
 
-def _labels(m, dmax, N):
-    """The m-partitions of degree <= dmax realized in N variables."""
-    return [lab for d in range(dmax + 1)
-            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
-
-
 def _compositions(N, dmax):
     """The compositions of degree <= dmax with at most N parts."""
     return [eta for n in range(1, N + 1) for d in range(dmax + 1)
@@ -164,7 +156,7 @@ def suite_braid(b):
     N = b["N"] or 4
     count = b["count"]
     if N < 2:
-        _usage_error("verify braid needs --N >= 2")
+        raise ValueError("verify braid needs --N >= 2")
 
     def quadratic():
         for k in range(count):
@@ -251,7 +243,8 @@ def suite_orthogonality(b):
 def suite_inclusion(b):
     dmax = b["deg_max"]
     if dmax < 1 and b["count"] > 0:
-        _usage_error("verify inclusion needs --deg-max >= 1 when --count > 0")
+        raise ValueError("verify inclusion needs --deg-max >= 1 when "
+                         "--count > 0")
 
     def adjointness():
         rng = random.Random(b["seed"])
@@ -286,7 +279,7 @@ def suite_specialization(b):
     for m in range(b["m_max"] + 1):
         N = m + dmax
         yield ("principal-specialization", "m=%d deg<=%d N=%d" % (m, dmax, N),
-               _specialization_cases(_labels(m, dmax, N), N))
+               _specialization_cases(mpartitions_upto(m, dmax, N), N))
     yield ("nonsym-principal-specialization", "N<=%d deg<=%d" % (nmax, d3),
            nonsym())
 
@@ -296,7 +289,7 @@ def suite_symmetry(b):
 
     def cases(m):
         N = m + dmax
-        labels = _labels(m, dmax, N)
+        labels = mpartitions_upto(m, dmax, N)
         points = {lab: principal_specialization(lab, N) for lab in labels}
         polys = {lab: msym_P(lab, N).poly for lab in labels}
         for A in labels:
@@ -311,11 +304,11 @@ def suite_symmetry(b):
 def suite_inversion(b):
     dmax = b["deg_max"]
     if b["N"] is not None and b["N"] < b["m_max"]:
-        _usage_error("verify inversion needs --N >= --m-max = %d"
-                     % b["m_max"])
+        raise ValueError("verify inversion needs --N >= --m-max = %d"
+                         % b["m_max"])
 
     def cases(m, N):
-        for lab in _labels(m, dmax, N):
+        for lab in mpartitions_upto(m, dmax, N):
             yield (lab, *invert_qt(lab, N))
 
     for m in range(b["m_max"] + 1):
@@ -389,7 +382,7 @@ def _emit_checked(args, payload, text_lines, identity, cases):
 def cmd_expand_e(args):
     eta = _parse_csv(args.eta, "--eta")
     if args.N is not None and args.N != len(eta):
-        _usage_error("--N must equal the number of parts of --eta")
+        raise ValueError("--N must equal the number of parts of --eta")
     poly = nonsym_E(eta).poly
     payload = {"command": "expand-e", "params": {"eta": list(eta)},
                "result": poly.to_json()}
@@ -403,7 +396,8 @@ def cmd_expand_p(args):
     N = args.N if args.N is not None else lab.m + max(lab.degree(), 1)
     if N < faithful:
         # below it P_Lambda may vanish or the m-expansion is not faithful
-        _usage_error("expand-p needs --N >= m + |Lambda| = %d" % faithful)
+        raise ValueError("expand-p needs --N >= m + |Lambda| = %d"
+                         % faithful)
     p = msym_P(lab, N)
     exp = expand_in_basis(p.poly, lab.m, "m_Lambda") if p.poly else None
     lines = [str(p.poly)]
@@ -425,7 +419,7 @@ def cmd_norm(args):
     N = args.N if args.N is not None else faithful
     if args.check and N < faithful:
         # below it P_Lambda may vanish or the expansion is not faithful
-        _usage_error("--check needs --N >= m + |Lambda| = %d" % faithful)
+        raise ValueError("--check needs --N >= m + |Lambda| = %d" % faithful)
 
     def cases():
         P = msym_P(lab, N).poly
@@ -449,7 +443,7 @@ def cmd_inclusion(args):
 def cmd_restrict(args):
     lab = _parse_label(args)
     if lab.m < 1:
-        _usage_error("restriction needs at least one circle (m >= 1)")
+        raise ValueError("restriction needs at least one circle (m >= 1)")
     hat, fac = restriction(lab)
 
     def cases():
@@ -478,8 +472,8 @@ def cmd_eval(args):
 def cmd_kernel(args):
     m, maxdeg = args.m, args.maxdeg
     N = m + maxdeg
-    table = [(lab, norm_formula(lab).inverse())
-             for lab in _labels(m, maxdeg, N)]
+    table = [(lab, kernels.b_coefficient(lab))
+             for lab in mpartitions_upto(m, maxdeg, N)]
     lines = ["b-coefficients of K_%d up to degree %d:" % (m, maxdeg)]
     lines.extend("  %s: %s" % (lab, c) for lab, c in table)
     payload = {"command": "kernel",
@@ -497,8 +491,8 @@ def cmd_kernel(args):
 
 def cmd_verify(args):
     if args.suite not in SUITES:
-        _usage_error("unknown suite %r (choose from %s)"
-                     % (args.suite, ", ".join(sorted(SUITES))))
+        raise ValueError("unknown suite %r (choose from %s)"
+                         % (args.suite, ", ".join(sorted(SUITES))))
     point = args.qt_point and tuple(Fraction(v) for v in args.qt_point)
     mode = "point(q=%s, t=%s)" % point if point else "exact"
     deg_max = 3 if args.deg_max is None else args.deg_max

@@ -321,6 +321,12 @@ def enumerate_mpartitions(m, degree, max_sym_length=None):
     return out
 
 
+def mpartitions_upto(m, dmax, N):
+    """The m-partitions of degree <= dmax realized in N variables."""
+    return [lab for d in range(dmax + 1)
+            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)]
+
+
 def unique_permutations(seq):
     """Distinct permutations of seq in lexicographic order."""
     seq = sorted(seq)

@@ -8,9 +8,10 @@ them; the witness is None where the identity makes a single comparison.
 A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
 (every identity here is bihomogeneous, so truncation is sound).  Pair sums
-run over orbit representatives; K_0 from integer power-sum counts.  Each
-pair (x_i, y_j) of a finite product multiplies in one truncated series in
-z = c x_i y_j: (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
+run over orbit representatives; K_0 takes p_lambda from structure's integer
+power-sum counts.  Each pair (x_i, y_j) of a finite product multiplies in
+one truncated series in z = c x_i y_j (_times_pair_series):
+(1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from fractions import Fraction
 
 from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
-from .combinatorics import (MPartition, enumerate_mpartitions, inversions,
-                            partitions_of, compositions_of, is_orbit_rep,
-                            orbit)
+from .combinatorics import (MPartition, inversions, partitions_of,
+                            compositions_of, is_orbit_rep, orbit,
+                            mpartitions_upto)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
-from .structure import norm_formula, _norm_pairs, _z_lambda
+from .structure import _norm_pairs, _powersum_counts, _z_lambda
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
 
 
@@ -46,15 +47,6 @@ class BiPoly:
     def __eq__(self, other):
         return (isinstance(other, BiPoly) and self.nx == other.nx
                 and self.ny == other.ny and self.poly == other.poly)
-
-    def __add__(self, other):
-        return BiPoly(self.nx, self.ny, self.poly + other.poly)
-
-    def __sub__(self, other):
-        return BiPoly(self.nx, self.ny, self.poly - other.poly)
-
-    def scale(self, c):
-        return BiPoly(self.nx, self.ny, self.poly.scale(c))
 
     def mul(self, other, maxdeg):
         """Product truncated to x-degree <= maxdeg and y-degree <= maxdeg."""
@@ -96,15 +88,19 @@ class BiPoly:
         return str(self.poly)
 
 
-def _xy_series(nx, ny, i, j, coeffs):
-    """sum_k coeffs[k] (x_i y_j)^k as a BiPoly."""
-    terms = {}
-    for k, c in enumerate(coeffs):
-        e = [0] * (nx + ny)
-        e[i - 1] = k
-        e[nx + j - 1] = k
-        terms[tuple(e)] = c
-    return BiPoly(nx, ny, MultiPoly(nx + ny, terms))
+def _times_pair_series(acc, pairs, maxdeg):
+    """acc times sum_k coeffs[k] (x_i y_j)^k for each (i, j, coeffs) in
+    pairs, truncated: one product per pair."""
+    nx, ny = acc.nx, acc.ny
+    for i, j, coeffs in pairs:
+        terms = {}
+        for k, c in enumerate(coeffs):
+            e = [0] * (nx + ny)
+            e[i - 1] = k
+            e[nx + j - 1] = k
+            terms[tuple(e)] = c
+        acc = acc.mul(BiPoly(nx, ny, MultiPoly(nx + ny, terms)), maxdeg)
+    return acc
 
 
 def _rep_terms(f, m, maxdeg):
@@ -138,19 +134,6 @@ def _z_qt_inverse(lam):
                       [(0, part) for part in lam], [(part, 0) for part in lam])
 
 
-def _powersum_counts(lam, N):
-    """The integer counts [x^mu] p_lambda(x_1..x_N), one part at a time."""
-    counts = {(0,) * N: 1}
-    for part in lam:
-        nxt = {}
-        for e, c in counts.items():
-            for i in range(N):
-                f = e[:i] + (e[i] + part,) + e[i + 1:]
-                nxt[f] = nxt.get(f, 0) + c
-        counts = nxt
-    return counts
-
-
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
@@ -166,18 +149,9 @@ def _km_bracket(m, Nx, Ny, maxdeg, qinv):
     s = -1 if qinv else 0
     geometric = [QtRational.monomial(1, s * k, 0) for k in range(maxdeg + 1)]
     ratio = [ONE] + [(ONE - T) * c for c in geometric[1:]]
-    acc = BiPoly.one(Nx, Ny)
-    for i in range(1, m + 1):
-        for j in range(1, m + 2 - i):
-            series = ratio if i + j <= m else geometric
-            acc = acc.mul(_xy_series(Nx, Ny, i, j, series), maxdeg)
-    return acc
-
-
-def km_pre_truncated(m, Nx, Ny, maxdeg):
-    """The un-symmetrized kernel K-bar_m = K_0 * bracket."""
-    return k0_truncated(Nx, Ny, maxdeg).mul(
-        _km_bracket(m, Nx, Ny, maxdeg, qinv=True), maxdeg)
+    return _times_pair_series(BiPoly.one(Nx, Ny), [
+        (i, j, ratio if i + j <= m else geometric)
+        for i in range(1, m + 1) for j in range(1, m + 2 - i)], maxdeg)
 
 
 def _sym_bracket(m, Nx, Ny, maxdeg, qinv):
@@ -198,15 +172,23 @@ def km_truncated(m, Nx, Ny, maxdeg):
 def _P_basis(m, N, maxdeg):
     """{Lambda: P_Lambda in N variables} over the m-partitions of degree
     <= maxdeg realized in N variables."""
-    return {lab: msym_P(lab, N).poly for d in range(maxdeg + 1)
-            for lab in enumerate_mpartitions(m, d, max_sym_length=N - m)}
+    return {lab: msym_P(lab, N).poly
+            for lab in mpartitions_upto(m, maxdeg, N)}
+
+
+def b_coefficient(mpart):
+    """b_Lambda = 1/<P_Lambda, P_Lambda>_m, the inverse of
+    structure.norm_formula in closed form: one qt_product, with no inverse
+    and no trial division."""
+    return qt_product(1, -sum(mpart.a), -inversions(mpart.a),
+                      _c_pairs(mpart), _norm_pairs(mpart))
 
 
 def km_sum_truncated(m, N, maxdeg):
     """sum_Lambda b_Lambda P_Lambda(x) P_Lambda(y) with
     b_Lambda = 1/<P_Lambda, P_Lambda>_m, both alphabets of size N."""
     return _pair_sum(N, N, maxdeg, m, (
-        (norm_formula(lab).inverse(), p.terms, p.terms)
+        (b_coefficient(lab), p.terms, p.terms)
         for lab, p in _P_basis(m, N, maxdeg).items()))
 
 
@@ -237,11 +219,9 @@ def _cauchy_lhs(m, N, maxdeg):
     scaled by q: each pair is one series in x_i y_j."""
     ratio = [ONE] + [ONE - T] * maxdeg
     acc = k0_truncated(N, N, maxdeg).scale_y_block_q(m)
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            series = ratio if j > i else [ONE] * (maxdeg + 1)
-            acc = acc.mul(_xy_series(N, N, i, j, series), maxdeg)
-    return acc
+    return _times_pair_series(acc, [
+        (i, j, ratio if j > i else [ONE] * (maxdeg + 1))
+        for i in range(1, m + 1) for j in range(i, m + 1)], maxdeg)
 
 
 def _cauchy_coeff(diagram):
@@ -283,7 +263,8 @@ def nonsym_cauchy_cases(m, maxdeg):
 def kernel_hecke_symmetry_cases(m, maxdeg):
     """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1, on
     alphabets of size m; witness ("T", i)."""
-    kbar = km_pre_truncated(m, m, m, maxdeg)
+    kbar = k0_truncated(m, m, maxdeg).mul(
+        _km_bracket(m, m, m, maxdeg, qinv=True), maxdeg)
     for i in range(1, m):
         yield ("T", i), kbar.map_T_x(i).poly, kbar.map_T_y(m - i).poly
 

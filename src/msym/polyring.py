@@ -213,14 +213,6 @@ class MultiPoly:
             return self
         return MultiPoly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- variable operators -------------------------------------------------
 
     def _check_index(self, i):

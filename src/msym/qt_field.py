@@ -26,9 +26,8 @@ den already lists, and reduction is trial division by them:
   * a sum takes the lcm, the largest exponent of each factor, and divides
     the new numerator only by factors both operands have to the lcm's
     power (qt_sum takes one lcm over all its denominator groups);
-  * an inverse factors its new denominator: a binomial in closed form,
-    anything else by trial division over the factors that fit in its
-    bidegree;
+  * an inverse factors its new denominator by trial division over the
+    factors that fit in its bidegree;
   * q -> 1/q, t -> 1/t maps each factor to itself up to a monomial.
 Phi_n(q^a t^b) divides a polynomial exactly when it divides each class of
 terms along the direction (a, b), a polynomial in u = q^a t^b
@@ -36,11 +35,11 @@ terms along the direction (a, b), a polynomial in u = q^a t^b
 in one evaluation of the polynomial mod a prime at a point where q^a t^b
 is a root of Phi_n; it raises no exception.
 
-Every closed form msym states (norms, evaluations, inclusion and
-restriction factors, z_lambda(q,t) and its inverse, c_Lambda, the E_eta
-step, the scale of P_Lambda) is a rational times a monomial
-times a ratio of binomials 1 - q^a t^b: one qt_product call, whose factors
-cancel by counting, with no trial division.
+Every closed form msym states (norms and their inverses b_Lambda,
+evaluations, inclusion and restriction factors, z_lambda(q,t) and its
+inverse, c_Lambda, the E_eta step, the scale of P_Lambda) is a rational
+times a monomial times a ratio of binomials 1 - q^a t^b: one qt_product
+call, whose factors cancel by counting, with no trial division.
 
 A fraction whose denominator's factorization is not known (QtRational(num,
 den), parse_qt, an inverse and so a quotient) is made canonical by one

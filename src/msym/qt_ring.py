@@ -108,7 +108,6 @@ _G = 13
 _PHI = {}       # n -> coefficients of Phi_n(u), constant term first
 _EXPANDED = {}  # (c, i, j, fac) -> c q^i t^j prod(fac) expanded (_den)
 _KEYS = {}      # (c, i, j, fac) -> itself, the one copy values share (_key)
-_ROOTS = {}     # n -> _G^((_P - 1)/n), a root of Phi_n mod _P
 _POINTS = {}    # (n, a, b) -> powers of q0 and t0 mod _P (_point), or None
 
 
@@ -170,13 +169,11 @@ def _point(key):
     """Tables of the powers of q0 and t0 mod _P for key = (n, a, b), with
     q0^a t0^b = w = _G^((_P - 1)/n) a root of Phi_n: q0 = w^x 3^b and
     t0 = w^y 3^-a for a x + b y = 1.  None when n does not divide _P - 1.
-    Stored in _POINTS, and w, which depends on n alone, in _ROOTS."""
+    Stored in _POINTS."""
     n, a, b = key
     pt = None
     if (_P - 1) % n == 0:
-        w = _ROOTS.get(n)
-        if w is None:
-            w = _ROOTS[n] = pow(_G, (_P - 1) // n, _P)
+        w = pow(_G, (_P - 1) // n, _P)
         x = pow(a, -1, b) if b > 1 else 1 - b
         y = (1 - a * x) // b if b else 0
         pt = (_powers([1, pow(w, x, _P) * pow(3, b, _P) % _P], 8),
@@ -257,9 +254,9 @@ def _factor(p):
     """p = c q^i t^j prod Phi_n(q^a t^b)^k as (c, i, j, fac), fac a sorted
     tuple of ((n, a, b), k), or None when p has any other factor.
 
-    A binomial factors in closed form (_binomial), 1 + v = (1 - v^2)/(1 - v).
-    Anything else is divided by each candidate that fits in its bidegree,
-    along each direction whose classes all have two terms or more."""
+    p is divided by each candidate that fits in its bidegree, along each
+    direction whose classes all have two terms or more; a binomial
+    1 +- q^a t^b takes this path too."""
     i = min(e[0] for e in p)
     j = min(e[1] for e in p)
     c = p.get((i, j))
@@ -271,14 +268,6 @@ def _factor(p):
         return None
     if len(r) == 1:
         return c, i, j, ()
-    if len(r) == 2:
-        (e, s), = ((e, s) for e, s in r.items() if e != (0, 0))
-        if s not in (1, -1):
-            return None
-        keys = _binomial(*e)
-        if s > 0:
-            keys = [k for k in _binomial(2 * e[0], 2 * e[1]) if k not in keys]
-        return c, i, j, tuple((key, 1) for key in keys)
     fac = {}
     for a in range(max(e[0] for e in r) + 1):
         for b in range(max(e[1] for e in r) + 1):

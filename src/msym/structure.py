@@ -31,9 +31,6 @@ class Expansion:
     degree: int
     coeffs: dict
 
-    def __getitem__(self, label):
-        return self.coeffs.get(label, ZERO)
-
     def items_sorted(self):
         return sorted(self.coeffs.items(), key=lambda kv: dominance_key(kv[0]))
 
@@ -60,24 +57,30 @@ def monomial_m(mpart, N):
     return MultiPoly(N, dict.fromkeys(orbit(mpart.a + shape, m), ONE))
 
 
-def powersum(k, N):
-    """p_k(x_1..x_N)."""
-    terms = {}
-    for i in range(N):
-        e = [0] * N
-        e[i] = k
-        terms[tuple(e)] = ONE
-    return MultiPoly(N, terms)
+def _powersum_counts(lam, N):
+    """The integer counts [x^mu] p_lambda(x_1..x_N), one part at a time: the
+    one expansion of p_lambda, for powersum_t and kernels.k0_truncated."""
+    counts = {(0,) * N: 1}
+    for part in lam:
+        nxt = {}
+        for e, c in counts.items():
+            for i in range(N):
+                f = e[:i] + (e[i] + part,) + e[i + 1:]
+                nxt[f] = nxt.get(f, 0) + c
+        counts = nxt
+    return counts
 
 
 def powersum_t(mpart, N):
-    """p_Lambda(x;t) = H_a(x;t) p_lambda(x_1..x_N)."""
+    """p_Lambda(x;t) = H_a(x;t) p_lambda(x_1..x_N): one product, which
+    checks the degree guard, with p_lambda from its integer counts."""
     m = mpart.m
     if N < m:
         raise ValueError("need N >= m")
     f = hall_littlewood_H(mpart.a).poly.extend(N) if m else MultiPoly.one(N)
-    for part in mpart.lam:
-        f = f * powersum(part, N)
+    if mpart.lam:
+        f = f * MultiPoly(N, {e: QtRational.from_int(c) for e, c
+                              in _powersum_counts(mpart.lam, N).items()})
     return f
 
 

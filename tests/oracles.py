@@ -6,9 +6,9 @@ from collections import Counter
 from msym.combinatorics import circle_rows
 from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
                             symmetrize_t)
-from msym.kernels import BiPoly, _xy_series
+from msym.kernels import BiPoly, _times_pair_series
 from msym.macdonald import eta_for, nonsym_E
-from msym.polyring import _relabel
+from msym.polyring import MultiPoly, _relabel
 from msym.qt_field import QtRational, ONE, T, qt_product
 from msym.qt_ring import _classes, _phi
 
@@ -37,11 +37,19 @@ def k0_product_truncated(Nx, Ny, maxdeg):
         coeffs.append(coeffs[-1]
                       * (ONE - T * QtRational.monomial(1, n - 1, 0))
                       / (ONE - QtRational.monomial(1, n, 0)))
-    acc = BiPoly.one(Nx, Ny)
-    for i in range(1, Nx + 1):
-        for j in range(1, Ny + 1):
-            acc = acc.mul(_xy_series(Nx, Ny, i, j, coeffs), maxdeg)
-    return acc
+    return _times_pair_series(BiPoly.one(Nx, Ny), [
+        (i, j, coeffs) for i in range(1, Nx + 1) for j in range(1, Ny + 1)],
+        maxdeg)
+
+
+def powersum_product(lam, N):
+    """p_lambda(x_1..x_N) as the product of the MultiPolys
+    p_k = x_1^k + .. + x_N^k over the parts k of lam."""
+    f = MultiPoly.one(N)
+    for k in lam:
+        f = f * MultiPoly(N, {tuple(k if i == j else 0 for j in range(N)): ONE
+                              for i in range(N)})
+    return f
 
 
 def u_normalization(mpart, N):

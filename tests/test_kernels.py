@@ -6,19 +6,17 @@ import pytest
 
 from msym.qt_field import ONE, Q, T
 from msym.polyring import MultiPoly, _relabel
-from msym.combinatorics import (MPartition, enumerate_mpartitions,
-                                partitions_of)
+from msym.combinatorics import MPartition, enumerate_mpartitions, partitions_of
 from msym.macdonald import msym_P
-from msym.structure import (norm_formula, powersum_t, scalar_product_m,
-                            z_lambda_qt)
+from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
 from msym import kernels
-from msym.kernels import (BiPoly, cauchy_cases, cauchy_identity_check,
-                          hl_kernel_cases, k0_truncated,
+from msym.kernels import (BiPoly, b_coefficient, cauchy_cases,
+                          cauchy_identity_check, hl_kernel_cases, k0_truncated,
                           kernel_eigen_symmetry_cases,
                           kernel_hecke_symmetry_cases,
                           kernel_xy_symmetry_cases, km_expansion_cases,
                           km_sum_truncated, km_truncated, nonsym_cauchy_cases)
-from oracles import holds, k0_product_truncated
+from oracles import holds, k0_product_truncated, powersum_product
 
 
 def _in_x(f, ny):
@@ -92,18 +90,18 @@ def _pair_sum_by_products(Nx, Ny, maxdeg, m, terms):
     """The pair sum as truncated BiPoly products of the full polynomials,
     scaled and added one term at a time: the oracle for _pair_sum, which
     reads only orbit representatives.  It reads every term and ignores m."""
-    acc = BiPoly(Nx, Ny)
+    acc = MultiPoly.zero(Nx + Ny)
     for c, f, g in terms:
         term = _in_x(MultiPoly(Nx, f), Ny).mul(_in_y(MultiPoly(Ny, g), Nx),
                                                maxdeg)
-        acc = acc + term.scale(c)
-    return acc
+        acc = acc + term.poly.scale(c)
+    return BiPoly(Nx, Ny, acc)
 
 
 def _full_powersum(lam, N):
-    """Every term of p_lambda(x_1..x_N), for the oracle: k0_truncated hands
-    _pair_sum only its representatives."""
-    return powersum_t(MPartition((), lam), N).terms
+    """Every term of p_lambda(x_1..x_N) from the product oracle, not from
+    structure's integer counts that k0_truncated reads."""
+    return powersum_product(lam, N).terms
 
 
 def _cauchy_rhs(m, maxdeg):
@@ -150,6 +148,16 @@ class TestKm:
         # coefficient of p_1(x)p_1(y)-type term: b = (1-t)/(1-q) at m=0
         assert norm_formula(MPartition((), (1,))).inverse() == \
             (ONE - T) / (ONE - Q)
+
+    def test_b_coefficient_inverts_the_norm(self):
+        # the closed form is the canonical inverse of the norm formula
+        for m in range(3):
+            for d in range(5):
+                for lab in enumerate_mpartitions(m, d):
+                    b, norm = b_coefficient(lab), norm_formula(lab)
+                    assert b * norm == ONE, str(lab)
+                    inv = norm.inverse()
+                    assert (b.num, b.key) == (inv.num, inv.key), str(lab)
 
     def test_expansion_small(self):
         assert holds(km_expansion_cases(0, 2))

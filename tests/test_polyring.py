@@ -69,11 +69,10 @@ class TestArithmetic:
             x(2, 1) + x(3, 1)
 
     def test_degree_guard(self, monkeypatch):
-        f = x(2, 1) ** 6
-        g = x(2, 1) ** 6
+        f = MultiPoly.from_exponents(2, (6, 0))
         monkeypatch.setattr("msym.polyring._DEGREE_GUARD", 10)
         with pytest.raises(DegreeGuardError):
-            f * g
+            f * f
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
@@ -183,15 +182,16 @@ class TestVariableOps:
                 _exchange(_qshift(f, 1), 2, 3)
 
     def test_coefficient_of(self):
-        f = (x(2, 1) + x(2, 2)) ** 2
+        s = x(2, 1) + x(2, 2)
+        f = s * s
         assert f.coefficient_of((1, 1)) == QtRational.from_int(2)
         assert f.coefficient_of((2, 0)).is_one()
         assert f.coefficient_of((3, 0)).is_zero()
 
     def test_permute_vars(self):
-        f = x(3, 1) * x(3, 2) ** 2
+        f = x(3, 1) * x(3, 2) * x(3, 2)
         g = _permuted(f, (3, 2, 1))
-        assert g == x(3, 3) * x(3, 2) ** 2
+        assert g == x(3, 3) * x(3, 2) * x(3, 2)
 
     def test_substitute(self):
         f = x(2, 1) * x(2, 2) + x(2, 2)

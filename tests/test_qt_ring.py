@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from msym import macdonald, qt_ring
+from msym import (combinatorics, hecke_ops, kernels, macdonald, polyring,
+                  qt_field, qt_ring, structure)
 from msym.qt_ring import _G, _P, _POINTS, _fdiv, _phi, _pmul
 
 from oracles import fdiv_by_classes
@@ -35,15 +36,13 @@ def random_key(rng, nmax):
 
 @pytest.fixture
 def cold_points():
-    """qt_ring._POINTS and _ROOTS emptied for the test and refilled
-    afterwards, so every table the test reads starts at its first size."""
-    saved = [(table, dict(table)) for table in (_POINTS, qt_ring._ROOTS)]
-    for table, _ in saved:
-        table.clear()
+    """qt_ring._POINTS emptied for the test and refilled afterwards, so
+    every table the test reads starts at its first size."""
+    saved = dict(_POINTS)
+    _POINTS.clear()
     yield
-    for table, entries in saved:
-        table.clear()
-        table.update(entries)
+    _POINTS.clear()
+    _POINTS.update(saved)
 
 
 def test_modulus_has_the_roots_of_unity():
@@ -80,26 +79,6 @@ def assert_points_are_roots():
             assert all(x == pow(tab[1], k, _P) for k, x in enumerate(tab))
         w = pow(qs[1], a, _P) * pow(ts[1], b, _P) % _P
         assert sum(c * pow(w, k, _P) for k, c in enumerate(_phi(n))) % _P == 0
-
-
-def test_each_root_is_computed_once(cold_points, monkeypatch):
-    # w = _G^((_P - 1)/n) depends on n alone: one modular power of _G per
-    # order n, however many directions (a, b) share it
-    powers = []
-
-    def counted(base, *args):
-        if base == _G:
-            powers.append(args)
-        return pow(base, *args)
-
-    monkeypatch.setattr(qt_ring, "pow", counted, raising=False)
-    orders = (1, 2, 3, 6)
-    for n in orders:
-        for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2)):
-            qt_ring._point((n, a, b))
-    assert powers == [((_P - 1) // n, _P) for n in orders]
-    assert len(_POINTS) == 20
-    assert_points_are_roots()
 
 
 def test_multiples_match_the_oracle(cold_points):
@@ -214,21 +193,26 @@ def test_concurrent_growth(cold_points):
 
 
 def test_every_memo_table_is_cleared():
-    # every module-level dict of qt_ring but the constant polynomial 1 is
-    # a memo table: clear_caches() must know it and empty it
-    tables = [v for name, v in vars(qt_ring).items()
+    # every module-level dict of the library but the constant polynomial 1
+    # is a memo table: clear_caches() must know it and empty it, and it
+    # knows no other table
+    tables = {id(v): (mod.__name__, name)
+              for mod in (qt_field, qt_ring, polyring, combinatorics,
+                          hecke_ops, macdonald, structure, kernels)
+              for name, v in vars(mod).items()
               if isinstance(v, dict) and not name.startswith("__")
-              and v is not qt_ring._ONE_TERMS]
-    assert len(tables) >= 3
+              and v is not qt_ring._ONE_TERMS}
+    assert len(tables) == 10  # the ten the README lists
+    assert sorted(tables) == sorted(id(c) for c in macdonald._CACHES)
     saved = [dict(c) for c in macdonald._CACHES]
     try:
         macdonald.clear_caches()
-        macdonald.msym_P(macdonald.MPartition((1,), (1,)), 3)
-        assert all(tables)
-        for table in tables:
-            assert any(table is c for c in macdonald._CACHES)
+        P = macdonald.msym_P(macdonald.MPartition((1,), (1,)), 3).poly
+        structure.scalar_product_m(P, P, 1)
+        assert all(macdonald._CACHES), [
+            tables[id(c)] for c in macdonald._CACHES if not c]
         macdonald.clear_caches()
-        assert not any(tables)
+        assert not any(macdonald._CACHES)
     finally:
         for cache, entries in zip(macdonald._CACHES, saved):
             cache.update(entries)

@@ -5,23 +5,23 @@ import random
 import pytest
 
 from msym import qt_field, qt_ring
-from msym.polyring import MultiPoly, _sum_polys
+from msym.polyring import DegreeGuardError, MultiPoly, _sum_polys
 from msym.qt_field import QtRational, ONE, ZERO, Q, T
 from msym.combinatorics import (MPartition, enumerate_mpartitions, inversions,
-                                compositions_of)
+                                compositions_of, partitions_of)
 from msym.hecke_ops import apply_Y, apply_D
-from msym.macdonald import (eta_for, integral_c, msym_P, nonsym_E,
-                            _chain_scale)
+from msym.macdonald import (eta_for, hall_littlewood_H, integral_c, msym_P,
+                            nonsym_E, _chain_scale)
 from msym.structure import (evaluation_point, evaluation_u,
                             expand_in_basis, gram_schmidt_basis,
                             inclusion_coeffs, monomial_m, norm_formula,
-                            p_weight, powersum, powersum_t,
+                            p_weight, powersum_t,
                             principal_point, principal_specialization,
                             principal_specialization_e, _basis_poly,
                             restrict_poly, restriction, scalar_product_m,
                             sesquilinear_product, z_lambda_qt)
-from msym.kernels import _z_qt_inverse
-from oracles import apply_Y_inv, u_normalization
+from msym.kernels import _z_qt_inverse, b_coefficient
+from oracles import apply_Y_inv, powersum_product, u_normalization
 
 
 def x(n, i):
@@ -58,10 +58,33 @@ class TestBases:
         from fractions import Fraction
         lab = MPartition((0, 1), (2,))
         f = powersum_t(lab, 3)
-        plain = MultiPoly.from_exponents(3, (0, 1, 0)) * powersum(2, 3)
+        plain = MultiPoly.from_exponents(3, (0, 1, 0)) * powersum_product(
+            (2,), 3)
         for e in set(f.terms) | set(plain.terms):
             assert f.coefficient_of(e).eval(Fraction(5), 1) == \
                 plain.coefficient_of(e).eval(Fraction(5), 1)
+
+    def test_powersum_t_against_product_oracle(self):
+        # p_lambda from structure's integer counts against the product of
+        # the p_k, alone (m = 0) and after H_a
+        for N in range(1, 5):
+            for d in range(5):
+                for lam in partitions_of(d):
+                    assert powersum_t(MPartition((), lam), N) == \
+                        powersum_product(lam, N), (lam, N)
+        for a, lam in (((0, 1), (2, 1)), ((2, 0), (1, 1)), ((1,), (3,))):
+            N = len(a) + 2
+            assert powersum_t(MPartition(a, lam), N) == hall_littlewood_H(
+                a).poly.extend(N) * powersum_product(lam, N)
+
+    def test_powersum_t_degree_guard(self, monkeypatch):
+        # the product by p_lambda checks the guard; H_a alone is no product
+        monkeypatch.setattr("msym.polyring._DEGREE_GUARD", 3)
+        with pytest.raises(DegreeGuardError):
+            powersum_t(MPartition((), (2, 2)), 2)
+        with pytest.raises(DegreeGuardError):
+            powersum_t(MPartition((1,), (2, 1)), 3)
+        assert powersum_t(MPartition((2, 2), ()), 2).total_degree() == 4
 
 
 class TestExpansion:
@@ -386,24 +409,6 @@ class TestGramSchmidt:
                     assert g == msym_P(lab, N).poly, str(lab)
 
 
-class TestCaches:
-    def test_clear_caches_empties_all_four(self):
-        from msym import combinatorics, macdonald, qt_ring, structure
-        caches = (macdonald._E_CACHE, macdonald._H_CACHE, macdonald._P_CACHE,
-                  structure._BASIS_INVERSE_CACHE, structure._P_WEIGHT_CACHE,
-                  qt_ring._PHI, qt_ring._EXPANDED, combinatorics._PARTITIONS)
-        saved = [dict(c) for c in caches]
-        try:
-            P = msym_P(MPartition((1,), (1,)), 3).poly
-            scalar_product_m(P, P, 1)
-            assert all(caches)
-            macdonald.clear_caches()
-            assert not any(caches)
-        finally:
-            for cache, entries in zip(caches, saved):
-                cache.update(entries)
-
-
 def test_closed_forms_make_no_trial_division(monkeypatch):
     # each closed form is one qt_product, whose factors cancel by counting:
     # no trial division and no factoring of an expanded polynomial
@@ -434,4 +439,5 @@ def test_closed_forms_make_no_trial_division(monkeypatch):
                 u_normalization(lab, N)
                 _chain_scale(lab, N)
                 _z_qt_inverse(lab.lam)
+                b_coefficient(lab)
     assert not calls, sorted(set(calls))
