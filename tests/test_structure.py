@@ -409,6 +409,24 @@ class TestGramSchmidt:
                     assert g == msym_P(lab, N).poly, str(lab)
 
 
+class TestCaches:
+    def test_clear_caches_empties_all_four(self):
+        from msym import combinatorics, macdonald, qt_ring, structure
+        caches = (macdonald._E_CACHE, macdonald._H_CACHE, macdonald._P_CACHE,
+                  structure._BASIS_INVERSE_CACHE, structure._P_WEIGHT_CACHE,
+                  qt_ring._PHI, qt_ring._EXPANDED, combinatorics._PARTITIONS)
+        saved = [dict(c) for c in caches]
+        try:
+            P = msym_P(MPartition((1,), (1,)), 3).poly
+            scalar_product_m(P, P, 1)
+            assert all(caches)
+            macdonald.clear_caches()
+            assert not any(caches)
+        finally:
+            for cache, entries in zip(caches, saved):
+                cache.update(entries)
+
+
 def test_closed_forms_make_no_trial_division(monkeypatch):
     # each closed form is one qt_product, whose factors cancel by counting:
     # no trial division and no factoring of an expanded polynomial
