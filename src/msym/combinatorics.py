@@ -353,3 +353,17 @@ def is_orbit_rep(e, m):
 def orbit(e, m):
     """The orbit of e: e[:m] + s for every distinct permutation s of e[m:]."""
     return [e[:m] + s for s in unique_permutations(e[m:])]
+
+
+def orbit_reps(e, m):
+    """The m-representatives in the full orbit of e, the f in orbit(e, 0)
+    with is_orbit_rep(f, m): each distinct head of m of e's entries, then
+    the others in decreasing order."""
+    if not m or not e:
+        return [tuple(sorted(e, reverse=True))]
+    out = []
+    for v in dict.fromkeys(e):
+        rest = list(e)
+        rest.remove(v)
+        out.extend((v,) + f for f in orbit_reps(rest, m - 1))
+    return out

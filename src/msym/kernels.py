@@ -9,20 +9,25 @@ A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
 (every identity here is bihomogeneous, so truncation is sound).  Pair sums
 run over orbit representatives; K_0 takes p_lambda from structure's integer
-power-sum counts.  Each pair (x_i, y_j) of a finite product multiplies in
-one truncated series in z = c x_i y_j (_times_pair_series):
+power-sum counts.  K_m is computed at its orbit representatives too: one
+product of a K_0 coefficient with a bracket term per pair of K_0's sorted
+representatives, added at the m-representatives of their orbits
+(_k0_times); K_0 itself is never expanded before the product.  Each pair
+(x_i, y_j) of the bracket multiplies in one truncated series in
+z = c x_i y_j (_times_pair_series):
 (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .qt_field import QtRational, ONE, T, qt_product
 from .polyring import MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, inversions, partitions_of,
                             compositions_of, is_orbit_rep, orbit,
-                            mpartitions_upto)
+                            orbit_reps, mpartitions_upto)
 from .macdonald import msym_P, nonsym_E, hall_littlewood_H, _c_pairs
 from .structure import _norm_pairs, _powersum_counts, _z_lambda
 from .hecke_ops import apply_T, apply_T_word, apply_Y, apply_D, longest_word
@@ -109,22 +114,34 @@ def _rep_terms(f, m, maxdeg):
             if sum(e) <= maxdeg and is_orbit_rep(e, m)]
 
 
-def _pair_sum(Nx, Ny, maxdeg, m, terms):
-    """sum c f(x) g(y) over the (c, f, g) in terms, truncated; f and g map
-    exponents in Nx and Ny variables to coefficients and are symmetric in
-    the variables after the m-th.  Each pair of representatives gets one
-    accumulation, reduced once, and its coefficient object is written to
-    every monomial of the orbit pair (a, S mu; b, S nu)."""
+def _pair_reps(maxdeg, m, terms):
+    """sum c f(x) g(y) over the (c, f, g) in terms, truncated, at its pairs
+    of orbit representatives: {(a, b): coefficient}.  f and g map
+    exponents to coefficients and are symmetric in the variables after the
+    m-th; each pair gets one accumulation, reduced once."""
     out = {}
     for c, f, g in terms:
         cg = [(e, v * c) for e, v in _rep_terms(g, m, maxdeg)]
         for ef, v in _rep_terms(f, m, maxdeg):
             for e, w in cg:
                 _bump(out, (ef, e), v * w)
-    orbits = {e: orbit(e, m) for e in {e for pair in out for e in pair}}
-    full = {ea + eb: c for (a, b), c in _settle(out).items()
+    return _settle(out)
+
+
+def _orbit_pairs(Nx, Ny, m, reps):
+    """The BiPoly with reps at its pairs of orbit representatives: the
+    coefficient object of (a, b) goes to every monomial of the orbit pair
+    (a, S mu; b, S nu)."""
+    orbits = {e: orbit(e, m) for e in {e for pair in reps for e in pair}}
+    full = {ea + eb: c for (a, b), c in reps.items()
             for ea in orbits[a] for eb in orbits[b]}
     return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, full))
+
+
+def _pair_sum(Nx, Ny, maxdeg, m, terms):
+    """sum c f(x) g(y) over the (c, f, g) in terms, truncated, in Nx and Ny
+    variables (_pair_reps, then _orbit_pairs)."""
+    return _orbit_pairs(Nx, Ny, m, _pair_reps(maxdeg, m, terms))
 
 
 def _z_qt_inverse(lam):
@@ -134,13 +151,44 @@ def _z_qt_inverse(lam):
                       [(0, part) for part in lam], [(part, 0) for part in lam])
 
 
+def _k0_terms(Nx, Ny, maxdeg):
+    """K_0's (1/z_lambda(q,t), p_lambda(x), p_lambda(y)) for |lambda| <=
+    maxdeg, p_lambda as integer counts."""
+    return ((_z_qt_inverse(lam), _powersum_counts(lam, Nx),
+             _powersum_counts(lam, Ny))
+            for d in range(maxdeg + 1) for lam in partitions_of(d))
+
+
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
-    return _pair_sum(Nx, Ny, maxdeg, 0, (
-        (_z_qt_inverse(lam), _powersum_counts(lam, Nx),
-         _powersum_counts(lam, Ny))
-        for d in range(maxdeg + 1) for lam in partitions_of(d)))
+    return _pair_sum(Nx, Ny, maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
+
+
+def _k0_times(Nx, Ny, maxdeg, m, bracket):
+    """K_0 times bracket, truncated; bracket is a MultiPoly in Nx + Ny
+    variables with terms in x_1..x_m, y_1..y_m only.  So kappa + beta is an
+    m-representative exactly when kappa is, and K_0 is fully symmetric:
+    each sorted pair (mu, nu) of K_0 and bracket term beta make one product
+    c b_beta, added at (kappa + beta_x, lambda + beta_y) for the
+    m-representatives kappa of mu's orbit and lambda of nu's."""
+    k0 = _pair_reps(maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
+    reps = {e: orbit_reps(e, m) for e in {e for pair in k0 for e in pair}}
+    beta = [(e[:m], e[Nx:Nx + m], sum(e[:Nx]), sum(e[Nx:]), b)
+            for e, b in bracket.terms.items()]
+    out = {}
+    for (mu, nu), c in k0.items():
+        dx, dy = sum(mu), sum(nu)
+        for bx, by, sx, sy, b in beta:
+            if dx + sx > maxdeg or dy + sy > maxdeg:
+                continue
+            cb = c * b
+            ys = [tuple(map(add, by, e[:m])) + e[m:] for e in reps[nu]]
+            for e in reps[mu]:
+                ex = tuple(map(add, bx, e[:m])) + e[m:]
+                for ey in ys:
+                    _bump(out, (ex, ey), cb)
+    return _orbit_pairs(Nx, Ny, m, _settle(out))
 
 
 def _km_bracket(m, Nx, Ny, maxdeg, qinv):
@@ -165,8 +213,10 @@ def km_truncated(m, Nx, Ny, maxdeg):
     """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated."""
     if Nx < m or Ny < m:
         raise ValueError("alphabets must have at least m letters")
-    return k0_truncated(Nx, Ny, maxdeg).mul(
-        BiPoly(Nx, Ny, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)), maxdeg)
+    if not m:
+        return k0_truncated(Nx, Ny, maxdeg)
+    return _k0_times(Nx, Ny, maxdeg, m,
+                     _sym_bracket(m, Nx, Ny, maxdeg, qinv=True))
 
 
 def _P_basis(m, N, maxdeg):
@@ -263,8 +313,8 @@ def nonsym_cauchy_cases(m, maxdeg):
 def kernel_hecke_symmetry_cases(m, maxdeg):
     """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1, on
     alphabets of size m; witness ("T", i)."""
-    kbar = k0_truncated(m, m, maxdeg).mul(
-        _km_bracket(m, m, m, maxdeg, qinv=True), maxdeg)
+    kbar = _k0_times(m, m, maxdeg, m,
+                     _km_bracket(m, m, m, maxdeg, qinv=True).poly)
     for i in range(1, m):
         yield ("T", i), kbar.map_T_x(i).poly, kbar.map_T_y(m - i).poly
 

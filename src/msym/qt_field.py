@@ -42,14 +42,13 @@ times a monomial times a ratio of binomials 1 - q^a t^b: one qt_product
 call, whose factors cancel by counting, with no trial division.
 
 A fraction whose denominator's factorization is not known (QtRational(num,
-den), parse_qt, an inverse and so a quotient) is made canonical by one
-function, _fraction.  It factors the denominator and reduces by trial
-division; an inverse needs no division, since its parts are coprime
-already.  A denominator that does not factor so, such as 1 + q + t, is
-outside the domain, and _fraction raises ValueError for it.  It factors
-the denominator as given, before any cancellation, so a given den, or a
-divisor's numerator, must factor itself, even where the value is in the
-domain: QtRational(1 + q + t, 1 + q + t) raises.
+den), parse_qt, an inverse) is made canonical by one function, _fraction.
+It factors the denominator, divides the numerator exactly by the leftover
+that has no factor Phi_n(q^a t^b), if any, and reduces by trial division;
+an inverse needs no division, since its parts are coprime already.  A
+quotient divides the leftover of the divisor's numerator out of the
+dividend's numerator.  Only a value that is outside the domain, such as
+1/(1 + q + t), raises ValueError: QtRational(1 + q + t, 1 + q + t) is 1.
 
 Every operation returns its result in this form.  qt_sum is the one
 addition: a + b is the two-term qt_sum((a, b)), and a sum of many
@@ -64,7 +63,7 @@ from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
                       _factor, _key, _lcm_sum, _p_eval, _p_str,
-                      _parse_poly, _pmul, _pneg)
+                      _parse_poly, _pdivexact, _pmul, _pneg)
 
 _ONE_KEY = (1, 0, 0, ())  # the key of the denominator 1
 
@@ -74,18 +73,33 @@ _ONE_KEY = (1, 0, 0, ())  # the key of the denominator 1
 
 def _fraction(n, d, coprime=False):
     """The canonical n/d for nonzero n and d, d's factorization not known:
-    d is factored over Phi_n(q^a t^b) and n divided by its factors.  coprime
-    (n and d share no factor, as in an inverse) skips the division.  A d
-    that does not factor so raises ValueError."""
-    parts = _factor(d)
-    if parts is None:
+    d is factored over Phi_n(q^a t^b), n is divided exactly by the leftover
+    r, then by d's factors.  coprime (n and d share no factor, as in an
+    inverse) skips the trial division.  When r does not divide n, the value
+    is outside the domain: ValueError."""
+    key, r = _factor(d)
+    if len(r) > 1:
+        n = _divide_out(n, r, d)
+    return _reduced(n, key, () if coprime else key[3])
+
+
+def _divide_out(n, r, d):
+    """n / r for a leftover r of the denominator d; ValueError when r does
+    not divide n."""
+    quot = _pdivexact(n, r)
+    if quot is None:
         raise ValueError("denominator %s does not factor over 1 - q^a t^b"
                          % _p_str(d))
-    c, i, j, fac = parts
+    return quot
+
+
+def _reduced(n, key, cands):
+    """The value n over key, its sign fixed and its common factors among
+    cands cancelled."""
+    c, i, j, fac = key
     if c < 0:
-        n, c = _pneg(n), -c
-    return QtRational._raw(*_cancel(n, (c, i, j, fac),
-                                    () if coprime else fac))
+        n, key = _pneg(n), (-c, i, j, fac)
+    return QtRational._raw(*_cancel(n, key, cands))
 
 
 def _terms(p):
@@ -101,8 +115,8 @@ class QtRational:
     numerator, and key, the denominator's (c, i, j, fac) (module docstring).
     den is a read-only property, key expanded.  num and den are never
     mutated, so values share them.  QtRational(num, den) reduces two
-    polynomials by _fraction, and raises ValueError when den itself does
-    not factor, as in QtRational(1 + q + t, 1 + q + t)."""
+    polynomials by _fraction, and raises ValueError when num/den lies
+    outside the domain."""
 
     __slots__ = ("num", "key")
 
@@ -195,16 +209,20 @@ class QtRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self times other's inverse, so other.num must factor as a den
-        does: QtRational(1 + q + t, 1 - q) / QtRational(1 + q + t, 1 - t)
-        raises ValueError, though the quotient is (1 - t)/(1 - q)."""
+        """self times other's inverse.  other.num may have a factor r
+        outside the domain (qt_ring._factor's leftover): other.den is
+        coprime to it, so the quotient lies in the domain only when r
+        divides self.num, and it is divided out of both numerators first."""
         if not isinstance(other, QtRational):
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero in Q(q,t)")
         if not self.num:
             return ZERO
-        return self * other.inverse()
+        key, r = _factor(other.num)
+        x = self if len(r) == 1 else QtRational._raw(
+            _divide_out(self.num, r, other.num), self.key)
+        return x * _reduced(other.den, key, ())
 
     def inverse(self):
         if not self.num:
@@ -359,8 +377,7 @@ def qt_product(c, i, j, ups, downs):
 def parse_qt(s):
     """Parse the canonical text form, a polynomial or (polynomial)/(polynomial)
     in _parse_poly's terms, back into a QtRational.  Anything else raises
-    ValueError, and so does a denominator that does not factor as
-    c q^i t^j prod Phi_n(q^a t^b)^k (_fraction)."""
+    ValueError, and so does a value outside the domain (_fraction)."""
     s = s.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         i = s.index(")/(")

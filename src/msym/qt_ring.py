@@ -251,23 +251,22 @@ def _binomial(a, b):
 
 
 def _factor(p):
-    """p = c q^i t^j prod Phi_n(q^a t^b)^k as (c, i, j, fac), fac a sorted
-    tuple of ((n, a, b), k), or None when p has any other factor.
+    """p = c q^i t^j prod Phi_n(q^a t^b)^k r as ((c, i, j, fac), r), fac a
+    sorted tuple of ((n, a, b), k) and r the primitive leftover, with no
+    such factor found: _ONE_TERMS when p factors.
 
     p is divided by each candidate that fits in its bidegree, along each
     direction whose classes all have two terms or more; a binomial
-    1 +- q^a t^b takes this path too."""
+    1 +- q^a t^b takes this path too.  c is p's content, with the sign of
+    its term at q^i t^j for i and j its lowest exponents, if it has one."""
     i = min(e[0] for e in p)
     j = min(e[1] for e in p)
-    c = p.get((i, j))
-    if c is None:
-        return None
-    c = _pcontent_int(p) if c > 0 else -_pcontent_int(p)
+    c = _pcontent_int(p)
+    if p.get((i, j), 0) < 0:
+        c = -c
     r = _pdiv_int(_pshift(p, -i, -j), c)
-    if r[(0, 0)] != 1:
-        return None
     if len(r) == 1:
-        return c, i, j, ()
+        return (c, i, j, ()), _ONE_TERMS
     fac = {}
     for a in range(max(e[0] for e in r) + 1):
         for b in range(max(e[1] for e in r) + 1):
@@ -283,8 +282,28 @@ def _factor(p):
                     r = quot
                     fac[key] = fac.get(key, 0) + 1
                 if len(r) == 1:
-                    return c, i, j, tuple(sorted(fac.items()))
-    return None
+                    return (c, i, j, _fac_of(fac)), _ONE_TERMS
+    return (c, i, j, _fac_of(fac)), r
+
+
+def _pdivexact(a, b):
+    """a / b in Z[q,t], or None when b does not divide a: long division by
+    b's highest term (q-major), each quotient term inside the bidegree box
+    a quotient can have."""
+    (bq, bt), lead = max(b.items())
+    hq = max(e[0] for e in a) - max(e[0] for e in b)
+    ht = max(e[1] for e in a) - max(e[1] for e in b)
+    out = {}
+    while a:
+        (eq, et), c = max(a.items())
+        sq, st = eq - bq, et - bt
+        if not (0 <= sq <= hq and 0 <= st <= ht) or c % lead:
+            return None
+        out[sq, st] = c // lead
+        acc = dict(a)
+        _pmul_into(acc, {(sq, st): -(c // lead)}, b)
+        a = {e: v for e, v in acc.items() if v}
+    return out
 
 
 def _den(c, i, j, fac):

@@ -6,7 +6,7 @@ from collections import Counter
 from msym.combinatorics import circle_rows
 from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
                             symmetrize_t)
-from msym.kernels import BiPoly, _times_pair_series
+from msym.kernels import BiPoly, _sym_bracket, _times_pair_series, k0_truncated
 from msym.macdonald import eta_for, nonsym_E
 from msym.polyring import MultiPoly, _relabel
 from msym.qt_field import QtRational, ONE, T, qt_product
@@ -40,6 +40,13 @@ def k0_product_truncated(Nx, Ny, maxdeg):
     return _times_pair_series(BiPoly.one(Nx, Ny), [
         (i, j, coeffs) for i in range(1, Nx + 1) for j in range(1, Ny + 1)],
         maxdeg)
+
+
+def km_by_full_product(m, Nx, Ny, maxdeg):
+    """K_m as the truncated product of every monomial of K_0 with every
+    term of the symmetrized bracket t^{-binom(m,2)} T_{w_m}[bracket]."""
+    return k0_truncated(Nx, Ny, maxdeg).mul(
+        BiPoly(Nx, Ny, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)), maxdeg)
 
 
 def powersum_product(lam, N):

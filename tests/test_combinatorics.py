@@ -9,7 +9,8 @@ from msym.combinatorics import (Cell, MPartition, bruhat_less, circle_rows,
                                 compositions_of, dominance_leq,
                                 enumerate_mpartitions, inversions,
                                 coinversions, is_orbit_rep, n_stat, orbit,
-                                partitions_of, sort_desc, unique_permutations)
+                                orbit_reps, partitions_of, sort_desc,
+                                unique_permutations)
 
 from oracles import circle_rows_by_count
 
@@ -295,3 +296,15 @@ class TestUniquePermutations:
                            for f in orb)
                 assert [f for f in orb if is_orbit_rep(f, m)] == [
                     e[:m] + tuple(sorted(e[m:], reverse=True))]
+
+    def test_representatives_of_a_full_orbit(self):
+        # orbit_reps lists each m-representative of the full orbit once
+        for d in range(7):
+            for lam in partitions_of(d):
+                for N in range(len(lam), 8):
+                    mu = lam + (0,) * (N - len(lam))
+                    for m in range(min(3, N) + 1):
+                        reps = orbit_reps(mu, m)
+                        assert len(reps) == len(set(reps))
+                        assert set(reps) == {e for e in orbit(mu, 0)
+                                             if is_orbit_rep(e, m)}

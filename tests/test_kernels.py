@@ -16,7 +16,8 @@ from msym.kernels import (BiPoly, b_coefficient, cauchy_cases,
                           kernel_hecke_symmetry_cases,
                           kernel_xy_symmetry_cases, km_expansion_cases,
                           km_sum_truncated, km_truncated, nonsym_cauchy_cases)
-from oracles import holds, k0_product_truncated, powersum_product
+from oracles import (holds, k0_product_truncated, km_by_full_product,
+                     powersum_product)
 
 
 def _in_x(f, ny):
@@ -140,6 +141,30 @@ def test_bench_kernel_outputs_unchanged():
                              "72f9b46bedf465b82a0795ae35aca221")
 
 
+def _km_specs(m):
+    """(Nx, Ny, maxdeg) for m <= Nx, Ny <= m + 3 and maxdeg <= 4; at m = 3
+    and degree 4 only Nx + Ny <= 8, since the full products of the rest
+    take about 4 s."""
+    return [(nx, ny, d) for nx in range(m, m + 4) for ny in range(m, m + 4)
+            for d in range(5) if m < 3 or d < 4 or nx + ny <= 8]
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_km_matches_full_product_oracle(m):
+    # K_m at orbit representatives against every monomial of K_0 times
+    # every bracket term; the bracket moves no exponent after position m
+    for nx, ny, d in _km_specs(m):
+        bracket = kernels._sym_bracket(m, nx, ny, d, qinv=True)
+        assert not any(any(e[m:nx]) or any(e[nx + m:])
+                       for e in bracket.terms), (nx, ny, d)
+        assert (km_truncated(m, nx, ny, d)
+                == km_by_full_product(m, nx, ny, d)), (nx, ny, d)
+
+
+def test_km_matches_full_product_oracle_at_k2_664():
+    assert km_truncated(2, 6, 6, 4) == km_by_full_product(2, 6, 6, 4)
+
+
 class TestKm:
     def test_m0_is_k0(self):
         assert km_truncated(0, 2, 2, 2) == k0_truncated(2, 2, 2)
@@ -221,6 +246,15 @@ class TestCauchy:
 
 
 class TestOperatorSymmetry:
+    def test_hecke_symmetry_kernel_is_the_full_product(self):
+        # K-bar_m on alphabets of size m comes from the K_m routine, where
+        # every exponent is its own m-representative
+        for m in range(1, 4):
+            for d in range(4):
+                bracket = kernels._km_bracket(m, m, m, d, qinv=True)
+                assert kernels._k0_times(m, m, d, m, bracket.poly) == \
+                    k0_truncated(m, m, d).mul(bracket, d), (m, d)
+
     def test_hecke_symmetry(self):
         assert holds(kernel_hecke_symmetry_cases(2, 2))
         # m=1 is vacuous (no admissible generator index)

@@ -556,7 +556,7 @@ def _evaluate(node):
     (x, n1, d1), (y, n2, d2) = _evaluate(args[0]), _evaluate(args[1])
     if op == "/":
         # a divisor whose numerator does not factor is outside the domain
-        assume(y and _factor(y.num) is not None)
+        assume(y and _factor(y.num)[1] == _ONE_TERMS)
         return x / y, _pmul(n1, d2), _pmul(d1, n2)
     if op == "*":
         return x * y, _pmul(n1, n2), _pmul(d1, d2)
@@ -635,7 +635,7 @@ class TestFactoredDenominators:
         # qt_sum included, must leave it canonical: den factored afresh
         # gives the key back
         x = _evaluate(expr)[0]
-        assert _factor(x.den) == x.key
+        assert _factor(x.den) == (x.key, _ONE_TERMS)
 
     @settings(max_examples=100, deadline=None)
     @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=6))
@@ -667,17 +667,23 @@ class TestFactoredDenominators:
     def test_factor_examples(self):
         # 1 - q^2 t^2 = (1 - qt)(1 + qt); -2 - 2q^3 = -2 (1 + q)(1 - q + q^2);
         # q (1 - t)^3 (1 + t + t^2) by trial division; 1 - 2q and
-        # (1 + q + t)(1 - qt) do not factor
+        # (1 + q + t)(1 - qt) leave 1 - 2q and 1 + q + t over
         assert _factor({(0, 0): 1, (2, 2): -1}) == (
-            1, 0, 0, (((1, 1, 1), 1), ((2, 1, 1), 1)))
+            (1, 0, 0, (((1, 1, 1), 1), ((2, 1, 1), 1))), _ONE_TERMS)
         assert _factor({(0, 0): -2, (3, 0): -2}) == (
-            -2, 0, 0, (((2, 1, 0), 1), ((6, 1, 0), 1)))
+            (-2, 0, 0, (((2, 1, 0), 1), ((6, 1, 0), 1))), _ONE_TERMS)
         p = _pmul(_pmul({(1, 0): 1}, _in_qt([1, -3, 3, -1], 0, 1)),
                   _in_qt([1, 1, 1], 0, 1))
-        assert _factor(p) == (1, 1, 0, (((1, 0, 1), 3), ((3, 0, 1), 1)))
-        assert _factor({(0, 0): 1, (1, 0): -2}) is None
-        assert _factor(_pmul({(0, 0): 1, (1, 0): 1, (0, 1): 1},
-                             {(0, 0): 1, (1, 1): -1})) is None
+        assert _factor(p) == (
+            (1, 1, 0, (((1, 0, 1), 3), ((3, 0, 1), 1))), _ONE_TERMS)
+        assert _factor({(0, 0): 1, (1, 0): -2}) == (
+            (1, 0, 0, ()), {(0, 0): 1, (1, 0): -2})
+        assert _factor(_pmul(_GENERAL, {(0, 0): 1, (1, 1): -1})) == (
+            (1, 0, 0, (((1, 1, 1), 1),)), _GENERAL)
+        # -2q - 2t has no term at its lowest exponents (0, 0), so c is its
+        # content with no sign, and the leftover -q - t
+        assert _factor({(1, 0): -2, (0, 1): -2}) == (
+            (2, 0, 0, ()), {(1, 0): -1, (0, 1): -1})
 
 
 def _counter(monkeypatch, module, name):
@@ -699,6 +705,8 @@ _SQUARE = {(0, 0): 1, (2, 1): -2, (4, 2): 1}              # (1 - q^2 t)^2
 _CYCLO = {(0, 0): 1, (1, 1): 1, (2, 2): 1}                # Phi_3(qt)
 _BINOMIAL = {(0, 0): 1, (1, 1): -1}                       # 1 - qt
 _GENERAL = {(0, 0): 1, (1, 0): 1, (0, 1): 1}              # 1 + q + t
+_FACTORS = [_CYCLO, _BINOMIAL, {(0, 0): 1, (1, 0): 1},     # 1 + q
+            {(0, 0): 1, (0, 2): -1}, {(0, 0): 3}, {(1, 0): 1}]  # 1 - t^2, 3, q
 
 
 class TestOneReduction:
@@ -738,18 +746,47 @@ class TestOneReduction:
 
     def test_denominator_that_does_not_factor_raises(self):
         general = ONE + Q + T
-        assert _factor(_GENERAL) is None
-        # a given denominator, or a divisor's numerator, must factor itself:
-        # the last two values, 1 and (1 - t)/(1 - q), lie in the domain but
-        # raise all the same
+        assert _factor(_GENERAL) == ((1, 0, 0, ()), _GENERAL)
+        # each value has 1 + q + t in its reduced denominator, outside the
+        # domain
         for make in (lambda: QtRational(_NUM, _GENERAL), general.inverse,
                      lambda: ONE / general,
                      lambda: parse_qt("(1)/(1 + q + t)"),
-                     lambda: QtRational(_GENERAL, _GENERAL),
-                     lambda: QtRational(_GENERAL, {(0, 0): 1, (1, 0): -1})
-                     / QtRational(_GENERAL, {(0, 0): 1, (0, 1): -1})):
+                     lambda: QtRational(_GENERAL, _pmul(_GENERAL, _GENERAL)),
+                     lambda: QtRational(_NUM, {(1, 0): 1, (0, 1): 1}),
+                     lambda: (ONE - Q) / (general * (ONE - T))):
             with pytest.raises(ValueError, match="does not factor"):
                 make()
+
+    def test_quotient_in_the_domain(self):
+        # a denominator or a divisor's numerator that does not factor is
+        # divided out of the numerator exactly
+        one_q, one_t = {(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1}
+        assert QtRational(_GENERAL, _GENERAL) == ONE
+        assert (QtRational(_GENERAL, one_q) / QtRational(_GENERAL, one_t)
+                == (ONE - T) / (ONE - Q))
+        x = QtRational(_pmul(_NUM, _GENERAL), _pmul(_GENERAL, _BINOMIAL))
+        assert (x.num, x.den) == (_NUM, _BINOMIAL)
+        assert parse_qt("(2 + 2*q + 2*t)/(1 + q + t)") == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                           st.integers(-3, 3).filter(bool), min_size=1,
+                           max_size=4),
+           st.lists(st.sampled_from(_FACTORS), max_size=3),
+           st.sampled_from([_GENERAL, {(0, 0): 1, (1, 0): -2},
+                            {(0, 0): 2, (1, 1): 1, (0, 2): -1},
+                            {(1, 0): 1, (0, 1): 1}]))
+    def test_common_leftover_cancels(self, f, g_factors, r):
+        # (f r)/(g r) == f/g for g a product of factors and r one that
+        # does not factor, as one fraction and as a quotient
+        g = _UNIT
+        for h in g_factors:
+            g = _pmul(g, h)
+        assert _factor(r)[1] != _ONE_TERMS
+        y = QtRational(f, g)
+        assert QtRational(_pmul(f, r), _pmul(g, r)) == y
+        assert QtRational(_pmul(f, r)) / QtRational(_pmul(g, r)) == y
 
     @pytest.mark.parametrize("remake", ["clear_caches", "invert_params"])
     def test_equal_denominators_are_one_group(self, monkeypatch, remake):
