@@ -51,12 +51,14 @@ def eta_bar(eta, i):
 _E_CACHE = {}
 _H_CACHE = {}
 _P_CACHE = {}
-# Every memo table clear_caches() empties, ten in all: these, qt_ring's
-# tables of cyclotomic polynomials, expanded denominators, shared keys and
-# points mod a prime, combinatorics' table of partitions, and the two that
-# structure appends here, since this module cannot import structure.
+# Every memo table clear_caches() empties, eleven in all: these, qt_ring's
+# tables of cyclotomic polynomials, expanded denominators, shared keys,
+# points mod a prime and lcm plans, combinatorics' table of partitions, and
+# the two that structure appends here, since this module cannot import
+# structure.
 _CACHES = [_E_CACHE, _H_CACHE, _P_CACHE, qt_ring._PHI, qt_ring._EXPANDED,
-           qt_ring._KEYS, qt_ring._POINTS, combinatorics._PARTITIONS]
+           qt_ring._KEYS, qt_ring._POINTS, qt_ring._PLANS,
+           combinatorics._PARTITIONS]
 
 
 def _walk(cache, key, rule):

@@ -54,7 +54,10 @@ Every operation returns its result in this form.  qt_sum is the one
 addition: a + b is the two-term qt_sum((a, b)), and a sum of many
 coefficients is one qt_sum, which reduces once per sum instead of once per
 added term; since the form is unique, the result is the one term-by-term
-addition gives.
+addition gives.  qt_dot is the one sum of products, as in a scalar product
+sum_L f_L g_L <p_L, p_L>: each product is its numerators' product over the
+merged key, with no trial division, and the sum is reduced once, by the
+same tail as qt_sum's, so a sum that is 0 makes no trial division at all.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
-                      _factor, _key, _lcm_sum, _p_eval, _p_str,
-                      _parse_poly, _pdivexact, _pmul, _pneg)
+                      _factor, _key_product, _lcm_sum, _p_eval, _p_str,
+                      _parse_poly, _pdivexact, _pmul, _pmul_into, _pneg)
 
 _ONE_KEY = (1, 0, 0, ())  # the key of the denominator 1
 
@@ -198,12 +201,9 @@ class QtRational:
         elif k2 == _ONE_KEY:
             n2, k1 = _cancel(n2, k1, k1[3])
         else:
-            n1, (c2, i2, j2, f2) = _cancel(n1, k2, k2[3])
-            n2, (c1, i1, j1, f1) = _cancel(n2, k1, k1[3])
-            exps = dict(f1)
-            for key, k in f2:
-                exps[key] = exps.get(key, 0) + k
-            k1 = _key(c1 * c2, i1 + i2, j1 + j2, _fac_of(exps))
+            n1, k2 = _cancel(n1, k2, k2[3])
+            n2, k1 = _cancel(n2, k1, k1[3])
+            k1 = _key_product(k1, k2)
         return QtRational._raw(_pmul(n1, n2), k1)
 
     __rmul__ = __mul__
@@ -343,9 +343,58 @@ def qt_sum(values):
         num = _num_sum(g)
         if num:
             parts.append((num, key, len(g) == 1))
-    if not parts:
+    return _parts_sum(parts)
+
+
+def qt_dot(pairs):
+    """The sum of a * b over the pairs (a, b) of QtRationals, reduced once:
+    the one sum of products in Q(q,t).  Zero products are skipped, and a
+    lone pair gives a * b, whose two-sided cancel is cheaper.
+
+    Each product is its numerators' product over the merged key, with no
+    trial division, and the products over one key add their numerators.
+    A group is known to be coprime to its key only when it is one product
+    with a monomial over 1; any other group keeps every factor of its key
+    a candidate.  The groups are reduced once, as qt_sum's are, so a sum
+    that is 0 makes no trial division at all."""
+    pairs = [(a, b) for a, b in pairs if a.num and b.num]
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else ZERO
+    groups = {}
+    for a, b in pairs:
+        ka, kb = a.key, b.key
+        key = (kb if ka == _ONE_KEY else ka if kb == _ONE_KEY
+               else _key_product(ka, kb))
+        g = groups.get(key)
+        if g is None:
+            # times a monomial over 1, a value stays coprime to its key
+            reduced = (ka == _ONE_KEY and len(a.num) == 1
+                       or kb == _ONE_KEY and len(b.num) == 1)
+            groups[key] = [_pmul(a.num, b.num), reduced]
+        else:
+            _pmul_into(g[0], a.num, b.num)
+            g[1] = None  # two products or more: zero terms may be left
+    parts = []
+    for key, (num, reduced) in groups.items():
+        if reduced is None:
+            num = {e: c for e, c in num.items() if c}
+        if num:
+            parts.append((num, key, bool(reduced)))
+    return _parts_sum(parts)
+
+
+def _parts_sum(parts):
+    """The reduced sum of the parts (num, key, reduced) of a qt_sum or a
+    qt_dot, each num nonzero and the keys distinct: one part is cancelled
+    over its key, several are brought to their lcm (qt_ring._lcm_sum) and
+    cancelled there."""
+    if len(parts) == 1:
+        (t, key, reduced), = parts
+        cands = () if reduced else key[3]
+    elif parts:
+        t, key, cands = _lcm_sum(parts)
+    else:
         return ZERO
-    t, key, cands = _lcm_sum(parts)
     return QtRational._raw(*_cancel(t, key, cands)) if t else ZERO
 
 

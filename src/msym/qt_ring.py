@@ -109,6 +109,7 @@ _PHI = {}       # n -> coefficients of Phi_n(u), constant term first
 _EXPANDED = {}  # (c, i, j, fac) -> c q^i t^j prod(fac) expanded (_den)
 _KEYS = {}      # (c, i, j, fac) -> itself, the one copy values share (_key)
 _POINTS = {}    # (n, a, b) -> powers of q0 and t0 mod _P (_point), or None
+_PLANS = {}     # parts' ((key, reduced), ..) -> _lcm_sum's plan
 
 
 def _udiv(g, f):
@@ -328,6 +329,16 @@ def _key(c, i, j, fac):
     return _KEYS.setdefault(key, key)
 
 
+def _key_product(k1, k2):
+    """The key of the product of the denominators with keys k1 and k2."""
+    c1, i1, j1, f1 = k1
+    c2, i2, j2, f2 = k2
+    exps = dict(f1)
+    for f, k in f2:
+        exps[f] = exps.get(f, 0) + k
+    return _key(c1 * c2, i1 + i2, j1 + j2, _fac_of(exps))
+
+
 def _fac_of(exps):
     return tuple(sorted((key, k) for key, k in exps.items() if k))
 
@@ -371,23 +382,34 @@ def _lcm_sum(parts):
     (t, key, cands): t over the lcm of the dens, which takes the largest
     exponent of each factor.  A factor of the lcm can divide t only if two
     parts have it to the lcm's power, or one part whose num is not known to
-    be coprime to its den (reduced false); cands lists those factors."""
-    lcm, c, i, j = {}, 1, 0, 0
-    for _, (cp, ip, jp, fac), _ in parts:
-        c = c * cp // math.gcd(c, cp)
-        i, j = max(i, ip), max(j, jp)
-        for f, k in fac:
-            if k > lcm.get(f, 0):
-                lcm[f] = k
+    be coprime to its den (reduced false); cands lists those factors.
+    The plan, each part's cofactor to the lcm expanded, the lcm's key and
+    cands, depends only on the parts' keys and flags, so it is worked out
+    once per tuple of them and kept in _PLANS."""
+    sig = tuple([(key, r) for _, key, r in parts])
+    plan = _PLANS.get(sig)
+    if plan is None:
+        lcm, c, i, j = {}, 1, 0, 0
+        for (cp, ip, jp, fac), _ in sig:
+            c = c * cp // math.gcd(c, cp)
+            i, j = max(i, ip), max(j, jp)
+            for f, k in fac:
+                if k > lcm.get(f, 0):
+                    lcm[f] = k
+        cofs = []
+        for (cp, ip, jp, fac), _ in sig:
+            e = dict(fac)
+            cof = _fac_of({f: k - e.get(f, 0) for f, k in lcm.items()})
+            cofs.append(_den(c // cp, i - ip, j - jp, cof))
+        fac = _fac_of(lcm)
+        cands = [(f, k) for f, k in fac
+                 if sum(2 - r for key, r in sig if (f, k) in key[3]) > 1]
+        plan = _PLANS[sig] = cofs, _key(c, i, j, fac), cands
+    cofs, key, cands = plan
     acc = {}
-    for num, (cp, ip, jp, fac), _ in parts:
-        e = dict(fac)
-        cof = _fac_of({f: k - e.get(f, 0) for f, k in lcm.items()})
-        _pmul_into(acc, num, _den(c // cp, i - ip, j - jp, cof))
-    fac = _fac_of(lcm)
-    cands = [(f, k) for f, k in fac
-             if sum(2 - r for _, key, r in parts if (f, k) in key[3]) > 1]
-    return {e: v for e, v in acc.items() if v}, _key(c, i, j, fac), cands
+    for (num, _, _), cof in zip(parts, cofs):
+        _pmul_into(acc, num, cof)
+    return {e: v for e, v in acc.items() if v}, key, cands
 
 
 # ---------------------------------------------------------------------------

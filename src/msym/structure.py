@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 import math
 
-from .qt_field import QtRational, ONE, ZERO, qt_product, qt_sum
+from .qt_field import QtRational, ONE, ZERO, qt_dot, qt_product, qt_sum
 from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
@@ -207,7 +207,7 @@ def pair_p_coeffs(ef, eg):
     """<f, g>_m from the p_Lambda_t coefficients {label: coeff} of f and g:
     the sum over common labels of f_L g_L <p_L, p_L>_m."""
     small, big = (ef, eg) if len(ef) <= len(eg) else (eg, ef)
-    return qt_sum([c * caff * p_weight(lab) for lab, c in small.items()
+    return qt_dot([(c, caff * p_weight(lab)) for lab, c in small.items()
                    if (caff := big.get(lab))])
 
 

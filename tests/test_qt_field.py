@@ -7,8 +7,8 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_product,
-                           qt_sum, _pmul)
+from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_dot,
+                           qt_product, qt_sum, _pmul)
 from msym.macdonald import clear_caches
 from msym.qt_ring import _ONE_TERMS, _factor
 
@@ -430,6 +430,89 @@ class TestGroupedSum:
         assert qt_sum([x]) is x and qt_sum([ZERO, x, ZERO]) is x
         assert (x - x) is ZERO and qt_sum([x, -x]) is ZERO
         assert qt_sum(values + [-v for v in values]) is ZERO
+
+
+def _random_factor(rng):
+    """A value over 1, a monomial over 1 (q, t exponents >= 0), ZERO, a
+    value over one of a few denominators, so that keys share factors, or
+    one of _random_rational's."""
+    kind = rng.choice(("one", "monomial", "zero", "shared", "shared", "any"))
+    if kind == "any":
+        return _random_rational(rng)
+    if kind == "one":
+        return QtRational(_random_poly(rng))
+    if kind == "monomial":
+        return QtRational.monomial(rng.choice((1, -1, 2, 3)),
+                                   rng.randrange(3), rng.randrange(3))
+    if kind == "zero":
+        return ZERO
+    return QtRational(_random_poly(rng), rng.choice(_SHARED_DENS))
+
+
+_SHARED_DENS = [{(0, 0): 1, (1, 1): -1}, {(0, 0): 1, (1, 0): -1},
+                _pmul({(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): 1}),
+                _pmul({(0, 0): 2, (2, 1): -2}, {(0, 0): 1, (1, 1): -1}),
+                {(1, 0): 1, (0, 0): 1, (2, 0): 1}]
+
+
+def _random_pairs(rng, close):
+    """Pairs of values for qt_dot.  close="zero" appends (-a, b) for each
+    pair, shuffled, so the products sum to zero; close="factor" adds pairs
+    (F n_k / d, m / (F e)) whose products' numerators are divisible by F, a
+    factor of their merged key, in place of the others half the time, so
+    that the products make one group."""
+    pairs = [(_random_factor(rng), _random_factor(rng))
+             for _ in range(rng.randrange(1, 7))]
+    if close == "zero":
+        rest = [(-a, b) for a, b in pairs]
+        rng.shuffle(rest)
+        pairs += rest
+    elif close == "factor":
+        f = rng.choice(_SHARED_DENS[:3])
+        d = rng.choice(_SHARED_DENS)
+        b = QtRational(_random_poly(rng), _pmul(f, rng.choice(_SHARED_DENS)))
+        if rng.random() < 0.5:
+            pairs = []
+        for _ in range(rng.randrange(1, 4)):
+            a = QtRational(_pmul(f, _random_poly(rng)), d)
+            pairs.insert(rng.randrange(len(pairs) + 1), (a, b))
+    return pairs
+
+
+class TestDot:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from(("none", "zero", "factor")))
+    def test_equals_sum_of_products(self, seed, close):
+        rng = random.Random(seed)
+        pairs = _random_pairs(rng, close)
+        d = qt_dot(pairs)
+        s = qt_sum([a * b for a, b in pairs])
+        assert (d.num, d.key) == (s.num, s.key)
+        if close == "zero":
+            assert d is ZERO
+        assert qt_dot([]) is ZERO and qt_dot([(ZERO, ONE)]) is ZERO
+        a, b = pairs[0]
+        assert qt_dot([(a, b)]) == a * b == qt_dot([(ZERO, b), (a, b)])
+
+    def test_plan_memo_gives_the_same_sum(self):
+        # _lcm_sum's cofactors, lcm key and candidates come from _PLANS
+        # once they are worked out: cold and warm, the result is the same
+        from msym import qt_ring
+        x = QtRational(_NUM, _BINOMIAL)
+        y = QtRational(_COMMON, _pmul(_CYCLO, _BINOMIAL))
+        z = QtRational(_UNIT, _pmul(_SQUARE, {(0, 0): 3, (1, 0): 3}))
+        parts = [(x.num, x.key, True), (_pmul(y.num, _CYCLO), y.key, False),
+                 (z.num, z.key, True)]
+        clear_caches()
+        cold = qt_ring._lcm_sum(parts)
+        assert list(qt_ring._PLANS) == [tuple((k, r) for _, k, r in parts)]
+        warm = qt_ring._lcm_sum(parts)
+        assert warm == cold and warm[1] is cold[1]
+        t, key, cands = cold
+        assert [f for f, _ in cands] == [f for f, _ in y.key[3]]
+        assert QtRational(t, qt_ring._den(*key)) == x + y * QtRational(
+            _CYCLO) + z
 
 
 class TestTextForm:

@@ -202,7 +202,7 @@ def test_every_memo_table_is_cleared():
               for name, v in vars(mod).items()
               if isinstance(v, dict) and not name.startswith("__")
               and v is not qt_ring._ONE_TERMS}
-    assert len(tables) == 10  # the ten the README lists
+    assert len(tables) == 11  # the eleven the README lists
     assert sorted(tables) == sorted(id(c) for c in macdonald._CACHES)
     saved = [dict(c) for c in macdonald._CACHES]
     try:
