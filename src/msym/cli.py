@@ -317,14 +317,15 @@ def suite_inversion(b):
 
 
 def suite_cauchy(b):
-    d, d2, M = b["maxdeg"], min(b["maxdeg"], 2), b["m_max"]
+    d, M = b["maxdeg"], b["m_max"]
+    d2, d3 = min(d, 2), min(d, 3)
     k = kernels
     table = ([("kernel-P-expansion", m, d, k.km_expansion_cases)
               for m in range(min(M, 1) + 1)]
              + [("hall-littlewood-kernel", 2, d, k.hl_kernel_cases)]
-             + [("cauchy-identity", m, d2, k.cauchy_cases)
+             + [("cauchy-identity", m, d3, k.cauchy_cases)
                 for m in range(M + 1)]
-             + [("nonsym-cauchy-identity", m, d2, k.nonsym_cauchy_cases)
+             + [("nonsym-cauchy-identity", m, d, k.nonsym_cauchy_cases)
                 for m in range(1, M + 1)]
              + [("kernel-hecke-symmetry", 2, d, k.kernel_hecke_symmetry_cases),
                 ("kernel-xy-symmetry", 1, d2, k.kernel_xy_symmetry_cases),

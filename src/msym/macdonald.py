@@ -9,6 +9,13 @@ change of variables, E_eta = q^-s x_N E_theta(q x_N, x_1, .., x_{N-1})
 with s = theta_1, which on the eigenfunction E_theta equals the cyclic
 raising operator t^(N-r) Phi_q, r = r_theta(1); H_a's swaps an ascent
 through T_i, or else is x^a.
+P_Lambda past N = m + |Lambda| variables, and E_eta past a trailing zero
+block longer than max(|eta|, 1), are built in fewer variables and lifted
+by orbits (_lift), by two theorems: both are symmetric in their tail
+(T_i E_eta = t E_eta where eta_i = eta_{i+1}), and stable, E_(eta,0)(x, 0)
+= E_eta(x) (Knop 1997, Sahi 1996) and likewise P_Lambda.  A degree-d
+monomial has at most d nonzero tail entries, so its orbit has a
+representative in the smaller count.
 Every constructed E_eta is monic at x^eta; eigen_cases states its
 certificate (monic, Bruhat-triangular, Cherednik eigenfunction) as cases for
 the verification runner.
@@ -77,7 +84,29 @@ def _walk(cache, key, rule):
     return value
 
 
+def _lift(f, k, N):
+    """f in N variables, symmetric after x_k: each term of f at a
+    k-representative (combinatorics.is_orbit_rep), zero-padded to N, is
+    written out to its orbit."""
+    pad = (0,) * (N - f.nvars)
+    return MultiPoly._raw(N, {g: c for e, c in f.terms.items()
+                              if combinatorics.is_orbit_rep(e, k)
+                              for g in combinatorics.orbit(e + pad, k)})
+
+
 def _E_rule(eta):
+    """E_eta for eta = (eta_1..eta_k, 0^r), eta_k > 0, with r > d =
+    max(|eta|, 1): E_{eta[:k+d]} lifted to len(eta) variables, as E_eta is
+    symmetric in the zero block and stable, and each orbit of its monomials
+    has a representative in k + d variables.  Otherwise _E_step."""
+    n, d = len(eta), max(sum(eta), 1)
+    k = max((i + 1 for i, v in enumerate(eta) if v), default=0)
+    if n - k > d:
+        return eta[:k + d], lambda ev: _lift(ev, k, n)
+    return _E_step(eta)
+
+
+def _E_step(eta):
     """E_eta from E_nu across eta's first descent, else from E_theta by the
     raising step, else E_0 = 1."""
     n = len(eta)
@@ -189,6 +218,9 @@ def msym_P(mpart, N):
     N < m + length(lambda)); the coefficient of m_Lambda is checked to be 1
     on construction.
 
+    Past N_f = m + |Lambda| it is P_Lambda in N_f variables lifted by
+    orbits of x_{m+1}..x_N, as P_Lambda is symmetric there and stable.
+
     The paper's P_Lambda is S^t_{m+1,N} E_eta / u_{Lambda,N}.  eta's tail
     starts with n0 = N - m - len(lambda) zeros, and T_i E_eta = t E_eta
     wherever eta_i = eta_{i+1} (the stabilizer property), so the first
@@ -198,22 +230,27 @@ def msym_P(mpart, N):
     m = mpart.m
     if N < m:
         raise ValueError("need N >= m")
-    n0 = N - m - len(mpart.lam)
-    if n0 < 0:
+    if N < m + len(mpart.lam):
         return LabeledPoly(mpart, MultiPoly.zero(N), "P")
     key = (mpart, N)
     poly = _P_CACHE.get(key)
     if poly is None:
-        poly = _build_E(eta_for(mpart, N))
-        for top in range(m + max(n0, 1) + 1, N + 1):
-            poly = apply_Lprime(poly, m, top)
-        poly = poly.scale(_chain_scale(mpart, N))
-        lead = mpart.a + mpart.lam + (0,) * n0
-        if not poly.coefficient_of(lead).is_one():
-            raise AssertionError(
-                "normalization failed: coefficient of m_%s is %s"
-                % (mpart, poly.coefficient_of(lead)))
-        _P_CACHE[key] = poly
+        nf = min(N, m + mpart.degree())
+        poly = _P_CACHE.get((mpart, nf))
+        if poly is None:
+            n0 = nf - m - len(mpart.lam)
+            poly = _build_E(eta_for(mpart, nf))
+            for top in range(m + max(n0, 1) + 1, nf + 1):
+                poly = apply_Lprime(poly, m, top)
+            poly = poly.scale(_chain_scale(mpart, nf))
+            lead = mpart.a + mpart.lam + (0,) * n0
+            if not poly.coefficient_of(lead).is_one():
+                raise AssertionError(
+                    "normalization failed: coefficient of m_%s is %s"
+                    % (mpart, poly.coefficient_of(lead)))
+            _P_CACHE[mpart, nf] = poly
+        if nf < N:
+            poly = _P_CACHE[key] = _lift(poly, m, N)
     return LabeledPoly(mpart, poly, "P")
 
 

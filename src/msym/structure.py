@@ -5,7 +5,9 @@ variant of the product.
 
 Degree-d statements about m-symmetric functions are realized at the faithful
 variable count N >= m + d, where the monomial basis m_Lambda with
-length(lambda) <= N - m stays linearly independent.
+length(lambda) <= N - m stays linearly independent.  msym_P builds each
+P_Lambda at N = m + |Lambda| and lifts it to any larger N by orbits
+(macdonald._lift).
 """
 
 from __future__ import annotations

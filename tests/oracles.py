@@ -7,7 +7,7 @@ from msym.combinatorics import circle_rows
 from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
                             symmetrize_t)
 from msym.kernels import BiPoly, _sym_bracket, _times_pair_series, k0_truncated
-from msym.macdonald import eta_for, nonsym_E
+from msym.macdonald import _chain_scale, _E_step, _walk, eta_for, nonsym_E
 from msym.polyring import MultiPoly, _relabel
 from msym.qt_field import QtRational, ONE, T, qt_product
 from msym.qt_ring import _classes, _phi
@@ -68,6 +68,23 @@ def u_normalization(mpart, N):
     return qt_product(1, 0, (k * (k - 1) - sum(n * (n - 1) for n in counts))
                       // 2, [(0, j) for n in counts for j in range(1, n + 1)],
                       [(0, 1)] * k)
+
+
+def unlifted_E(eta):
+    """E_eta built in len(eta) variables at every step: the E walk over a
+    private memo table with _E_rule's lift case left out (_E_step)."""
+    return _walk({}, tuple(eta), _E_step)
+
+
+def unlifted_P(mpart, N):
+    """P_Lambda built in N variables, never lifted from fewer: the chains
+    L'_{m+1,N} .. L'_{m+1,m+n0+1} on unlifted_E, times _chain_scale."""
+    m = mpart.m
+    n0 = N - m - len(mpart.lam)
+    poly = unlifted_E(eta_for(mpart, N))
+    for top in range(m + max(n0, 1) + 1, N + 1):
+        poly = apply_Lprime(poly, m, top)
+    return poly.scale(_chain_scale(mpart, N))
 
 
 def symmetrized_P(mpart, N):

@@ -318,6 +318,21 @@ class TestVerifySuites:
                                   "--maxdeg", "2"])
         assert rc == 0
 
+    def test_cauchy_degrees(self, capsys):
+        # cauchy-identity is checked up to degree 3, the non-symmetric one
+        # at --maxdeg itself
+        rc, out, _ = run(capsys, ["--json", "verify", "cauchy", "--m-max",
+                                  "2", "--maxdeg", "4"])
+        assert rc == 0
+        report = json.loads(out)["report"]
+        bounds = {(e["identity"], e["bounds"]) for e in report
+                  if e["status"] == "pass"}
+        assert len(bounds) == len(report)
+        assert {b for i, b in bounds if i == "cauchy-identity"} == {
+            "m=0 maxdeg=3", "m=1 maxdeg=3", "m=2 maxdeg=3"}
+        assert {b for i, b in bounds if i == "nonsym-cauchy-identity"} == {
+            "m=1 maxdeg=4", "m=2 maxdeg=4"}
+
     def test_m_zero_runs_only_m_zero(self, capsys):
         rc, out, _ = run(capsys, ["--json", "verify", "orthogonality",
                                   "--m", "0", "--deg-max", "1"])

@@ -244,6 +244,15 @@ class TestCauchy:
         assert holds(nonsym_cauchy_cases(1, 2))
         assert holds(nonsym_cauchy_cases(2, 2))
 
+    def test_degree_3(self):
+        # the rhs builds the lower-degree P_Lambda at N = m + 3, past their
+        # faithful count, so they are lifted from fewer variables
+        for m in range(3):
+            assert holds(cauchy_cases(m, 3)), m
+        for m in (1, 2):
+            assert holds(nonsym_cauchy_cases(m, 3)), m
+            assert holds(nonsym_cauchy_cases(m, 4)), m
+
 
 class TestOperatorSymmetry:
     def test_hecke_symmetry_kernel_is_the_full_product(self):

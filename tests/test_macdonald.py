@@ -16,7 +16,8 @@ from msym.macdonald import (eigen_cases, eigenvalues, eta_bar,
                             invert_qt, msym_P, nonsym_E, psi_box_raise,
                             _build_E, _walk)
 
-from oracles import apply_Psi, raise_by_Phi, symmetrized_P, u_normalization
+from oracles import (apply_Psi, raise_by_Phi, symmetrized_P, u_normalization,
+                     unlifted_E, unlifted_P)
 
 
 def x(n, i):
@@ -335,11 +336,11 @@ class TestColdConstruction:
 
     def test_zero_block_chains_are_skipped(self, cold_caches,
                                            monkeypatch):
-        # eta = (0,0,0,0,0,1): the zero block's four chains act by [5]_t!,
-        # so only L'_{1,6} is applied, 5 generators against the full
-        # symmetrizer's 1 + 2 + 3 + 4 + 5 = 15
+        # eta = (0,0,3) at the faithful count N = 3: the zero block's chain
+        # acts by [2]_t!, so only L'_{1,3} is applied, 2 generators against
+        # the full symmetrizer's 1 + 2 = 3
         from msym import hecke_ops
-        nonsym_E((0, 0, 0, 0, 0, 1))
+        nonsym_E((0, 0, 3))
         calls = []
         apply_T = hecke_ops.apply_T
 
@@ -348,13 +349,39 @@ class TestColdConstruction:
             return apply_T(*args)
 
         monkeypatch.setattr(hecke_ops, "apply_T", counted)
-        P = msym_P(MPartition((), (1,)), 6).poly
-        assert calls == [5, 4, 3, 2, 1]
-        assert P == sum((x(6, i) for i in range(2, 7)), x(6, 1))
+        lab = MPartition((), (3,))
+        P = msym_P(lab, 3).poly
+        assert calls == [2, 1]
+        monkeypatch.undo()
+        assert P == symmetrized_P(lab, 3)
+
+    def test_lifted_P_matches_unlifted_build(self, cold_caches):
+        # past the faithful count m + |Lambda| msym_P lifts by orbits; the
+        # oracle runs the walk and the chains in all N variables.  Equal
+        # MultiPolys have the same exponents and the same canonical num and
+        # key at each
+        from msym import macdonald
+        for m in range(3):
+            for d in range(4):
+                for lab in enumerate_mpartitions(m, d):
+                    for N in (m + d + 1, m + d + 2):
+                        macdonald.clear_caches()
+                        assert msym_P(lab, N).poly == unlifted_P(lab, N)
+
+    def test_lifted_E_matches_unlifted_build(self, cold_caches):
+        # E_(eta, 0^j) is lifted from fewer variables once its zero block
+        # is longer than max(|eta|, 1)
+        from msym import macdonald
+        for eta in all_compositions(3, 3):
+            for j in (1, 2, 3):
+                macdonald.clear_caches()
+                assert nonsym_E(eta + (0,) * j).poly == unlifted_E(
+                    eta + (0,) * j)
 
     def test_walks_cache_the_same_keys(self, cold_caches):
         # the E and H walks store every composition on each build's chain
-        # of rules and no other, so the key sets of the caches are fixed
+        # of rules and no other, so the key sets of the caches are fixed;
+        # the zero compositions (0,0,0) and (0,0,0,0) are lifted from (0,)
         from msym import macdonald
         for eta in [(2, 0, 1), (0, 1, 2), (1, 0, 2, 0)]:
             nonsym_E(eta)
@@ -364,7 +391,7 @@ class TestColdConstruction:
             (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2), (0, 2, 1), (1, 0, 1),
             (2, 0, 1), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1),
             (0, 0, 1, 2), (0, 1, 0, 1), (0, 1, 0, 2), (0, 1, 2, 0),
-            (1, 0, 0, 1), (1, 0, 2, 0)}
+            (1, 0, 0, 1), (1, 0, 2, 0), (0,)}
         assert set(macdonald._H_CACHE) == {
             (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
 
