@@ -8,6 +8,10 @@ variable count N >= m + d, where the monomial basis m_Lambda with
 length(lambda) <= N - m stays linearly independent.  msym_P builds each
 P_Lambda at N = m + |Lambda| and lifts it to any larger N by orbits
 (macdonald._lift).
+
+The scalar product pairs m-coordinates through the m-basis Gram matrix
+G = A^-T diag(<p_L, p_L>_m) A^-1 (A: p_Lambda(x;t) over m_Lambda), kept in
+_BASIS_INVERSE_CACHE next to A^-1.
 """
 
 from __future__ import annotations
@@ -163,12 +167,18 @@ def expand_in_basis(f, m, basis_kind, verify=True):
     if basis_kind == "m_Lambda":
         return Expansion(basis_kind, m, degree,
                          {lab: c for lab, c in coords.items() if c})
-    inverse = _basis_inverse(basis_kind, m, degree, N)
+    return Expansion(basis_kind, m, degree, _change_basis(
+        coords, _basis_inverse(basis_kind, m, degree, N)))
+
+
+def _change_basis(coords, inverse):
+    """{label: coeff} over a basis from the m-coordinates and the columns
+    of the inverse transition matrix."""
     out = {}
     for om, c in coords.items():
         for lab, v in inverse[om].items():
             _bump(out, lab, c * v)
-    return Expansion(basis_kind, m, degree, _settle(out))
+    return _settle(out)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +223,60 @@ def pair_p_coeffs(ef, eg):
                    if (caff := big.get(lab))])
 
 
+def _gram(m, degree, N):
+    """The m-basis Gram matrix {Omega: {Omega': <m_Omega, m_Omega'>_m}},
+    nonzero entries only: G = A^-T diag(<p_L, p_L>_m) A^-1 from the columns
+    of A^-1, one qt_dot per symmetric pair.  It is kept in
+    _BASIS_INVERSE_CACHE, so clearing that table drops both."""
+    key = ("gram", m, degree, N)
+    G = _BASIS_INVERSE_CACHE.get(key)
+    if G is not None:
+        return G
+    inv = _basis_inverse("p_Lambda_t", m, degree, N)
+    G = {om: {} for om in inv}
+    labels = list(inv)
+    for i, a in enumerate(labels):
+        wa = {lab: v * p_weight(lab) for lab, v in inv[a].items()}
+        for b in labels[i:]:
+            col = inv[b]
+            if v := qt_dot([(w, col[lab]) for lab, w in wa.items()
+                            if lab in col]):
+                G[a][b] = G[b][a] = v
+    _BASIS_INVERSE_CACHE[key] = G
+    return G
+
+
 def scalar_product_m(f, g, m, verify=True):
-    """The R_m scalar product, computed through the deformed power sums."""
+    """The R_m scalar product from the m-coordinates f_m, g_m of each common
+    degree.  The Gram form f_m^T G g_m (_gram: one qt_dot per row, over the
+    smaller operand's coordinates, and one for the total) is taken when its
+    |f_m| |g_m| products are at most the A^-1 entries that expanding both
+    sides over p_Lambda(x;t) reads; two dense operands keep that expansion
+    (pair_p_coeffs), which needs fewer products there."""
     if f.nvars != g.nvars:
         raise ValueError("operands realized in different variable counts")
+    N = f.nvars
     gc = g.homogeneous_components()
-    return qt_sum([
-        pair_p_coeffs(expand_in_basis(fd, m, "p_Lambda_t", verify).coeffs,
-                      expand_in_basis(gc[d], m, "p_Lambda_t", verify).coeffs)
-        for d, fd in f.homogeneous_components().items() if d in gc])
+    values = []
+    for d, fd in f.homogeneous_components().items():
+        if d not in gc:
+            continue
+        if N < m + d:
+            raise ValueError("need N >= m + degree for a faithful expansion")
+        cf, cg = m_coords(fd, m, verify), m_coords(gc[d], m, verify)
+        inv = _basis_inverse("p_Lambda_t", m, d, N)
+        if len(cf) * len(cg) <= (sum(len(inv[om]) for om in cf)
+                                 + sum(len(inv[om]) for om in cg)):
+            G = _gram(m, d, N)
+            if len(cf) < len(cg):
+                cf, cg = cg, cf
+            values.append(qt_dot([
+                (c, qt_dot([(row[b], v) for b, v in cg.items() if b in row]))
+                for a, c in cf.items() if (row := G[a])]))
+        else:
+            values.append(pair_p_coeffs(_change_basis(cf, inv),
+                                        _change_basis(cg, inv)))
+    return qt_sum(values)
 
 
 def norm_formula(mpart):

@@ -9,8 +9,9 @@ from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
 from msym.kernels import BiPoly, _sym_bracket, _times_pair_series, k0_truncated
 from msym.macdonald import _chain_scale, _E_step, _walk, eta_for, nonsym_E
 from msym.polyring import MultiPoly, _relabel
-from msym.qt_field import QtRational, ONE, T, qt_product
+from msym.qt_field import QtRational, ONE, T, qt_product, qt_sum
 from msym.qt_ring import _classes, _phi
+from msym.structure import expand_in_basis, pair_p_coeffs
 
 
 def holds(cases):
@@ -188,3 +189,15 @@ def apply_Psi(f, m):
         raise ValueError("the raising relation needs m >= 1")
     g = apply_Lprime(apply_Phi(f), m - 1, f.nvars)
     return g.scale(ONE - T)
+
+
+def scalar_product_by_expansion(f, g, m, verify=True):
+    """<f, g>_m with both operands expanded over p_Lambda(x;t) in each
+    common degree, then paired diagonally by <p_L, p_L>_m."""
+    if f.nvars != g.nvars:
+        raise ValueError("operands realized in different variable counts")
+    gc = g.homogeneous_components()
+    return qt_sum([
+        pair_p_coeffs(expand_in_basis(fd, m, "p_Lambda_t", verify).coeffs,
+                      expand_in_basis(gc[d], m, "p_Lambda_t", verify).coeffs)
+        for d, fd in f.homogeneous_components().items() if d in gc])

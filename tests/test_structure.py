@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from msym import qt_field, qt_ring
+from msym import macdonald, qt_field, qt_ring, structure
+from msym.cli import _rand_msym
 from msym.polyring import DegreeGuardError, MultiPoly, _sum_polys
 from msym.qt_field import QtRational, ONE, ZERO, Q, T
 from msym.combinatorics import (MPartition, enumerate_mpartitions, inversions,
@@ -21,7 +23,8 @@ from msym.structure import (evaluation_point, evaluation_u,
                             restrict_poly, restriction, scalar_product_m,
                             sesquilinear_product, z_lambda_qt)
 from msym.kernels import _z_qt_inverse, b_coefficient
-from oracles import apply_Y_inv, powersum_product, u_normalization
+from oracles import (apply_Y_inv, powersum_product,
+                     scalar_product_by_expansion, u_normalization)
 
 
 def x(n, i):
@@ -191,6 +194,185 @@ class TestScalarProduct:
         v = scalar_product_m(f, f, 0)
         p1 = x(2, 1) + x(2, 2)
         assert v == ONE + scalar_product_m(p1, p1, 0)
+
+
+def same_value(a, b):
+    """Equal canonical forms: the same numerator and denominator key."""
+    return a.num == b.num and a.key == b.key
+
+
+def route_spy(monkeypatch):
+    """Record the route scalar_product_m takes: "gram" for each Gram form,
+    "expand" for each basis change of one operand."""
+    routes = []
+    gram, change = structure._gram, structure._change_basis
+
+    def spied_gram(*args):
+        routes.append("gram")
+        return gram(*args)
+
+    def spied_change(*args):
+        routes.append("expand")
+        return change(*args)
+
+    monkeypatch.setattr(structure, "_gram", spied_gram)
+    monkeypatch.setattr(structure, "_change_basis", spied_change)
+    return routes
+
+
+class NonzeroRandom(random.Random):
+    """A Random whose randrange never gives 0: cli._rand_msym drawn from it
+    has every m-coordinate nonzero."""
+
+    def randrange(self, start, stop):
+        return self.choice([k for k in range(start, stop) if k])
+
+
+@st.composite
+def msym_operands(draw, full_top=False):
+    """(f, g, m): random m-symmetric f and g in N = m + d variables, d <= 3,
+    each a sum over degrees <= d of a zero, one scaled m_Lambda, or a
+    cli._rand_msym component with some or with no zero m-coordinates.
+    full_top draws m >= 1, d = 3 and both degree-3 components with no zero
+    m-coordinates, a dense pair that keeps the expansion."""
+    m = draw(st.integers(1 if full_top else 0, 2))
+    d = 3 if full_top else draw(st.integers(0, 3))
+    N = m + d
+    seed = draw(st.integers(0, 2 ** 32))
+    rng, nonzero = random.Random(seed), NonzeroRandom(seed)
+
+    def operand():
+        parts = [MultiPoly.zero(N)]
+        for k in range(d + 1):
+            kind = "full" if full_top and k == d else draw(
+                st.sampled_from(("zero", "one", "dense", "full")))
+            if kind in ("dense", "full"):
+                parts.append(_rand_msym(nonzero if kind == "full" else rng,
+                                        m, k, N))
+            elif kind == "one":
+                lab = rng.choice(enumerate_mpartitions(
+                    m, k, max_sym_length=N - m))
+                parts.append(monomial_m(lab, N).scale(
+                    QtRational.from_int(rng.choice((-2, -1, 1, 2)))))
+        return _sum_polys(N, parts)
+
+    return operand(), operand(), m
+
+
+class TestGramForm:
+    @settings(max_examples=60, deadline=None)
+    @given(msym_operands(), st.booleans())
+    def test_matches_expansion_oracle(self, fgm, verify):
+        f, g, m = fgm
+        assert same_value(scalar_product_m(f, g, m, verify),
+                          scalar_product_by_expansion(f, g, m, verify))
+
+    @settings(max_examples=15, deadline=None)
+    @given(msym_operands(full_top=True), st.booleans())
+    def test_dense_pairs_match_expansion_oracle(self, fgm, verify):
+        f, g, m = fgm
+        with pytest.MonkeyPatch.context() as mp:
+            routes = route_spy(mp)
+            v = scalar_product_m(f, g, m, verify)
+        assert "expand" in routes
+        assert same_value(v, scalar_product_by_expansion(f, g, m, verify))
+
+    @pytest.mark.parametrize("sparse, route", [(True, ["gram"]),
+                                               (False, ["expand", "expand"])])
+    def test_each_route_matches_oracle(self, monkeypatch, sparse, route):
+        # one m_Lambda against a P_Lambda takes the Gram form; two dense
+        # P_Lambda (13 m-coordinates each at (2, 3, 5)) keep the expansion
+        lab = MPartition((0, 3), ())
+        P = msym_P(lab, 5).poly
+        f = monomial_m(lab, 5) if sparse else P
+        routes = route_spy(monkeypatch)
+        v = scalar_product_m(f, P, 2)
+        assert routes == route
+        assert same_value(v, scalar_product_by_expansion(f, P, 2))
+        if not sparse:
+            assert v == norm_formula(lab)
+
+    def test_gram_entries_match_oracle(self):
+        for m in range(3):
+            for d in range(4):
+                N = m + d
+                G = structure._gram(m, d, N)
+                labs = enumerate_mpartitions(m, d, max_sym_length=N - m)
+                assert sorted(G, key=str) == sorted(labs, key=str)
+                for a in labs:
+                    ma = monomial_m(a, N)
+                    for b in labs:
+                        v = G[a].get(b, ZERO)
+                        assert v == G[b].get(a, ZERO)
+                        assert same_value(v, scalar_product_by_expansion(
+                            ma, monomial_m(b, N), m))
+
+    def test_gram_kept_with_basis_inverse(self):
+        G = structure._gram(1, 2, 3)
+        assert structure._BASIS_INVERSE_CACHE[("gram", 1, 2, 3)] is G
+        assert structure._gram(1, 2, 3) is G
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_cold_caches_equal_warm(self, sparse):
+        lab = MPartition((1, 0), (2,))
+        P = msym_P(lab, 5).poly
+        f = monomial_m(MPartition((0, 0), (2, 1)), 5) if sparse else P
+        saved = [dict(c) for c in macdonald._CACHES]
+        try:
+            macdonald.clear_caches()
+            cold = scalar_product_m(f, P, 2)
+            warm = scalar_product_m(f, P, 2)
+        finally:
+            for cache, entries in zip(macdonald._CACHES, saved):
+                cache.update(entries)
+        assert same_value(cold, warm)
+        assert same_value(cold, scalar_product_by_expansion(f, P, 2))
+
+
+def dense_element(m, d, N):
+    """A degree-d element with every m-coordinate nonzero."""
+    return _rand_msym(NonzeroRandom(d), m, d, N)
+
+
+class TestScalarProductErrors:
+    """The three ValueErrors of scalar_product_m, with operands that take
+    the Gram form (sparse) and the expansion (dense)."""
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_different_variable_counts(self, sparse):
+        f = monomial_m(MPartition((1,), (1,)), 3) if sparse \
+            else dense_element(1, 2, 3)
+        with pytest.raises(ValueError, match="different variable counts"):
+            scalar_product_m(f, f.extend(4), 1)
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_unfaithful_variable_count(self, sparse):
+        # degree 3 at m = 1 needs N >= 4
+        f = monomial_m(MPartition((1,), (2,)), 3) if sparse \
+            else dense_element(1, 3, 3)
+        with pytest.raises(ValueError, match="need N >= m \\+ degree"):
+            scalar_product_m(f, f, 1)
+
+    @pytest.mark.parametrize("sparse, route", [(True, "gram"),
+                                               (False, "expand")])
+    def test_not_symmetric_with_verify(self, monkeypatch, sparse, route):
+        # x_1 x_2^2 alone is not symmetric in x_2, x_3, x_4 at m = 1;
+        # the dense pair (7 m-coordinates each) keeps the expansion
+        odd = MultiPoly(4, {(1, 2, 0, 0): ONE})
+        if sparse:
+            bad, g = odd, monomial_m(MPartition((1,), (1, 1)), 4)
+        else:
+            g = dense_element(1, 3, 4)
+            bad = g + odd
+        routes = route_spy(monkeypatch)
+        for f, h in ((bad, g), (g, bad)):
+            with pytest.raises(ValueError, match="not symmetric"):
+                scalar_product_m(f, h, 1)
+            assert not routes
+            v = scalar_product_m(f, h, 1, verify=False)
+            assert routes and set(routes) == {route}
+            assert same_value(v, scalar_product_by_expansion(f, h, 1, False))
+            routes.clear()
 
 
 class TestNorm:
