@@ -16,6 +16,10 @@ representatives, added at the m-representatives of their orbits
 (x_i, y_j) of the bracket multiplies in one truncated series in
 z = c x_i y_j (_times_pair_series):
 (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
+
+The Cauchy identities hold only their terms at pairs of m-representatives:
+both sides are symmetric in x_{m+1}.. and in y_{m+1}.., so equal terms there
+mean equal sides.  The left side is K-bar_m relabelled (_cauchy_lhs).
 """
 
 from __future__ import annotations
@@ -69,13 +73,6 @@ class BiPoly:
         return BiPoly(self.nx, self.ny,
                       MultiPoly._raw(self.poly.nvars, _settle(out)))
 
-    def scale_y_block_q(self, upto):
-        """Substitute y_i -> q y_i for i <= upto."""
-        nx = self.nx
-        return BiPoly(self.nx, self.ny, _relabel(
-            self.poly, range(self.poly.nvars),
-            [(j, 1) for j in range(nx, nx + upto)]))
-
     def swap_xy(self):
         if self.nx != self.ny:
             raise ValueError("swap needs equal alphabets")
@@ -93,10 +90,10 @@ class BiPoly:
         return str(self.poly)
 
 
-def _times_pair_series(acc, pairs, maxdeg):
-    """acc times sum_k coeffs[k] (x_i y_j)^k for each (i, j, coeffs) in
-    pairs, truncated: one product per pair."""
-    nx, ny = acc.nx, acc.ny
+def _times_pair_series(nx, ny, pairs, maxdeg):
+    """prod sum_k coeffs[k] (x_i y_j)^k over the (i, j, coeffs) in pairs,
+    truncated, in nx + ny variables: one product per pair."""
+    acc = BiPoly.one(nx, ny)
     for i, j, coeffs in pairs:
         terms = {}
         for k, c in enumerate(coeffs):
@@ -138,6 +135,11 @@ def _orbit_pairs(Nx, Ny, m, reps):
     return BiPoly(Nx, Ny, MultiPoly._raw(Nx + Ny, full))
 
 
+def _at_reps(n, reps):
+    """reps {(a, b): c} as a MultiPoly in n variables, with c at a + b."""
+    return MultiPoly._raw(n, {a + b: c for (a, b), c in reps.items()})
+
+
 def _pair_sum(Nx, Ny, maxdeg, m, terms):
     """sum c f(x) g(y) over the (c, f, g) in terms, truncated, in Nx and Ny
     variables (_pair_reps, then _orbit_pairs)."""
@@ -166,12 +168,13 @@ def k0_truncated(Nx, Ny, maxdeg):
 
 
 def _k0_times(Nx, Ny, maxdeg, m, bracket):
-    """K_0 times bracket, truncated; bracket is a MultiPoly in Nx + Ny
-    variables with terms in x_1..x_m, y_1..y_m only.  So kappa + beta is an
-    m-representative exactly when kappa is, and K_0 is fully symmetric:
-    each sorted pair (mu, nu) of K_0 and bracket term beta make one product
-    c b_beta, added at (kappa + beta_x, lambda + beta_y) for the
-    m-representatives kappa of mu's orbit and lambda of nu's."""
+    """K_0 times bracket, truncated, at its pairs of m-representatives, as
+    {(a, b): c}.  bracket is a MultiPoly in Nx + Ny variables with terms in
+    x_1..x_m, y_1..y_m only.  So kappa + beta is an m-representative exactly
+    when kappa is, and K_0 is fully symmetric: each sorted pair (mu, nu) of
+    K_0 and bracket term beta make one product c b_beta, added at
+    (kappa + beta_x, lambda + beta_y) for the m-representatives kappa of
+    mu's orbit and lambda of nu's."""
     k0 = _pair_reps(maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
     reps = {e: orbit_reps(e, m) for e in {e for pair in k0 for e in pair}}
     beta = [(e[:m], e[Nx:Nx + m], sum(e[:Nx]), sum(e[Nx:]), b)
@@ -188,7 +191,7 @@ def _k0_times(Nx, Ny, maxdeg, m, bracket):
                 ex = tuple(map(add, bx, e[:m])) + e[m:]
                 for ey in ys:
                     _bump(out, (ex, ey), cb)
-    return _orbit_pairs(Nx, Ny, m, _settle(out))
+    return _settle(out)
 
 
 def _km_bracket(m, Nx, Ny, maxdeg, qinv):
@@ -197,7 +200,7 @@ def _km_bracket(m, Nx, Ny, maxdeg, qinv):
     s = -1 if qinv else 0
     geometric = [QtRational.monomial(1, s * k, 0) for k in range(maxdeg + 1)]
     ratio = [ONE] + [(ONE - T) * c for c in geometric[1:]]
-    return _times_pair_series(BiPoly.one(Nx, Ny), [
+    return _times_pair_series(Nx, Ny, [
         (i, j, ratio if i + j <= m else geometric)
         for i in range(1, m + 1) for j in range(1, m + 2 - i)], maxdeg)
 
@@ -215,8 +218,15 @@ def km_truncated(m, Nx, Ny, maxdeg):
         raise ValueError("alphabets must have at least m letters")
     if not m:
         return k0_truncated(Nx, Ny, maxdeg)
-    return _k0_times(Nx, Ny, maxdeg, m,
-                     _sym_bracket(m, Nx, Ny, maxdeg, qinv=True))
+    return _orbit_pairs(Nx, Ny, m, _k0_times(
+        Nx, Ny, maxdeg, m, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)))
+
+
+def _kbar(m, N, maxdeg):
+    """K-bar_m = K_0(x,y) _km_bracket(qinv=True), truncated, on alphabets
+    of size N, at its pairs of m-representatives (_k0_times)."""
+    return _k0_times(N, N, maxdeg, m,
+                     _km_bracket(m, N, N, maxdeg, qinv=True).poly)
 
 
 def _P_basis(m, N, maxdeg):
@@ -265,13 +275,12 @@ def hl_kernel_cases(m, maxdeg):
 
 def _cauchy_lhs(m, N, maxdeg):
     """K_0(x, y~) prod_{i<j<=m} (1-t x_i y_j)/(1-x_i y_j)
-    * prod_{i<=m} 1/(1-x_i y_i) on alphabets of size N, with y_1..y_m
-    scaled by q: each pair is one series in x_i y_j."""
-    ratio = [ONE] + [ONE - T] * maxdeg
-    acc = k0_truncated(N, N, maxdeg).scale_y_block_q(m)
-    return _times_pair_series(acc, [
-        (i, j, ratio if j > i else [ONE] * (maxdeg + 1))
-        for i in range(1, m + 1) for j in range(i, m + 1)], maxdeg)
+    * prod_{i<=m} 1/(1-x_i y_i), y_1..y_m scaled by q, on alphabets of size
+    N at pairs of m-representatives: K-bar_m with y_j -> q y_{m+1-j} for
+    j <= m, as K_0 is symmetric in y and i + j <= m means i < m + 1 - j."""
+    src = [*range(N), *range(N + m - 1, N - 1, -1), *range(N + m, 2 * N)]
+    return _relabel(_at_reps(2 * N, _kbar(m, N, maxdeg)), src,
+                    [(j, 1) for j in range(N, N + m)])
 
 
 def _cauchy_coeff(diagram):
@@ -284,13 +293,12 @@ def _cauchy_coeff(diagram):
 def cauchy_cases(m, maxdeg):
     """K_0(x,y~) prod_{i<j<=m}(1-tx_iy_j)/(1-x_iy_j) prod_i 1/(1-x_iy_i)
       = sum_Lambda a_Lambda P_Lambda(x;q,t) P_Lambda(y;1/q,1/t), on
-    alphabets of size m + maxdeg."""
+    alphabets of size m + maxdeg, both sides at m-representative pairs."""
     N = m + maxdeg
-    lhs = _cauchy_lhs(m, N, maxdeg)
-    rhs = _pair_sum(N, N, maxdeg, m, (
+    rhs = _pair_reps(maxdeg, m, (
         (_cauchy_coeff(lab), p.terms, p.invert_params().terms)
         for lab, p in _P_basis(m, N, maxdeg).items()))
-    yield None, lhs.poly, rhs.poly
+    yield None, _cauchy_lhs(m, N, maxdeg), _at_reps(2 * N, rhs)
 
 
 def cauchy_identity_check(m, maxdeg):
@@ -301,20 +309,18 @@ def cauchy_identity_check(m, maxdeg):
 def nonsym_cauchy_cases(m, maxdeg):
     """The same identity on alphabets of length m, expanded over the
     non-symmetric Macdonald polynomials E_eta."""
-    lhs = _cauchy_lhs(m, m, maxdeg)
     es = {eta: nonsym_E(eta).poly
           for d in range(maxdeg + 1) for eta in compositions_of(d, m)}
-    rhs = _pair_sum(m, m, maxdeg, m, (
+    rhs = _pair_reps(maxdeg, m, (
         (_cauchy_coeff(MPartition(eta, ())), e.terms, e.invert_params().terms)
         for eta, e in es.items()))
-    yield None, lhs.poly, rhs.poly
+    yield None, _cauchy_lhs(m, m, maxdeg), _at_reps(2 * m, rhs)
 
 
 def kernel_hecke_symmetry_cases(m, maxdeg):
     """T_i^{(x)} K-bar_m = T_{m-i}^{(y)} K-bar_m for i = 1..m-1, on
     alphabets of size m; witness ("T", i)."""
-    kbar = _k0_times(m, m, maxdeg, m,
-                     _km_bracket(m, m, m, maxdeg, qinv=True).poly)
+    kbar = _orbit_pairs(m, m, m, _kbar(m, m, maxdeg))
     for i in range(1, m):
         yield ("T", i), kbar.map_T_x(i).poly, kbar.map_T_y(m - i).poly
 

@@ -5,11 +5,11 @@ Exponent vectors are tuples of length nvars; no zero coefficients are stored.
 Term order for printing/iteration is lexicographic on exponent vectors,
 x_1-major, leading monomial first.
 
-Every monomial substitution x_j -> q^w x_k (embedding in more variables, and
-in hecke_ops and kernels the rotation omega, tau K_{w_m} and the y-alphabet
-maps) is one call to _relabel, the single loop that moves exponents between
-positions or scales by a q-power of them; the one exception is the E_eta
-raising step, one comprehension in macdonald._E_rule.
+Every monomial substitution x_j -> q^w x_k (embedding in more variables,
+hecke_ops' omega and tau K_{w_m}, kernels' swap of alphabets and the Cauchy
+left side's y_j -> q y_{m+1-j}) is one call to _relabel, the single loop that
+moves exponents between positions or scales by a q-power of them; the one
+exception is the E_eta raising step, one comprehension in macdonald._E_step.
 """
 
 from __future__ import annotations

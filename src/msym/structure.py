@@ -24,8 +24,8 @@ from .qt_field import QtRational, ONE, ZERO, qt_dot, qt_product, qt_sum
 from .polyring import MultiPoly, _bump, _settle, _sum_polys
 from .combinatorics import (Cell, MPartition, enumerate_mpartitions,
                             inversions, coinversions, n_stat, circle_rows,
-                            sort_desc, dominance_key, is_orbit_rep, orbit)
-from .macdonald import msym_P, hall_littlewood_H, _CACHES, _c_pairs
+                            sort_desc, dominance_key, is_orbit_rep)
+from .macdonald import msym_P, hall_littlewood_H, _CACHES, _c_pairs, _lift
 from .hecke_ops import apply_tau_K_Tbar
 
 
@@ -55,12 +55,12 @@ class Expansion:
 # ---------------------------------------------------------------------------
 
 def monomial_m(mpart, N):
-    """m_Lambda = x^a m_lambda(x_{m+1}..x_N)."""
-    m = mpart.m
-    if N < m + len(mpart.lam):
+    """m_Lambda = x^a m_lambda(x_{m+1}..x_N): its one representative term
+    x^a x^lambda, lifted to its orbit."""
+    n = mpart.m + len(mpart.lam)
+    if N < n:
         raise ValueError("N too small to realize m_%s" % mpart)
-    shape = mpart.lam + (0,) * (N - m - len(mpart.lam))
-    return MultiPoly(N, dict.fromkeys(orbit(mpart.a + shape, m), ONE))
+    return _lift(MultiPoly(n, {mpart.a + mpart.lam: ONE}), mpart.m, N)
 
 
 def _powersum_counts(lam, N):
@@ -93,18 +93,11 @@ def powersum_t(mpart, N):
 def m_coords(f, m, verify=True):
     """Coefficients of f on the m_Lambda basis, read off representative
     exponents; verify=True rejects polynomials outside R_m."""
-    N = f.nvars
-    coords = {}
-    for e, c in f.terms.items():
-        if is_orbit_rep(e, m):
-            coords[MPartition(e[:m], e[m:])] = c
-    if verify:
-        recon = _sum_polys(N, [monomial_m(lab, N).scale(c)
-                               for lab, c in coords.items()])
-        if recon != f:
-            raise ValueError("polynomial is not symmetric in x_%d..x_%d"
-                             % (m + 1, N))
-    return coords
+    if verify and _lift(f, m, f.nvars) != f:
+        raise ValueError("polynomial is not symmetric in x_%d..x_%d"
+                         % (m + 1, f.nvars))
+    return {MPartition(e[:m], e[m:]): c for e, c in f.terms.items()
+            if is_orbit_rep(e, m)}
 
 
 _BASIS_INVERSE_CACHE = {}

@@ -38,7 +38,7 @@ def k0_product_truncated(Nx, Ny, maxdeg):
         coeffs.append(coeffs[-1]
                       * (ONE - T * QtRational.monomial(1, n - 1, 0))
                       / (ONE - QtRational.monomial(1, n, 0)))
-    return _times_pair_series(BiPoly.one(Nx, Ny), [
+    return _times_pair_series(Nx, Ny, [
         (i, j, coeffs) for i in range(1, Nx + 1) for j in range(1, Ny + 1)],
         maxdeg)
 
@@ -48,6 +48,19 @@ def km_by_full_product(m, Nx, Ny, maxdeg):
     term of the symmetrized bracket t^{-binom(m,2)} T_{w_m}[bracket]."""
     return k0_truncated(Nx, Ny, maxdeg).mul(
         BiPoly(Nx, Ny, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)), maxdeg)
+
+
+def cauchy_lhs_by_full_product(m, N, maxdeg):
+    """The Cauchy left side K_0(x, y~) prod_{i<j<=m} (1-t x_i y_j)/(1-x_i y_j)
+    * prod_{i<=m} 1/(1-x_i y_i) on alphabets of size N, y_1..y_m scaled by
+    q, as a BiPoly: every monomial of K_0 times every term of the bracket,
+    itself one series in x_i y_j per pair."""
+    ratio = [ONE] + [ONE - T] * maxdeg
+    k0 = _relabel(k0_truncated(N, N, maxdeg).poly, range(2 * N),
+                  [(j, 1) for j in range(N, N + m)])
+    return BiPoly(N, N, k0).mul(_times_pair_series(N, N, [
+        (i, j, ratio if j > i else [ONE] * (maxdeg + 1))
+        for i in range(1, m + 1) for j in range(i, m + 1)], maxdeg), maxdeg)
 
 
 def powersum_product(lam, N):

@@ -6,7 +6,8 @@ import pytest
 
 from msym.qt_field import ONE, Q, T
 from msym.polyring import MultiPoly, _relabel
-from msym.combinatorics import MPartition, enumerate_mpartitions, partitions_of
+from msym.combinatorics import (MPartition, enumerate_mpartitions,
+                                 is_orbit_rep, partitions_of)
 from msym.macdonald import msym_P
 from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
 from msym import kernels
@@ -16,8 +17,8 @@ from msym.kernels import (BiPoly, b_coefficient, cauchy_cases,
                           kernel_hecke_symmetry_cases,
                           kernel_xy_symmetry_cases, km_expansion_cases,
                           km_sum_truncated, km_truncated, nonsym_cauchy_cases)
-from oracles import (holds, k0_product_truncated, km_by_full_product,
-                     powersum_product)
+from oracles import (cauchy_lhs_by_full_product, holds, k0_product_truncated,
+                     km_by_full_product, powersum_product)
 
 
 def _in_x(f, ny):
@@ -99,6 +100,22 @@ def _pair_sum_by_products(Nx, Ny, maxdeg, m, terms):
     return BiPoly(Nx, Ny, acc)
 
 
+def _at_rep_pairs(f, nx, m):
+    """The terms of f, a polynomial in nx + ny variables, at pairs of
+    m-representatives."""
+    return {e: c for e, c in f.terms.items()
+            if is_orbit_rep(e[:nx], m) and is_orbit_rep(e[nx:], m)}
+
+
+def _pair_reps_by_products(maxdeg, m, terms):
+    """The oracle for _pair_reps: _pair_sum_by_products at its pairs of
+    m-representatives, with the alphabet sizes read off the first term."""
+    terms = [(c, f, g) for c, f, g in terms if f and g]
+    nx, ny = len(next(iter(terms[0][1]))), len(next(iter(terms[0][2])))
+    full = _pair_sum_by_products(nx, ny, maxdeg, m, terms).poly
+    return {(e[:nx], e[nx:]): c for e, c in _at_rep_pairs(full, nx, m).items()}
+
+
 def _full_powersum(lam, N):
     """Every term of p_lambda(x_1..x_N) from the product oracle, not from
     structure's integer counts that k0_truncated reads."""
@@ -120,6 +137,7 @@ def _cauchy_rhs(m, maxdeg):
 def test_pair_sum_matches_product_oracle(monkeypatch, build, args):
     by_orbits = build(*args)
     monkeypatch.setattr(kernels, "_pair_sum", _pair_sum_by_products)
+    monkeypatch.setattr(kernels, "_pair_reps", _pair_reps_by_products)
     monkeypatch.setattr(kernels, "_powersum_counts", _full_powersum)
     assert by_orbits == build(*args)
 
@@ -235,7 +253,34 @@ class TestCauchy:
         # coefficient of x1 y1 on both sides is (1-qt)/(1-q)
         from msym.kernels import _cauchy_lhs
         lhs = _cauchy_lhs(1, 1, 1)
-        assert lhs.poly.coefficient_of((1, 1)) == (ONE - Q * T) / (ONE - Q)
+        assert lhs.coefficient_of((1, 1)) == (ONE - Q * T) / (ONE - Q)
+
+    def test_lhs_is_the_full_product_at_representatives(self):
+        # K-bar_m relabelled holds exactly the full product's terms at
+        # pairs of m-representatives
+        for m in range(4):
+            for N in range(max(m, 1), m + 4):
+                for d in range(9 - N):
+                    full = cauchy_lhs_by_full_product(m, N, d).poly
+                    assert (kernels._cauchy_lhs(m, N, d).terms
+                            == _at_rep_pairs(full, N, m)), (m, N, d)
+
+    def test_lhs_never_expands_k0(self, monkeypatch):
+        def no_k0(*args):
+            raise AssertionError("k0_truncated called")
+        monkeypatch.setattr(kernels, "k0_truncated", no_k0)
+        (_, lhs, rhs), = cauchy_cases(2, 3)
+        assert len(lhs.terms) == 255  # 1,476 in the full product
+        assert lhs == rhs
+
+    def test_one_wrong_coefficient_fails(self, monkeypatch):
+        # the comparison at representatives sees a change in one label
+        assert holds(cauchy_cases(1, 2))
+        coeff = kernels._cauchy_coeff
+        wrong = MPartition((1,), (1,))
+        monkeypatch.setattr(kernels, "_cauchy_coeff", lambda lab: (
+            coeff(lab) * 2 if lab == wrong else coeff(lab)))
+        assert not holds(cauchy_cases(1, 2))
 
     def test_m1(self):
         assert holds(cauchy_cases(1, 2))
@@ -261,8 +306,9 @@ class TestOperatorSymmetry:
         for m in range(1, 4):
             for d in range(4):
                 bracket = kernels._km_bracket(m, m, m, d, qinv=True)
-                assert kernels._k0_times(m, m, d, m, bracket.poly) == \
-                    k0_truncated(m, m, d).mul(bracket, d), (m, d)
+                reps = kernels._k0_times(m, m, d, m, bracket.poly)
+                assert kernels._at_reps(2 * m, reps) == \
+                    k0_truncated(m, m, d).mul(bracket, d).poly, (m, d)
 
     def test_hecke_symmetry(self):
         assert holds(kernel_hecke_symmetry_cases(2, 2))

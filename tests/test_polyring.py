@@ -272,8 +272,8 @@ class TestRelabel:
         assert apply_omega_inv(f, lo, hi) == _termwise(f, n, omega_inv)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(0, 4))
-    def test_bipoly_transforms(self, seed, ny, upto):
+    @given(st.integers(0, 10 ** 6), st.integers(1, 4))
+    def test_bipoly_transforms(self, seed, ny):
         rng = random.Random(seed)
         g = _random_qt_poly(rng, ny, 4)
         nx = rng.randrange(3)
@@ -282,9 +282,6 @@ class TestRelabel:
         f = BiPoly(ny, ny, _random_qt_poly(rng, 2 * ny, 4))
         assert f.swap_xy().poly == _termwise(
             f.poly, 2 * ny, lambda e: (e[ny:] + e[:ny], 0))
-        upto = min(upto, ny)
-        assert f.scale_y_block_q(upto).poly == _termwise(
-            f.poly, 2 * ny, lambda e: (e, sum(e[ny:ny + upto])))
 
 
 class TestPrinting:
