@@ -226,10 +226,9 @@ def suite_orthogonality(b):
     dmax = b["deg_max"]
 
     def cases(m):
-        N = m + dmax
         for d in range(dmax + 1):
-            labs = enumerate_mpartitions(m, d, max_sym_length=N - m)
-            exps = [expand_in_basis(msym_P(lab, N).poly, m, "p_Lambda_t",
+            labs = enumerate_mpartitions(m, d)
+            exps = [expand_in_basis(msym_P(lab, m + d).poly, m, "p_Lambda_t",
                                     verify=False).coeffs for lab in labs]
             for i, A in enumerate(labs):
                 for j in range(i, len(labs)):

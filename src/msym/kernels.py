@@ -169,15 +169,15 @@ def k0_truncated(Nx, Ny, maxdeg):
 
 def _k0_times(Nx, Ny, maxdeg, m, bracket):
     """K_0 times bracket, truncated, at its pairs of m-representatives, as
-    {(a, b): c}.  bracket is a MultiPoly in Nx + Ny variables with terms in
-    x_1..x_m, y_1..y_m only.  So kappa + beta is an m-representative exactly
+    {(a, b): c}.  bracket is a MultiPoly in x_1..x_m, y_1..y_m, the 2m
+    variables its terms use.  So kappa + beta is an m-representative exactly
     when kappa is, and K_0 is fully symmetric: each sorted pair (mu, nu) of
     K_0 and bracket term beta make one product c b_beta, added at
     (kappa + beta_x, lambda + beta_y) for the m-representatives kappa of
     mu's orbit and lambda of nu's."""
     k0 = _pair_reps(maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
     reps = {e: orbit_reps(e, m) for e in {e for pair in k0 for e in pair}}
-    beta = [(e[:m], e[Nx:Nx + m], sum(e[:Nx]), sum(e[Nx:]), b)
+    beta = [(e[:m], e[m:], sum(e[:m]), sum(e[m:]), b)
             for e, b in bracket.terms.items()]
     out = {}
     for (mu, nu), c in k0.items():
@@ -194,20 +194,21 @@ def _k0_times(Nx, Ny, maxdeg, m, bracket):
     return _settle(out)
 
 
-def _km_bracket(m, Nx, Ny, maxdeg, qinv):
+def _km_bracket(m, maxdeg, qinv):
     """prod_{i+j<=m} (1 - t c x_i y_j)/(1 - c x_i y_j) prod_{i+j=m+1}
-    1/(1 - c x_i y_j), c = 1/q (qinv) or 1, truncated; one series per pair."""
+    1/(1 - c x_i y_j), c = 1/q (qinv) or 1, truncated, in x_1..x_m,
+    y_1..y_m; one series per pair."""
     s = -1 if qinv else 0
     geometric = [QtRational.monomial(1, s * k, 0) for k in range(maxdeg + 1)]
     ratio = [ONE] + [(ONE - T) * c for c in geometric[1:]]
-    return _times_pair_series(Nx, Ny, [
+    return _times_pair_series(m, m, [
         (i, j, ratio if i + j <= m else geometric)
         for i in range(1, m + 1) for j in range(1, m + 2 - i)], maxdeg)
 
 
-def _sym_bracket(m, Nx, Ny, maxdeg, qinv):
-    """t^{-binom(m,2)} T^{(x)}_{w_m} of _km_bracket(...), a MultiPoly."""
-    bracket = _km_bracket(m, Nx, Ny, maxdeg, qinv).poly
+def _sym_bracket(m, maxdeg, qinv):
+    """t^{-binom(m,2)} T^{(x)}_{w_m} of _km_bracket(...), in 2m variables."""
+    bracket = _km_bracket(m, maxdeg, qinv).poly
     return apply_T_word(bracket, longest_word(m)).scale(
         QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
 
@@ -219,14 +220,13 @@ def km_truncated(m, Nx, Ny, maxdeg):
     if not m:
         return k0_truncated(Nx, Ny, maxdeg)
     return _orbit_pairs(Nx, Ny, m, _k0_times(
-        Nx, Ny, maxdeg, m, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)))
+        Nx, Ny, maxdeg, m, _sym_bracket(m, maxdeg, qinv=True)))
 
 
 def _kbar(m, N, maxdeg):
     """K-bar_m = K_0(x,y) _km_bracket(qinv=True), truncated, on alphabets
     of size N, at its pairs of m-representatives (_k0_times)."""
-    return _k0_times(N, N, maxdeg, m,
-                     _km_bracket(m, N, N, maxdeg, qinv=True).poly)
+    return _k0_times(N, N, maxdeg, m, _km_bracket(m, maxdeg, qinv=True).poly)
 
 
 def _P_basis(m, N, maxdeg):
@@ -264,7 +264,7 @@ def hl_kernel_cases(m, maxdeg):
     """t-symmetrized Hall-Littlewood kernel:
     t^{-binom(m,2)} T^{(x)}_{w_m}[prod(1-t x_i y_j)/prod(1-x_i y_j)]
       = sum_a t^{-Inv(a)} H_a(x;t) H_a(y;t)."""
-    lhs = _sym_bracket(m, m, m, maxdeg, qinv=False)
+    lhs = _sym_bracket(m, maxdeg, qinv=False)
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
     rhs = _pair_sum(m, m, maxdeg, m, (

@@ -9,9 +9,9 @@ length(lambda) <= N - m stays linearly independent.  msym_P builds each
 P_Lambda at N = m + |Lambda| and lifts it to any larger N by orbits
 (macdonald._lift).
 
-The scalar product pairs m-coordinates through the m-basis Gram matrix
-G = A^-T diag(<p_L, p_L>_m) A^-1 (A: p_Lambda(x;t) over m_Lambda), kept in
-_BASIS_INVERSE_CACHE next to A^-1.
+m-coordinates are keyed by a + lambda (m_coords) at every such N, so A^-1
+(A: a basis over m_Lambda) and the m-basis Gram matrix A^-T diag(<p_L, p_L>_m)
+A^-1 are built once at m + d and kept in _BASIS_INVERSE_CACHE by (kind, m, d).
 """
 
 from __future__ import annotations
@@ -91,13 +91,13 @@ def powersum_t(mpart, N):
 
 
 def m_coords(f, m, verify=True):
-    """Coefficients of f on the m_Lambda basis, read off representative
-    exponents; verify=True rejects polynomials outside R_m."""
+    """Coefficients of f on the m_Lambda basis, keyed by a + lambda and read
+    off representative exponents; verify=True rejects f outside R_m."""
     if verify and _lift(f, m, f.nvars) != f:
         raise ValueError("polynomial is not symmetric in x_%d..x_%d"
                          % (m + 1, f.nvars))
-    return {MPartition(e[:m], e[m:]): c for e, c in f.terms.items()
-            if is_orbit_rep(e, m)}
+    return {e[:m] + tuple(filter(None, e[m:])): c
+            for e, c in f.terms.items() if is_orbit_rep(e, m)}
 
 
 _BASIS_INVERSE_CACHE = {}
@@ -114,22 +114,23 @@ def _basis_poly(basis_kind, label, N):
     raise ValueError("unknown basis %r" % basis_kind)
 
 
-def _basis_inverse(basis_kind, m, degree, N):
-    """For each m-partition label Omega, the expansion of m_Omega in the
-    requested basis (columns of the inverse transition matrix)."""
-    key = (basis_kind, m, degree, N)
+def _basis_inverse(basis_kind, m, degree):
+    """For each key a + lambda of Omega, the expansion of m_Omega in the
+    requested basis: the columns of A^-1, built at N = m + degree."""
+    key = (basis_kind, m, degree)
     cached = _BASIS_INVERSE_CACHE.get(key)
     if cached is not None:
         return cached
-    labels = enumerate_mpartitions(m, degree, max_sym_length=N - m)
-    cols = {lab: m_coords(_basis_poly(basis_kind, lab, N), m, verify=False)
-            for lab in labels}
+    labels = enumerate_mpartitions(m, degree)
+    cols = {lab: m_coords(_basis_poly(basis_kind, lab, m + degree), m,
+                          verify=False) for lab in labels}
     # Gauss-Jordan on the augmented rows [A | I] -> [I | A^-1], where column
     # L of A holds basis_L over the m-basis
     n = len(labels)
+    keys = [lab.a + lab.lam for lab in labels]
     rows = [[cols[lab].get(row, ZERO) for lab in labels]
             + [ONE if i == j else ZERO for j in range(n)]
-            for i, row in enumerate(labels)]
+            for i, row in enumerate(keys)]
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -140,7 +141,7 @@ def _basis_inverse(basis_kind, m, degree, N):
                 rows[r] = [a - c * b for a, b in zip(row, rows[col])]
     # column Omega of the inverse: m_Omega = sum_L A^-1[L][Omega] basis_L
     out = {om: {lab: v for lab, row in zip(labels, rows) if (v := row[n + j])}
-           for j, om in enumerate(labels)}
+           for j, om in enumerate(keys)}
     _BASIS_INVERSE_CACHE[key] = out
     return out
 
@@ -153,15 +154,15 @@ def expand_in_basis(f, m, basis_kind, verify=True):
     if not f.is_homogeneous():
         raise ValueError("expansion needs a homogeneous polynomial")
     degree = f.total_degree()
-    N = f.nvars
-    if N < m + degree:
+    if f.nvars < m + degree:
         raise ValueError("need N >= m + degree for a faithful expansion")
     coords = m_coords(f, m, verify=verify)
     if basis_kind == "m_Lambda":
         return Expansion(basis_kind, m, degree,
-                         {lab: c for lab, c in coords.items() if c})
+                         {MPartition(e[:m], e[m:]): c
+                          for e, c in coords.items() if c})
     return Expansion(basis_kind, m, degree, _change_basis(
-        coords, _basis_inverse(basis_kind, m, degree, N)))
+        coords, _basis_inverse(basis_kind, m, degree)))
 
 
 def _change_basis(coords, inverse):
@@ -216,21 +217,21 @@ def pair_p_coeffs(ef, eg):
                    if (caff := big.get(lab))])
 
 
-def _gram(m, degree, N):
-    """The m-basis Gram matrix {Omega: {Omega': <m_Omega, m_Omega'>_m}},
-    nonzero entries only: G = A^-T diag(<p_L, p_L>_m) A^-1 from the columns
-    of A^-1, one qt_dot per symmetric pair.  It is kept in
-    _BASIS_INVERSE_CACHE, so clearing that table drops both."""
-    key = ("gram", m, degree, N)
+def _gram(m, degree):
+    """The m-basis Gram matrix {Omega: {Omega': <m_Omega, m_Omega'>_m}} on
+    the keys a + lambda, nonzero entries only: G = A^-T diag(<p_L, p_L>_m)
+    A^-1 from the columns of A^-1, one qt_dot per symmetric pair.  It is
+    kept in _BASIS_INVERSE_CACHE, so clearing that table drops both."""
+    key = ("gram", m, degree)
     G = _BASIS_INVERSE_CACHE.get(key)
     if G is not None:
         return G
-    inv = _basis_inverse("p_Lambda_t", m, degree, N)
+    inv = _basis_inverse("p_Lambda_t", m, degree)
     G = {om: {} for om in inv}
-    labels = list(inv)
-    for i, a in enumerate(labels):
+    keys = list(inv)
+    for i, a in enumerate(keys):
         wa = {lab: v * p_weight(lab) for lab, v in inv[a].items()}
-        for b in labels[i:]:
+        for b in keys[i:]:
             col = inv[b]
             if v := qt_dot([(w, col[lab]) for lab, w in wa.items()
                             if lab in col]):
@@ -257,10 +258,10 @@ def scalar_product_m(f, g, m, verify=True):
         if N < m + d:
             raise ValueError("need N >= m + degree for a faithful expansion")
         cf, cg = m_coords(fd, m, verify), m_coords(gc[d], m, verify)
-        inv = _basis_inverse("p_Lambda_t", m, d, N)
+        inv = _basis_inverse("p_Lambda_t", m, d)
         if len(cf) * len(cg) <= (sum(len(inv[om]) for om in cf)
                                  + sum(len(inv[om]) for om in cg)):
-            G = _gram(m, d, N)
+            G = _gram(m, d)
             if len(cf) < len(cg):
                 cf, cg = cg, cf
             values.append(qt_dot([

@@ -45,9 +45,11 @@ def k0_product_truncated(Nx, Ny, maxdeg):
 
 def km_by_full_product(m, Nx, Ny, maxdeg):
     """K_m as the truncated product of every monomial of K_0 with every
-    term of the symmetrized bracket t^{-binom(m,2)} T_{w_m}[bracket]."""
-    return k0_truncated(Nx, Ny, maxdeg).mul(
-        BiPoly(Nx, Ny, _sym_bracket(m, Nx, Ny, maxdeg, qinv=True)), maxdeg)
+    term of the symmetrized bracket t^{-binom(m,2)} T_{w_m}[bracket], its
+    2m variables embedded as x_1..x_m, y_1..y_m of the alphabets."""
+    src = [*range(m), *[-1] * (Nx - m), *range(m, 2 * m), *[-1] * (Ny - m)]
+    bracket = _relabel(_sym_bracket(m, maxdeg, qinv=True), src, ())
+    return k0_truncated(Nx, Ny, maxdeg).mul(BiPoly(Nx, Ny, bracket), maxdeg)
 
 
 def cauchy_lhs_by_full_product(m, N, maxdeg):

@@ -170,13 +170,18 @@ def _km_specs(m):
 @pytest.mark.parametrize("m", range(4))
 def test_km_matches_full_product_oracle(m):
     # K_m at orbit representatives against every monomial of K_0 times
-    # every bracket term; the bracket moves no exponent after position m
+    # every bracket term
     for nx, ny, d in _km_specs(m):
-        bracket = kernels._sym_bracket(m, nx, ny, d, qinv=True)
-        assert not any(any(e[m:nx]) or any(e[nx + m:])
-                       for e in bracket.terms), (nx, ny, d)
         assert (km_truncated(m, nx, ny, d)
                 == km_by_full_product(m, nx, ny, d)), (nx, ny, d)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_bracket_is_in_its_2m_variables(m):
+    for d in range(5):
+        assert kernels._sym_bracket(m, d, qinv=True).nvars == 2 * m
+        bracket = kernels._km_bracket(m, d, qinv=False)
+        assert (bracket.nx, bracket.ny) == (m, m)
 
 
 def test_km_matches_full_product_oracle_at_k2_664():
@@ -305,7 +310,7 @@ class TestOperatorSymmetry:
         # every exponent is its own m-representative
         for m in range(1, 4):
             for d in range(4):
-                bracket = kernels._km_bracket(m, m, m, d, qinv=True)
+                bracket = kernels._km_bracket(m, d, qinv=True)
                 reps = kernels._k0_times(m, m, d, m, bracket.poly)
                 assert kernels._at_reps(2 * m, reps) == \
                     k0_truncated(m, m, d).mul(bracket, d).poly, (m, d)

@@ -106,16 +106,18 @@ class TestExpansion:
             expand_in_basis(f, 0, "m_Lambda")
 
     def test_roundtrip_random(self):
+        # past the faithful count too: the tables built at m + d serve
+        # every N >= m + d
         rng = random.Random(3)
         for m in (0, 1, 2):
             for d in (1, 2, 3):
-                N = m + d
-                f = random_element(rng, m, d, N)
-                for basis in ("m_Lambda", "p_Lambda_t", "P_Lambda"):
-                    e = expand_in_basis(f, m, basis)
-                    assert _sum_polys(N, [
-                        _basis_poly(basis, lab, N).scale(c)
-                        for lab, c in e.coeffs.items()]) == f
+                for N in (m + d, m + d + 2):
+                    f = random_element(rng, m, d, N)
+                    for basis in ("m_Lambda", "p_Lambda_t", "P_Lambda"):
+                        e = expand_in_basis(f, m, basis)
+                        assert _sum_polys(N, [
+                            _basis_poly(basis, lab, N).scale(c)
+                            for lab, c in e.coeffs.items()]) == f
 
     def test_unitriangular_P_in_m(self):
         from msym.combinatorics import dominance_leq
@@ -293,24 +295,53 @@ class TestGramForm:
             assert v == norm_formula(lab)
 
     def test_gram_entries_match_oracle(self):
+        # G is keyed by a + lambda, as m_coords keys the m-coordinates
         for m in range(3):
             for d in range(4):
                 N = m + d
-                G = structure._gram(m, d, N)
-                labs = enumerate_mpartitions(m, d, max_sym_length=N - m)
-                assert sorted(G, key=str) == sorted(labs, key=str)
+                G = structure._gram(m, d)
+                labs = enumerate_mpartitions(m, d)
+                assert sorted(G) == sorted(lab.a + lab.lam for lab in labs)
                 for a in labs:
                     ma = monomial_m(a, N)
                     for b in labs:
-                        v = G[a].get(b, ZERO)
-                        assert v == G[b].get(a, ZERO)
+                        v = G[a.a + a.lam].get(b.a + b.lam, ZERO)
+                        assert v == G[b.a + b.lam].get(a.a + a.lam, ZERO)
                         assert same_value(v, scalar_product_by_expansion(
                             ma, monomial_m(b, N), m))
 
     def test_gram_kept_with_basis_inverse(self):
-        G = structure._gram(1, 2, 3)
-        assert structure._BASIS_INVERSE_CACHE[("gram", 1, 2, 3)] is G
-        assert structure._gram(1, 2, 3) is G
+        G = structure._gram(1, 2)
+        assert structure._BASIS_INVERSE_CACHE[("gram", 1, 2)] is G
+        assert structure._gram(1, 2) is G
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_warm_pairing_builds_no_label(self, monkeypatch, sparse):
+        # with the tables warm, both routes read m-coordinates by their
+        # a + lambda keys and build no MPartition
+        lab = MPartition((0, 3), ())
+        P = msym_P(lab, 5).poly
+        f = monomial_m(lab, 5) if sparse else P
+        warm = scalar_product_m(f, P, 2)
+
+        def no_label(*args):
+            raise AssertionError("MPartition built")
+
+        monkeypatch.setattr(structure, "MPartition", no_label)
+        assert same_value(scalar_product_m(f, P, 2), warm)
+
+    def test_tables_shared_across_alphabet_sizes(self):
+        # one (m, d) paired at N = 5 and at N = 7 builds one A^-1
+        lab = MPartition((1,), (2,))
+        structure._BASIS_INVERSE_CACHE.clear()
+        try:
+            for N in (5, 7):
+                P = msym_P(lab, N).poly
+                assert scalar_product_m(P, P, 1) == norm_formula(lab), N
+            assert [k for k in structure._BASIS_INVERSE_CACHE
+                    if k[0] == "p_Lambda_t"] == [("p_Lambda_t", 1, 3)]
+        finally:
+            structure._BASIS_INVERSE_CACHE.clear()
 
     @pytest.mark.parametrize("sparse", [True, False])
     def test_cold_caches_equal_warm(self, sparse):
