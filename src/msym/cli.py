@@ -472,6 +472,8 @@ def cmd_eval(args):
 def cmd_kernel(args):
     m, maxdeg = args.m, args.maxdeg
     N = m + maxdeg
+    # the kernel first: past the degree guard it fails before the table
+    km = kernels.km_truncated(m, N, N, maxdeg) if args.full else None
     table = [(lab, kernels.b_coefficient(lab))
              for lab in mpartitions_upto(m, maxdeg, N)]
     lines = ["b-coefficients of K_%d up to degree %d:" % (m, maxdeg)]
@@ -480,8 +482,7 @@ def cmd_kernel(args):
                "params": {"m": m, "maxdeg": maxdeg},
                "result": {"b_table": [{"label": lab.to_json(),
                                        "coeff": str(c)} for lab, c in table]}}
-    if args.full:
-        km = kernels.km_truncated(m, N, N, maxdeg)
+    if km is not None:
         lines.append("K_%d truncated (x_1..x_%d, y_1..y_%d):" % (m, N, N))
         lines.append(str(km.poly))
         payload["result"]["kernel"] = km.poly.to_json()

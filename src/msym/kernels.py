@@ -8,12 +8,13 @@ them; the witness is None where the identity makes a single comparison.
 A BiPoly is a polynomial in x_1..x_nx, y_1..y_ny stored as one MultiPoly on
 the concatenated variable list, with truncation by x-degree and y-degree
 (every identity here is bihomogeneous, so truncation is sound).  Pair sums
-run over orbit representatives; K_0 takes p_lambda from structure's integer
-power-sum counts.  K_m is computed at its orbit representatives too: one
-product of a K_0 coefficient with a bracket term per pair of K_0's sorted
-representatives, added at the m-representatives of their orbits
-(_k0_times); K_0 itself is never expanded before the product.  Each pair
-(x_i, y_j) of the bracket multiplies in one truncated series in
+run over orbit representatives.  K_0 is one table per call, one qt_sum per
+unordered pair of partitions (_k0_reps), and every kernel past the degree
+guard fails there before any sum.  K_m is computed at its orbit
+representatives too: one product of a K_0 coefficient with a bracket term
+per pair of K_0's sorted representatives, added at the m-representatives of
+their orbits (_k0_times); K_0 itself is never expanded before the product.
+Each pair (x_i, y_j) of the bracket multiplies in one truncated series in
 z = c x_i y_j (_times_pair_series):
 (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 
@@ -27,8 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from .qt_field import QtRational, ONE, T, qt_product
-from .polyring import MultiPoly, _bump, _relabel, _settle
+from . import polyring
+from .qt_field import QtRational, ONE, T, qt_product, qt_sum
+from .polyring import DegreeGuardError, MultiPoly, _bump, _relabel, _settle
 from .combinatorics import (MPartition, inversions, partitions_of,
                             compositions_of, is_orbit_rep, orbit,
                             orbit_reps, mpartitions_upto)
@@ -153,29 +155,55 @@ def _z_qt_inverse(lam):
                       [(0, part) for part in lam], [(part, 0) for part in lam])
 
 
-def _k0_terms(Nx, Ny, maxdeg):
-    """K_0's (1/z_lambda(q,t), p_lambda(x), p_lambda(y)) for |lambda| <=
-    maxdeg, p_lambda as integer counts."""
-    return ((_z_qt_inverse(lam), _powersum_counts(lam, Nx),
-             _powersum_counts(lam, Ny))
-            for d in range(maxdeg + 1) for lam in partitions_of(d))
+def _k0_reps(Nx, Ny, maxdeg):
+    """K_0, truncated, at its pairs of sorted exponents: {(mu, nu): c}.
+    At partitions mu, nu of d, c = sum_{lambda |- d} z_lambda(q,t)^{-1}
+    R_lambda,mu R_lambda,nu with R_lambda,mu = [x^mu] p_lambda, an integer
+    count that does not depend on the alphabet's size: one qt_sum per
+    unordered pair {mu, nu}, written to (mu, nu) and (nu, mu) wherever each
+    side fits its alphabet.  Past the degree guard: DegreeGuardError."""
+    if maxdeg > polyring._DEGREE_GUARD:
+        raise DegreeGuardError("degree %d exceeds guard %d"
+                               % (maxdeg, polyring._DEGREE_GUARD))
+    n = max(Nx, Ny)
+    out = {}
+    for d in range(maxdeg + 1):
+        terms = []
+        for lam in partitions_of(d):
+            # a term of p_lambda fills at most len(lam) variables
+            counts = _powersum_counts(lam, min(n, len(lam)))
+            terms.append((_z_qt_inverse(lam),
+                          {tuple(filter(None, e)): c
+                           for e, c in counts.items() if is_orbit_rep(e, 0)}))
+        mus = partitions_of(d, max_length=n)
+        for k, mu in enumerate(mus):
+            for nu in mus[k:]:
+                at = [(a + (0,) * (Nx - len(a)), b + (0,) * (Ny - len(b)))
+                      for a, b in ((mu, nu), (nu, mu))
+                      if len(a) <= Nx and len(b) <= Ny]
+                if at:
+                    c = qt_sum([z * (r[mu] * r[nu]) for z, r in terms
+                                if mu in r and nu in r])
+                    out.update(dict.fromkeys(at, c))
+    return out
 
 
 def k0_truncated(Nx, Ny, maxdeg):
     """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
     truncated to degree maxdeg."""
-    return _pair_sum(Nx, Ny, maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
+    return _orbit_pairs(Nx, Ny, 0, _k0_reps(Nx, Ny, maxdeg))
 
 
-def _k0_times(Nx, Ny, maxdeg, m, bracket):
+def _k0_times(k0, maxdeg, m, bracket):
     """K_0 times bracket, truncated, at its pairs of m-representatives, as
-    {(a, b): c}.  bracket is a MultiPoly in x_1..x_m, y_1..y_m, the 2m
+    {(a, b): c}, for K_0's table k0 (_k0_reps, which callers build before
+    the bracket, so that a maxdeg past the degree guard fails before any
+    work).  bracket is a MultiPoly in x_1..x_m, y_1..y_m, the 2m
     variables its terms use.  So kappa + beta is an m-representative exactly
     when kappa is, and K_0 is fully symmetric: each sorted pair (mu, nu) of
     K_0 and bracket term beta make one product c b_beta, added at
     (kappa + beta_x, lambda + beta_y) for the m-representatives kappa of
     mu's orbit and lambda of nu's."""
-    k0 = _pair_reps(maxdeg, 0, _k0_terms(Nx, Ny, maxdeg))
     reps = {e: orbit_reps(e, m) for e in {e for pair in k0 for e in pair}}
     beta = [(e[:m], e[m:], sum(e[:m]), sum(e[m:]), b)
             for e, b in bracket.terms.items()]
@@ -220,13 +248,15 @@ def km_truncated(m, Nx, Ny, maxdeg):
     if not m:
         return k0_truncated(Nx, Ny, maxdeg)
     return _orbit_pairs(Nx, Ny, m, _k0_times(
-        Nx, Ny, maxdeg, m, _sym_bracket(m, maxdeg, qinv=True)))
+        _k0_reps(Nx, Ny, maxdeg), maxdeg, m,
+        _sym_bracket(m, maxdeg, qinv=True)))
 
 
 def _kbar(m, N, maxdeg):
     """K-bar_m = K_0(x,y) _km_bracket(qinv=True), truncated, on alphabets
     of size N, at its pairs of m-representatives (_k0_times)."""
-    return _k0_times(N, N, maxdeg, m, _km_bracket(m, maxdeg, qinv=True).poly)
+    return _k0_times(_k0_reps(N, N, maxdeg), maxdeg, m,
+                     _km_bracket(m, maxdeg, qinv=True).poly)
 
 
 def _P_basis(m, N, maxdeg):

@@ -406,8 +406,11 @@ def qt_product(c, i, j, ups, downs):
     A (0, 0) pair gives ZERO in ups and raises ZeroDivisionError in downs.
     The binomials' factors (qt_ring._binomial) are irreducible, so they
     cancel by counting, and the factors left over with positive exponents
-    make the numerator, those with negative ones the denominator."""
+    make the numerator, those with negative ones the denominator.  When
+    none cancels, the numerator is the product of the ups, one two-term
+    product per binomial, with no Phi_n expanded."""
     exps = {}
+    cancels = False
     for pairs, s in ((downs, -1), (ups, 1)):
         for a, b in pairs:
             if not (a or b):
@@ -415,9 +418,16 @@ def qt_product(c, i, j, ups, downs):
                     raise ZeroDivisionError("1 - q^0 t^0 in a denominator")
                 return ZERO
             for key in _binomial(a, b):
-                exps[key] = exps.get(key, 0) + s
-    num = _den(c.numerator, max(i, 0), max(j, 0),
-               _fac_of({key: max(k, 0) for key, k in exps.items()}))
+                k = exps.get(key, 0)
+                cancels = cancels or k < 0 < s
+                exps[key] = k + s
+    if cancels:
+        num = _den(c.numerator, max(i, 0), max(j, 0),
+                   _fac_of({key: max(k, 0) for key, k in exps.items()}))
+    else:
+        num = {(max(i, 0), max(j, 0)): c.numerator}
+        for a, b in ups:
+            num = _pmul(num, {(0, 0): 1, (a, b): -1})
     return QtRational._raw(num, (c.denominator, max(-i, 0), max(-j, 0),
                                  _fac_of({key: max(-k, 0)
                                           for key, k in exps.items()})))

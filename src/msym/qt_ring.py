@@ -379,37 +379,48 @@ def _cancel(t, key, cands):
 
 def _lcm_sum(parts):
     """sum num/den over parts (num, key, reduced), key den's, as
-    (t, key, cands): t over the lcm of the dens, which takes the largest
-    exponent of each factor.  A factor of the lcm can divide t only if two
-    parts have it to the lcm's power, or one part whose num is not known to
-    be coprime to its den (reduced false); cands lists those factors.
-    The plan, each part's cofactor to the lcm expanded, the lcm's key and
-    cands, depends only on the parts' keys and flags, so it is worked out
-    once per tuple of them and kept in _PLANS."""
+    (t, key, cands): t over the lcm of the dens.  The plan (_lcm_plan)
+    depends only on the parts' keys and flags, so it is worked out once
+    per tuple of them and kept in _PLANS."""
     sig = tuple([(key, r) for _, key, r in parts])
     plan = _PLANS.get(sig)
     if plan is None:
-        lcm, c, i, j = {}, 1, 0, 0
-        for (cp, ip, jp, fac), _ in sig:
-            c = c * cp // math.gcd(c, cp)
-            i, j = max(i, ip), max(j, jp)
-            for f, k in fac:
-                if k > lcm.get(f, 0):
-                    lcm[f] = k
-        cofs = []
-        for (cp, ip, jp, fac), _ in sig:
-            e = dict(fac)
-            cof = _fac_of({f: k - e.get(f, 0) for f, k in lcm.items()})
-            cofs.append(_den(c // cp, i - ip, j - jp, cof))
-        fac = _fac_of(lcm)
-        cands = [(f, k) for f, k in fac
-                 if sum(2 - r for key, r in sig if (f, k) in key[3]) > 1]
-        plan = _PLANS[sig] = cofs, _key(c, i, j, fac), cands
+        plan = _PLANS[sig] = _lcm_plan(sig)
     cofs, key, cands = plan
     acc = {}
     for (num, _, _), cof in zip(parts, cofs):
         _pmul_into(acc, num, cof)
     return {e: v for e, v in acc.items() if v}, key, cands
+
+
+def _lcm_plan(sig):
+    """For the parts' (key, reduced) in sig: each part's cofactor to the
+    lcm of the dens expanded, the lcm's key and cands, in one pass over the
+    keys.  The lcm takes the largest exponent of each factor.  A factor of
+    the lcm can divide the sum only if two parts have it to the lcm's
+    power, or one part whose num is not known to be coprime to its den
+    (reduced false): each factor's weight counts 1 per reduced part and 2
+    per other part at the top power, and cands lists the factors of weight
+    2 or more."""
+    top, c, i, j = {}, 1, 0, 0
+    for (cp, ip, jp, fac), r in sig:
+        c = c * cp // math.gcd(c, cp)
+        i, j = max(i, ip), max(j, jp)
+        for f, k in fac:
+            kw = top.get(f)
+            if kw is None or k > kw[0]:
+                top[f] = [k, 2 - r]
+            elif k == kw[0]:
+                kw[1] += 2 - r
+    fac = tuple(sorted((f, kw[0]) for f, kw in top.items()))
+    cofs = []
+    for (cp, ip, jp, fp), _ in sig:
+        e = dict(fp)
+        cofs.append(_den(c // cp, i - ip, j - jp,
+                         tuple([(f, k - e.get(f, 0)) for f, k in fac
+                                if k > e.get(f, 0)])))
+    cands = [(f, k) for f, k in fac if top[f][1] > 1]
+    return cofs, _key(c, i, j, fac), cands
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Independent oracles the tests compare the library against, and the check
 that every case of an identity holds."""
 
+import math
 from collections import Counter
 
-from msym.combinatorics import circle_rows
+from msym.combinatorics import circle_rows, partitions_of
 from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
                             symmetrize_t)
-from msym.kernels import BiPoly, _sym_bracket, _times_pair_series, k0_truncated
+from msym.kernels import (BiPoly, _pair_reps, _sym_bracket,
+                          _times_pair_series, _z_qt_inverse, k0_truncated)
 from msym.macdonald import _chain_scale, _E_step, _walk, eta_for, nonsym_E
 from msym.polyring import MultiPoly, _relabel
-from msym.qt_field import QtRational, ONE, T, qt_product, qt_sum
-from msym.qt_ring import _classes, _phi
+from msym.qt_field import QtRational, ONE, T, ZERO, qt_product, qt_sum
+from msym.qt_ring import _binomial, _classes, _den, _fac_of, _key, _phi
 from msym.structure import expand_in_basis, pair_p_coeffs
 
 
@@ -41,6 +43,17 @@ def k0_product_truncated(Nx, Ny, maxdeg):
     return _times_pair_series(Nx, Ny, [
         (i, j, coeffs) for i in range(1, Nx + 1) for j in range(1, Ny + 1)],
         maxdeg)
+
+
+def k0_by_pair_sums(Nx, Ny, maxdeg):
+    """K_0 at its pairs of sorted exponents, {(mu, nu): c}, summed for each
+    ordered pair on its own: sum_lambda z_lambda(q,t)^{-1} p_lambda(x)
+    p_lambda(y) through kernels._pair_reps, with every term of p_lambda
+    from the product oracle at each alphabet's own size."""
+    return _pair_reps(maxdeg, 0, [
+        (_z_qt_inverse(lam), powersum_product(lam, Nx).terms,
+         powersum_product(lam, Ny).terms)
+        for d in range(maxdeg + 1) for lam in partitions_of(d)])
 
 
 def km_by_full_product(m, Nx, Ny, maxdeg):
@@ -216,3 +229,46 @@ def scalar_product_by_expansion(f, g, m, verify=True):
         pair_p_coeffs(expand_in_basis(fd, m, "p_Lambda_t", verify).coeffs,
                       expand_in_basis(gc[d], m, "p_Lambda_t", verify).coeffs)
         for d, fd in f.homogeneous_components().items() if d in gc])
+
+
+def qt_product_by_phi(c, i, j, ups, downs):
+    """qt_product's value with its numerator always expanded over
+    Phi_n(q^a t^b) through qt_ring._den: the binomials' factors counted,
+    those left with positive exponents multiplied out."""
+    exps = {}
+    for pairs, s in ((downs, -1), (ups, 1)):
+        for a, b in pairs:
+            if not (a or b):
+                if s < 0:
+                    raise ZeroDivisionError("1 - q^0 t^0 in a denominator")
+                return ZERO
+            for key in _binomial(a, b):
+                exps[key] = exps.get(key, 0) + s
+    num = _den(c.numerator, max(i, 0), max(j, 0),
+               _fac_of({key: max(k, 0) for key, k in exps.items()}))
+    return QtRational._raw(num, (c.denominator, max(-i, 0), max(-j, 0),
+                                 _fac_of({key: max(-k, 0)
+                                          for key, k in exps.items()})))
+
+
+def lcm_plan_by_rescanning(sig):
+    """qt_ring._lcm_plan worked out factor by factor: the lcm's exponents
+    first, then each cofactor as the lcm's exponents minus the part's, and
+    each candidate by rescanning every part's key for the factor at the
+    lcm's power."""
+    lcm, c, i, j = {}, 1, 0, 0
+    for (cp, ip, jp, fac), _ in sig:
+        c = c * cp // math.gcd(c, cp)
+        i, j = max(i, ip), max(j, jp)
+        for f, k in fac:
+            if k > lcm.get(f, 0):
+                lcm[f] = k
+    cofs = []
+    for (cp, ip, jp, fac), _ in sig:
+        e = dict(fac)
+        cof = _fac_of({f: k - e.get(f, 0) for f, k in lcm.items()})
+        cofs.append(_den(c // cp, i - ip, j - jp, cof))
+    fac = _fac_of(lcm)
+    cands = [(f, k) for f, k in fac
+             if sum(2 - r for key, r in sig if (f, k) in key[3]) > 1]
+    return cofs, _key(c, i, j, fac), cands

@@ -5,20 +5,20 @@ import hashlib
 import pytest
 
 from msym.qt_field import ONE, Q, T
-from msym.polyring import MultiPoly, _relabel
+from msym.polyring import DegreeGuardError, MultiPoly, _relabel
 from msym.combinatorics import (MPartition, enumerate_mpartitions,
                                  is_orbit_rep, partitions_of)
 from msym.macdonald import msym_P
 from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
-from msym import kernels
+from msym import kernels, polyring
 from msym.kernels import (BiPoly, b_coefficient, cauchy_cases,
                           cauchy_identity_check, hl_kernel_cases, k0_truncated,
                           kernel_eigen_symmetry_cases,
                           kernel_hecke_symmetry_cases,
                           kernel_xy_symmetry_cases, km_expansion_cases,
                           km_sum_truncated, km_truncated, nonsym_cauchy_cases)
-from oracles import (cauchy_lhs_by_full_product, holds, k0_product_truncated,
-                     km_by_full_product, powersum_product)
+from oracles import (cauchy_lhs_by_full_product, holds, k0_by_pair_sums,
+                     k0_product_truncated, km_by_full_product)
 
 
 def _in_x(f, ny):
@@ -116,12 +116,6 @@ def _pair_reps_by_products(maxdeg, m, terms):
     return {(e[:nx], e[nx:]): c for e, c in _at_rep_pairs(full, nx, m).items()}
 
 
-def _full_powersum(lam, N):
-    """Every term of p_lambda(x_1..x_N) from the product oracle, not from
-    structure's integer counts that k0_truncated reads."""
-    return powersum_product(lam, N).terms
-
-
 def _cauchy_rhs(m, maxdeg):
     """The P-basis side of cauchy_cases(m, maxdeg)."""
     return next(cauchy_cases(m, maxdeg))[2]
@@ -133,13 +127,36 @@ def _cauchy_rhs(m, maxdeg):
     (km_sum_truncated, (2, 3, 2)),
     # nontrivial orbits, unequal alphabets, m > 0 tails
     (k0_truncated, (4, 2, 3)), (km_sum_truncated, (1, 4, 3)),
-    (_cauchy_rhs, (1, 2))])
+    (_cauchy_rhs, (1, 2)),
+    # K_0 on unequal and empty alphabets
+    (k0_truncated, (2, 4, 4)), (k0_truncated, (0, 3, 2)),
+    (k0_truncated, (3, 0, 2))])
 def test_pair_sum_matches_product_oracle(monkeypatch, build, args):
+    # the K_0 cases check its table, one sum per unordered pair of
+    # partitions, against one pair sum per ordered pair over every term of
+    # p_lambda
     by_orbits = build(*args)
     monkeypatch.setattr(kernels, "_pair_sum", _pair_sum_by_products)
     monkeypatch.setattr(kernels, "_pair_reps", _pair_reps_by_products)
-    monkeypatch.setattr(kernels, "_powersum_counts", _full_powersum)
+    monkeypatch.setattr(kernels, "_k0_reps", k0_by_pair_sums)
     assert by_orbits == build(*args)
+
+
+def _no_bracket(*args):
+    raise AssertionError("bracket built before the degree guard check")
+
+
+@pytest.mark.parametrize("build,args", [
+    (k0_truncated, (2, 2, 4)), (km_truncated, (0, 2, 2, 4)),
+    (km_truncated, (2, 3, 3, 4)), (kernels._kbar, (2, 3, 4))])
+def test_kernels_obey_the_degree_guard(monkeypatch, build, args):
+    # K_0's table checks maxdeg against the guard before any sum, and is
+    # built before the bracket, so every kernel fails fast past it
+    monkeypatch.setattr(polyring, "_DEGREE_GUARD", 3)
+    monkeypatch.setattr(kernels, "_km_bracket", _no_bracket)
+    monkeypatch.setattr(kernels, "_sym_bracket", _no_bracket)
+    with pytest.raises(DegreeGuardError, match="degree 4 exceeds guard 3"):
+        build(*args)
 
 
 def test_bench_kernel_outputs_unchanged():
@@ -311,7 +328,8 @@ class TestOperatorSymmetry:
         for m in range(1, 4):
             for d in range(4):
                 bracket = kernels._km_bracket(m, d, qinv=True)
-                reps = kernels._k0_times(m, m, d, m, bracket.poly)
+                reps = kernels._k0_times(kernels._k0_reps(m, m, d), d, m,
+                                         bracket.poly)
                 assert kernels._at_reps(2 * m, reps) == \
                     k0_truncated(m, m, d).mul(bracket, d).poly, (m, d)
 

@@ -12,6 +12,8 @@ from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_dot,
 from msym.macdonald import clear_caches
 from msym.qt_ring import _ONE_TERMS, _factor
 
+from oracles import qt_product_by_phi
+
 
 def frac(num, den):
     return QtRational(num, den)
@@ -206,6 +208,26 @@ class TestQtProduct:
         got = qt_product(c, 2, -1, ups, downs)
         want = (qt_product(c.numerator, 2, -1, ups, downs)
                 / QtRational.from_int(c.denominator))
+        assert (got.num, got.key) == (want.num, want.key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(-6, 6),
+                     st.fractions(-6, 6, max_denominator=12)).filter(bool),
+           st.integers(-3, 3), st.integers(-3, 3), _PAIRS, _PAIRS,
+           st.integers(0, 4))
+    @example(Fraction(-3, 4), -2, -1, [(2, 4), (0, 3)], [(1, 2)], 0)
+    @example(Fraction(5, 6), -1, -3, [(2, 2), (0, 1)], [(1, 0)], 0)
+    def test_numerator_matches_phi_expansion(self, c, i, j, ups, downs,
+                                             shared):
+        # a form none of whose factors cancels builds its numerator as a
+        # product of the ups, the others expand it over Phi_n: both give
+        # the numerator and key of the Phi expansion.  (2, 4) splits into
+        # (1, 2)'s factor and Phi_2(q t^2), so the first example cancels
+        # one factor; the second cancels none
+        downs = (ups[:shared] + downs)[:4]
+        assume((0, 0) not in ups + downs)
+        got = qt_product(c, i, j, ups, downs)
+        want = qt_product_by_phi(c, i, j, ups, downs)
         assert (got.num, got.key) == (want.num, want.key)
 
     def test_zero_pair(self):

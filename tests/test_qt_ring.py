@@ -7,9 +7,9 @@ import pytest
 
 from msym import (combinatorics, hecke_ops, kernels, macdonald, polyring,
                   qt_field, qt_ring, structure)
-from msym.qt_ring import _G, _P, _POINTS, _fdiv, _phi, _pmul
+from msym.qt_ring import _G, _P, _POINTS, _fdiv, _lcm_plan, _phi, _pmul
 
-from oracles import fdiv_by_classes
+from oracles import fdiv_by_classes, lcm_plan_by_rescanning
 
 
 def phi_in(key):
@@ -216,3 +216,21 @@ def test_every_memo_table_is_cleared():
     finally:
         for cache, entries in zip(macdonald._CACHES, saved):
             cache.update(entries)
+
+
+def test_lcm_plan_matches_rescanning():
+    # _lcm_plan reads the lcm, the cofactors and the candidates off one
+    # pass over the parts' keys; the oracle rescans every key for each
+    # factor.  A small pool of factors and powers makes parts share a
+    # factor at the lcm's power often, with mixed reduced flags
+    rng = random.Random(30)
+    pool = [(1, 1, 0), (2, 1, 0), (1, 0, 1), (3, 0, 1), (1, 1, 1),
+            (2, 1, 2), (4, 2, 1), (6, 1, 1)]
+    for _ in range(500):
+        sig = tuple(
+            ((rng.randint(1, 6), rng.randint(0, 2), rng.randint(0, 2),
+              tuple(sorted((f, rng.randint(1, 2))
+                           for f in rng.sample(pool, rng.randint(0, 4))))),
+             rng.random() < 0.5)
+            for _ in range(rng.randint(2, 5)))
+        assert _lcm_plan(sig) == lcm_plan_by_rescanning(sig), sig
