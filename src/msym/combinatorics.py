@@ -151,9 +151,6 @@ class MPartition:
     def degree(self):
         return sum(self.a) + sum(self.lam)
 
-    def length(self):
-        return self.m + len(self.lam)
-
     def __eq__(self, other):
         return (isinstance(other, MPartition) and self.a == other.a
                 and self.lam == other.lam)
@@ -356,14 +353,6 @@ def orbit(e, m):
 
 
 def orbit_reps(e, m):
-    """The m-representatives in the full orbit of e, the f in orbit(e, 0)
-    with is_orbit_rep(f, m): each distinct head of m of e's entries, then
-    the others in decreasing order."""
-    if not m or not e:
-        return [tuple(sorted(e, reverse=True))]
-    out = []
-    for v in dict.fromkeys(e):
-        rest = list(e)
-        rest.remove(v)
-        out.extend((v,) + f for f in orbit_reps(rest, m - 1))
-    return out
+    """The m-representatives in the full orbit of e: each distinct head of
+    m of e's entries, then the others in decreasing order."""
+    return [f for f in orbit(e, 0) if is_orbit_rep(f, m)]

@@ -44,19 +44,13 @@ def apply_T(f, i, alpha=ONE, beta=ZERO):
             continue
         tc = c0 if g0 is g1 else (c if one1 else c * g1)
         ac = c if one_a else c * alpha
+        hi, lo, u, v = (b, a, tc, -ac) if b > a else (a, b, -tc, ac)
         le = list(e)
-        if b > a:
-            for k in range(b - a):
-                le[i], le[i + 1] = b - k, a + k
-                _bump(out, tuple(le), tc)
-                le[i], le[i + 1] = b - 1 - k, a + 1 + k
-                _bump(out, tuple(le), -ac)
-        else:
-            for k in range(a - b):
-                le[i], le[i + 1] = a - k, b + k
-                _bump(out, tuple(le), -tc)
-                le[i], le[i + 1] = a - 1 - k, b + 1 + k
-                _bump(out, tuple(le), ac)
+        for k in range(hi - lo):
+            le[i], le[i + 1] = hi - k, lo + k
+            _bump(out, tuple(le), u)
+            le[i], le[i + 1] = hi - 1 - k, lo + 1 + k
+            _bump(out, tuple(le), v)
     return MultiPoly._raw(n, _settle(out))
 
 

@@ -18,9 +18,12 @@ Each pair (x_i, y_j) of the bracket multiplies in one truncated series in
 z = c x_i y_j (_times_pair_series):
 (1 - t z)/(1 - z) = 1 + sum_{n>=1} (1 - t) z^n, or 1/(1 - z).
 
-The Cauchy identities hold only their terms at pairs of m-representatives:
-both sides are symmetric in x_{m+1}.. and in y_{m+1}.., so equal terms there
-mean equal sides.  The left side is K-bar_m relabelled (_cauchy_lhs).
+The Cauchy identities, K_m against its P-basis expansion and
+K_m(x,y) = K_m(y,x) compare tables at pairs of m-representatives, never
+full orbits: both sides are symmetric in x_{m+1}.. and in y_{m+1}.., each
+the write-out (_orbit_pairs) of its table, so equal tables mean equal
+sides.  The Cauchy left side is K-bar_m relabelled (_cauchy_lhs); the xy
+symmetry compares K_m's table with its mirror {(b, a): c}.
 """
 
 from __future__ import annotations
@@ -28,9 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add
 
-from . import polyring
 from .qt_field import QtRational, ONE, T, qt_product, qt_sum
-from .polyring import DegreeGuardError, MultiPoly, _bump, _relabel, _settle
+from .polyring import MultiPoly, _bump, _check_degree, _relabel, _settle
 from .combinatorics import (MPartition, inversions, partitions_of,
                             compositions_of, is_orbit_rep, orbit,
                             orbit_reps, mpartitions_upto)
@@ -74,13 +76,6 @@ class BiPoly:
                 _bump(out, tuple(u + v for u, v in zip(ea, eb)), ca * cb)
         return BiPoly(self.nx, self.ny,
                       MultiPoly._raw(self.poly.nvars, _settle(out)))
-
-    def swap_xy(self):
-        if self.nx != self.ny:
-            raise ValueError("swap needs equal alphabets")
-        nx = self.nx
-        src = [*range(nx, 2 * nx), *range(nx)]
-        return BiPoly(self.nx, self.ny, _relabel(self.poly, src, ()))
 
     def map_T_x(self, i):
         return BiPoly(self.nx, self.ny, apply_T(self.poly, i))
@@ -142,12 +137,6 @@ def _at_reps(n, reps):
     return MultiPoly._raw(n, {a + b: c for (a, b), c in reps.items()})
 
 
-def _pair_sum(Nx, Ny, maxdeg, m, terms):
-    """sum c f(x) g(y) over the (c, f, g) in terms, truncated, in Nx and Ny
-    variables (_pair_reps, then _orbit_pairs)."""
-    return _orbit_pairs(Nx, Ny, m, _pair_reps(maxdeg, m, terms))
-
-
 def _z_qt_inverse(lam):
     """1/z_lambda(q,t) = prod (1-t^{lam_i})/(1-q^{lam_i}) / z_lambda in
     closed form: one qt_product, with no inverse and no trial division."""
@@ -162,9 +151,7 @@ def _k0_reps(Nx, Ny, maxdeg):
     count that does not depend on the alphabet's size: one qt_sum per
     unordered pair {mu, nu}, written to (mu, nu) and (nu, mu) wherever each
     side fits its alphabet.  Past the degree guard: DegreeGuardError."""
-    if maxdeg > polyring._DEGREE_GUARD:
-        raise DegreeGuardError("degree %d exceeds guard %d"
-                               % (maxdeg, polyring._DEGREE_GUARD))
+    _check_degree(maxdeg)
     n = max(Nx, Ny)
     out = {}
     for d in range(maxdeg + 1):
@@ -241,15 +228,20 @@ def _sym_bracket(m, maxdeg, qinv):
         QtRational.monomial(1, 0, -(m * (m - 1) // 2)))
 
 
-def km_truncated(m, Nx, Ny, maxdeg):
-    """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated."""
+def _km_reps(m, Nx, Ny, maxdeg):
+    """K_m = t^{-binom(m,2)} K_0(x,y) T^{(x)}_{w_m}[bracket], truncated, at
+    its pairs of m-representatives: {(a, b): c}, K_0's table at m = 0."""
     if Nx < m or Ny < m:
         raise ValueError("alphabets must have at least m letters")
+    k0 = _k0_reps(Nx, Ny, maxdeg)
     if not m:
-        return k0_truncated(Nx, Ny, maxdeg)
-    return _orbit_pairs(Nx, Ny, m, _k0_times(
-        _k0_reps(Nx, Ny, maxdeg), maxdeg, m,
-        _sym_bracket(m, maxdeg, qinv=True)))
+        return k0
+    return _k0_times(k0, maxdeg, m, _sym_bracket(m, maxdeg, qinv=True))
+
+
+def km_truncated(m, Nx, Ny, maxdeg):
+    """K_m, truncated, written out to every monomial (_orbit_pairs)."""
+    return _orbit_pairs(Nx, Ny, m, _km_reps(m, Nx, Ny, maxdeg))
 
 
 def _kbar(m, N, maxdeg):
@@ -274,20 +266,25 @@ def b_coefficient(mpart):
                       _c_pairs(mpart), _norm_pairs(mpart))
 
 
-def km_sum_truncated(m, N, maxdeg):
-    """sum_Lambda b_Lambda P_Lambda(x) P_Lambda(y) with
-    b_Lambda = 1/<P_Lambda, P_Lambda>_m, both alphabets of size N."""
-    return _pair_sum(N, N, maxdeg, m, (
+def _km_sum_reps(m, N, maxdeg):
+    """sum_Lambda b_Lambda P_Lambda(x) P_Lambda(y), b_Lambda = 1/<P_Lambda,
+    P_Lambda>_m, on alphabets of size N at its pairs of m-representatives."""
+    return _pair_reps(maxdeg, m, (
         (b_coefficient(lab), p.terms, p.terms)
         for lab, p in _P_basis(m, N, maxdeg).items()))
+
+
+def km_sum_truncated(m, N, maxdeg):
+    """The P-basis expansion of K_m written out to every monomial."""
+    return _orbit_pairs(N, N, m, _km_sum_reps(m, N, maxdeg))
 
 
 def km_expansion_cases(m, maxdeg):
     """K_m against its P-basis expansion up to the truncation degree, on
     alphabets of size m + maxdeg."""
     N = m + maxdeg
-    yield (None, km_truncated(m, N, N, maxdeg).poly,
-           km_sum_truncated(m, N, maxdeg).poly)
+    yield (None, _at_reps(2 * N, _km_reps(m, N, N, maxdeg)),
+           _at_reps(2 * N, _km_sum_reps(m, N, maxdeg)))
 
 
 def hl_kernel_cases(m, maxdeg):
@@ -297,10 +294,10 @@ def hl_kernel_cases(m, maxdeg):
     lhs = _sym_bracket(m, maxdeg, qinv=False)
     hs = {a: hall_littlewood_H(a).poly
           for d in range(maxdeg + 1) for a in compositions_of(d, m)}
-    rhs = _pair_sum(m, m, maxdeg, m, (
+    rhs = _pair_reps(maxdeg, m, (
         (QtRational.monomial(1, 0, -inversions(a)), h.terms, h.terms)
         for a, h in hs.items()))
-    yield None, lhs, rhs.poly
+    yield None, lhs, _at_reps(2 * m, rhs)
 
 
 def _cauchy_lhs(m, N, maxdeg):
@@ -358,8 +355,9 @@ def kernel_hecke_symmetry_cases(m, maxdeg):
 def kernel_xy_symmetry_cases(m, maxdeg):
     """K_m(x,y) = K_m(y,x) on alphabets of size m + maxdeg."""
     N = m + maxdeg
-    km = km_truncated(m, N, N, maxdeg)
-    yield None, km.poly, km.swap_xy().poly
+    km = _km_reps(m, N, N, maxdeg)
+    yield (None, _at_reps(2 * N, km),
+           _at_reps(2 * N, {(b, a): c for (a, b), c in km.items()}))
 
 
 def kernel_eigen_symmetry_cases(m, maxdeg):

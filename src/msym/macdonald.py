@@ -26,9 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from . import combinatorics, polyring, qt_ring
+from . import combinatorics, qt_ring
 from .qt_field import QtRational, qt_product, qt_sum
-from .polyring import DegreeGuardError, MultiPoly
+from .polyring import MultiPoly, _check_degree
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
 from .hecke_ops import (_TINV, apply_Lprime, apply_T, apply_Y,
                         apply_tau_K_Tbar)
@@ -143,9 +143,7 @@ def _H_rule(a):
 def _build_E(eta):
     # the raising steps multiply by x_1 without a product, so the degree
     # guard is checked here, before any Hecke step
-    if sum(eta) > polyring._DEGREE_GUARD:
-        raise DegreeGuardError("degree %d exceeds guard %d"
-                               % (sum(eta), polyring._DEGREE_GUARD))
+    _check_degree(sum(eta))
     return _walk(_E_CACHE, eta, _E_rule)
 
 

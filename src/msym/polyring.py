@@ -6,9 +6,9 @@ Term order for printing/iteration is lexicographic on exponent vectors,
 x_1-major, leading monomial first.
 
 Every monomial substitution x_j -> q^w x_k (embedding in more variables,
-hecke_ops' omega and tau K_{w_m}, kernels' swap of alphabets and the Cauchy
-left side's y_j -> q y_{m+1-j}) is one call to _relabel, the single loop that
-moves exponents between positions or scales by a q-power of them; the one
+hecke_ops' omega and tau K_{w_m}, and the Cauchy left side's
+y_j -> q y_{m+1-j}) is one call to _relabel, the single loop that moves
+exponents between positions or scales by a q-power of them; the one
 exception is the E_eta raising step, one comprehension in macdonald._E_step.
 """
 
@@ -20,13 +20,21 @@ from operator import itemgetter
 from .qt_field import QtRational, ZERO, ONE, qt_sum
 from .qt_ring import _signed_join, _term_str
 
-# Products, and macdonald._build_E before its first Hecke step, enforce this
-# degree guard so runaway computations fail fast.  MSYM_MAXDEG overrides it.
+# Products, macdonald._build_E and kernels' K_0 table check this degree guard
+# (_check_degree) before any work, so runaway computations fail fast.
+# MSYM_MAXDEG overrides it.
 _DEGREE_GUARD = int(os.environ.get("MSYM_MAXDEG", "12"))
 
 
 class DegreeGuardError(RuntimeError):
     pass
+
+
+def _check_degree(d, what="degree"):
+    """Raise DegreeGuardError when the degree d exceeds the guard."""
+    if d > _DEGREE_GUARD:
+        raise DegreeGuardError("%s %d exceeds guard %d"
+                               % (what, d, _DEGREE_GUARD))
 
 
 def _bump(acc, e, v):
@@ -192,11 +200,8 @@ class MultiPoly:
         self._require_same(other)
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.nvars)
-        da = self.total_degree()
-        db = other.total_degree()
-        if da + db > _DEGREE_GUARD:
-            raise DegreeGuardError(
-                "product degree %d exceeds guard %d" % (da + db, _DEGREE_GUARD))
+        _check_degree(self.total_degree() + other.total_degree(),
+                      "product degree")
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a

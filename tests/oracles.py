@@ -78,6 +78,37 @@ def cauchy_lhs_by_full_product(m, N, maxdeg):
         for i in range(1, m + 1) for j in range(i, m + 1)], maxdeg), maxdeg)
 
 
+def apply_T_by_definition(f, i):
+    """T_i f = t f + (t x_i - x_{i+1}) (K_{i,i+1} f - f)/(x_i - x_{i+1}),
+    one monomial of f at a time.  The quotient by x_i - x_{i+1} is taken by
+    synthetic division: the term c x_i^p x_{i+1}^r of what is left with the
+    largest p gives c x_i^{p-1} x_{i+1}^r to the quotient and
+    c x_i^{p-1} x_{i+1}^{r+1} back to what is left."""
+    n, k = f.nvars, i - 1
+    factor = MultiPoly.variable(n, i).scale(T) - MultiPoly.variable(n, i + 1)
+    out = f.scale(T)
+    for e, c in f.terms.items():
+        swapped = list(e)
+        swapped[k], swapped[k + 1] = e[k + 1], e[k]
+        left = {tuple(swapped): c}
+        left[e] = left.get(e, ZERO) - c
+        quotient = {}
+        while True:
+            left = {g: v for g, v in left.items() if v}
+            if not left:
+                break
+            g = max(left, key=lambda g: g[k])
+            v = left.pop(g)
+            assert g[k] > 0, "K f - f is not divisible by x_i - x_{i+1}"
+            h = list(g)
+            h[k] -= 1
+            quotient[tuple(h)] = quotient.get(tuple(h), ZERO) + v
+            h[k + 1] += 1
+            left[tuple(h)] = left.get(tuple(h), ZERO) + v
+        out = out + factor * MultiPoly(n, quotient)
+    return out
+
+
 def powersum_product(lam, N):
     """p_lambda(x_1..x_N) as the product of the MultiPolys
     p_k = x_1^k + .. + x_N^k over the parts k of lam."""

@@ -255,7 +255,7 @@ class TestScalarStats:
     def test_degree_length(self):
         lam = MPartition((2, 0, 0, 2), (4, 1, 1))
         assert lam.degree() == 10
-        assert lam.length() == 7
+        assert lam.nrows() == 7  # one row per entry of a and of lam
 
 
 class TestEnumeration:
@@ -303,8 +303,11 @@ class TestUniquePermutations:
             for lam in partitions_of(d):
                 for N in range(len(lam), 8):
                     mu = lam + (0,) * (N - len(lam))
+                    perms = set(itertools.permutations(mu))
                     for m in range(min(3, N) + 1):
                         reps = orbit_reps(mu, m)
                         assert len(reps) == len(set(reps))
                         assert set(reps) == {e for e in orbit(mu, 0)
                                              if is_orbit_rep(e, m)}
+                        # one representative per distinct head of m entries
+                        assert len(reps) == len({p[:m] for p in perms})

@@ -12,7 +12,7 @@ from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega, apply_Y,
                             apply_Phi, apply_D, apply_R, apply_L,
                             apply_Lprime, apply_T_word, symmetrize_t,
                             reduced_word, longest_word)
-from oracles import apply_omega_inv, apply_Y_inv
+from oracles import apply_omega_inv, apply_T_by_definition, apply_Y_inv
 
 
 def x(n, i):
@@ -105,6 +105,28 @@ class TestGenerators:
     def test_index_range(self):
         with pytest.raises(IndexError):
             apply_T(x(2, 1), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_T_matches_its_definition(self, data):
+        # the exchange loop against T_i's defining quotient, on an f that
+        # holds exponents with e_i <, = and > e_{i+1}, alone and as
+        # alpha T_i f + beta f
+        n = data.draw(st.integers(2, 4))
+        i = data.draw(st.integers(1, n - 1))
+        terms = dict(data.draw(poly_strategy(n)).terms)
+        e = list(data.draw(st.tuples(*[st.integers(0, 3)] * n)))
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, 3), min_size=2,
+                                           max_size=2, unique=True)))
+        for pair in ((lo, hi), (hi, lo), (lo, lo)):
+            e[i - 1:i + 1] = pair
+            terms[tuple(e)] = ONE
+        f = MultiPoly(n, terms)
+        Tf = apply_T_by_definition(f, i)
+        assert apply_T(f, i) == Tf
+        alpha = data.draw(scalar_strategy)
+        beta = data.draw(scalar_strategy)
+        assert apply_T(f, i, alpha, beta) == Tf.scale(alpha) + f.scale(beta)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())

@@ -47,10 +47,6 @@ class TestBiPoly:
         assert prod.poly.coefficient_of((1, 1)).is_one()
         assert f.mul(f, 1).poly.is_zero()  # x-degree 2 truncated away
 
-    def test_swap(self):
-        f = _in_x(MultiPoly.variable(2, 1), 2)
-        assert f.swap_xy().poly.coefficient_of((0, 0, 1, 0)).is_one()
-
 
 class TestK0:
     def test_degree_zero_and_one(self):
@@ -90,8 +86,7 @@ class TestK0:
 
 def _pair_sum_by_products(Nx, Ny, maxdeg, m, terms):
     """The pair sum as truncated BiPoly products of the full polynomials,
-    scaled and added one term at a time: the oracle for _pair_sum, which
-    reads only orbit representatives.  It reads every term and ignores m."""
+    scaled and added one term at a time, over every term (m is unused)."""
     acc = MultiPoly.zero(Nx + Ny)
     for c, f, g in terms:
         term = _in_x(MultiPoly(Nx, f), Ny).mul(_in_y(MultiPoly(Ny, g), Nx),
@@ -136,7 +131,6 @@ def test_pair_sum_matches_product_oracle(monkeypatch, build, args):
     # partitions, against one pair sum per ordered pair over every term of
     # p_lambda
     by_orbits = build(*args)
-    monkeypatch.setattr(kernels, "_pair_sum", _pair_sum_by_products)
     monkeypatch.setattr(kernels, "_pair_reps", _pair_reps_by_products)
     monkeypatch.setattr(kernels, "_k0_reps", k0_by_pair_sums)
     assert by_orbits == build(*args)
@@ -248,9 +242,38 @@ class TestKm:
     def test_xy_symmetry(self):
         assert holds(kernel_xy_symmetry_cases(1, 2))
 
+    def test_xy_symmetry_sees_one_wrong_pair(self, monkeypatch):
+        # doubling K_m's coefficient at one pair (a, b) with a != b breaks
+        # the comparison of its table with the mirror
+        km_reps = kernels._km_reps
+
+        def one_wrong(*args):
+            reps = dict(km_reps(*args))
+            ab = min(pair for pair in reps if pair[0] != pair[1])
+            reps[ab] = reps[ab] * 2
+            return reps
+        monkeypatch.setattr(kernels, "_km_reps", one_wrong)
+        for m in range(3):
+            assert not holds(kernel_xy_symmetry_cases(m, 2)), m
+
     def test_alphabet_guard(self):
         with pytest.raises(ValueError):
             km_truncated(2, 1, 1, 2)
+
+
+def test_kernel_identities_never_write_out(monkeypatch):
+    # K_m, its P-basis expansion and the Hall-Littlewood sum are compared
+    # on their tables at pairs of m-representatives, never at full orbits
+    def no_write_out(*args):
+        raise AssertionError("a kernel identity wrote out a full orbit")
+    for name in ("_orbit_pairs", "km_truncated", "km_sum_truncated"):
+        monkeypatch.setattr(kernels, name, no_write_out)
+    for m in range(3):
+        for d in range(4):
+            assert holds(km_expansion_cases(m, d)), (m, d)
+            assert holds(kernel_xy_symmetry_cases(m, d)), (m, d)
+            if m:
+                assert holds(hl_kernel_cases(m, d)), (m, d)
 
 
 class TestHLKernel:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from msym.hecke_ops import apply_omega
-from msym.kernels import BiPoly
 from msym.polyring import MultiPoly, DegreeGuardError, _relabel
 from msym.qt_field import QtRational, ONE, Q, T
 from oracles import apply_omega_inv
@@ -279,9 +278,6 @@ class TestRelabel:
         nx = rng.randrange(3)
         assert _relabel(g, [-1] * nx + [*range(ny)], ()) == _termwise(
             g, nx + ny, lambda e: ([0] * nx + e, 0))
-        f = BiPoly(ny, ny, _random_qt_poly(rng, 2 * ny, 4))
-        assert f.swap_xy().poly == _termwise(
-            f.poly, 2 * ny, lambda e: (e[ny:] + e[:ny], 0))
 
 
 class TestPrinting:
