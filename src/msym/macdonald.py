@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import combinatorics, qt_ring
-from .qt_field import QtRational, qt_product, qt_sum
+from .qt_field import QtRational, _unit_times, qt_product, qt_sum
 from .polyring import MultiPoly, _check_degree
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
 from .hecke_ops import (_TINV, apply_Lprime, apply_T, apply_Y,
@@ -126,7 +126,7 @@ def _E_step(eta):
         s = theta[0]
         return theta, lambda ev: MultiPoly._raw(n, {
             e[1:] + (e[0] + 1,):
-                c * QtRational.monomial(1, e[0] - s, 0) if e[0] != s else c
+                _unit_times(c, 1, e[0] - s, 0) if e[0] != s else c
             for e, c in ev.terms.items()})
     return None, lambda _: MultiPoly.one(n)
 

@@ -8,8 +8,9 @@ x_1-major, leading monomial first.
 Every monomial substitution x_j -> q^w x_k (embedding in more variables,
 hecke_ops' omega and tau K_{w_m}, and the Cauchy left side's
 y_j -> q y_{m+1-j}) is one call to _relabel, the single loop that moves
-exponents between positions or scales by a q-power of them; the one
-exception is the E_eta raising step, one comprehension in macdonald._E_step.
+exponents between positions or scales by a q-power of them, a unit product
+(qt_field._unit_times); the one exception is the E_eta raising step, one
+comprehension in macdonald._E_step.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import os
 from operator import itemgetter
 
-from .qt_field import QtRational, ZERO, ONE, qt_sum
+from .qt_field import QtRational, ZERO, ONE, _unit, _unit_times, qt_sum
 from .qt_ring import _signed_join, _term_str
 
 # Products, macdonald._build_E and kernels' K_0 table check this degree guard
@@ -39,11 +40,11 @@ def _check_degree(d, what="degree"):
 
 def _bump(acc, e, v):
     """Collect the nonzero contribution v to acc[e] in a sparse {key:
-    coefficient} dict; every accumulation ends with _settle(acc).  Nothing
-    is added here: a key with one contribution holds it and a key with more
-    holds their list.  Reduction happens in _settle, once per denominator
-    group of each output coefficient, and gives the same canonical
-    coefficients as adding term by term."""
+    coefficient} dict: a key with one contribution holds it and a key with
+    more holds their list.  Nothing is added here.  An accumulation of
+    values ends with _settle(acc), which reduces once per denominator
+    group of each output coefficient, to the canonical form that adding
+    term by term gives; hecke_ops.apply_T collects pairs and settles them."""
     prev = acc.get(e)
     if prev is None:
         acc[e] = v
@@ -82,7 +83,7 @@ def _relabel(f, src, qexp):
         k = 0
         for j, w in qexp:
             k += w * e[j]
-        out[pick(e + (0,))] = c * QtRational.monomial(1, k, 0) if k else c
+        out[pick(e + (0,))] = _unit_times(c, 1, k, 0) if k else c
     return MultiPoly._raw(len(src), out)
 
 
@@ -212,11 +213,20 @@ class MultiPoly:
         return MultiPoly._raw(self.nvars, _settle(out))
 
     def scale(self, c):
+        """self times c, a QtRational or an int; a unit s q^a t^b makes no
+        product (qt_field._unit_times)."""
+        if isinstance(c, int):
+            c = QtRational.from_int(c)
+        elif not isinstance(c, QtRational):
+            raise TypeError("cannot scale by %r" % (c,))
         if not c or not self.terms:
             return MultiPoly.zero(self.nvars)
         if c.is_one():
             return self
-        return MultiPoly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
+        u = _unit(c)
+        return MultiPoly._raw(self.nvars, {
+            e: v * c if u is None else _unit_times(v, *u)
+            for e, v in self.terms.items()})
 
     # -- variable operators -------------------------------------------------
 

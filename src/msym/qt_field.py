@@ -58,6 +58,7 @@ addition gives.  qt_dot is the one sum of products, as in a scalar product
 sum_L f_L g_L <p_L, p_L>: each product is its numerators' product over the
 merged key, with no trial division, and the sum is reduced once, by the
 same tail as qt_sum's, so a sum that is 0 makes no trial division at all.
+_unit_times is the one product by a unit s q^a t^b: only monomials move.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .qt_ring import (_ONE_TERMS, _binomial, _cancel, _den, _fac_of,
-                      _factor, _key_product, _lcm_sum, _p_eval, _p_str,
+                      _factor, _key, _key_product, _lcm_sum, _p_eval, _p_str,
                       _parse_poly, _pdivexact, _pmul, _pmul_into, _pneg)
 
 _ONE_KEY = (1, 0, 0, ())  # the key of the denominator 1
@@ -290,14 +291,41 @@ Q = QtRational._raw({(1, 0): 1}, _ONE_KEY)
 T = QtRational._raw({(0, 1): 1}, _ONE_KEY)
 
 
-def _num_sum(values):
-    """The sum of the values' numerators, with no reduction; a lone
-    numerator comes back as it is, not copied."""
-    if len(values) == 1:
-        return values[0].num
-    num = dict(values[0].num)
-    for v in values[1:]:
-        for e, c in v.num.items():
+def _unit(x):
+    """(s, a, b) when x is the unit s q^a t^b, s = +-1 and a, b any ints;
+    None otherwise."""
+    c, i, j, fac = x.key
+    if len(x.num) != 1 or c != 1 or fac:
+        return None
+    ((e0, e1), s), = x.num.items()
+    return (s, e0 - i, e1 - j) if s in (1, -1) else None
+
+
+def _unit_times(x, s, a, b):
+    """x * s q^a t^b for s = +-1 and any ints a, b: only monomials move.
+    The power of q net of the key's multiplies the numerator or, if
+    negative, cancels against the numerator's lowest power of q (0 when the
+    key has q) and leaves the rest in the key.  Likewise for t."""
+    num = x.num
+    if not num:
+        return ZERO
+    c, i, j, fac = x.key
+    a, b = a - i, b - j
+    dq = a if a >= 0 else 0 if i else max(a, -min(e[0] for e in num))
+    dt = b if b >= 0 else 0 if j else max(b, -min(e[1] for e in num))
+    if dq or dt or s < 0:
+        num = {(e0 + dq, e1 + dt): s * v for (e0, e1), v in num.items()}
+    return QtRational._raw(num, _key(c, dq - a, dt - b, fac))
+
+
+def _num_sum(nums):
+    """The sum of the numerators, with no reduction; a lone numerator
+    comes back as it is, not copied."""
+    if len(nums) == 1:
+        return nums[0]
+    num = dict(nums[0])
+    for n in nums[1:]:
+        for e, c in n.items():
             s = num.get(e, 0) + c
             if s:
                 num[e] = s
@@ -311,12 +339,10 @@ def qt_sum(values):
     The empty sum is ZERO, a lone nonzero value comes back unchanged, and
     zeros are skipped.
 
-    The values are grouped by their denominator's key and each group's
-    numerators are added with no reduction.  One group (as in every sum of
-    polynomial coefficients over one denominator) is reduced once over it.
-    Several groups are brought to one lcm and the total is reduced once, by
-    trial division over the lcm's factors that can cancel.  The form is
-    unique, so the result is the one term-by-term addition gives."""
+    Values over one key (as in every sum of polynomial coefficients over
+    one denominator) add their numerators and are reduced once over it;
+    several keys go to _keyed_sum.  The form is unique, so the result is
+    the one term-by-term addition gives."""
     for v in values:
         # zeros are rare, so the list is copied only when one is there
         if not v.num:
@@ -327,22 +353,27 @@ def qt_sum(values):
     k0 = values[0].key
     for v in values:
         if v.key != k0:
-            break
-    else:
-        num = _num_sum(values)
-        if not num:
-            return ZERO
-        if k0 == _ONE_KEY:
-            return QtRational._raw(num, _ONE_KEY)
-        return QtRational._raw(*_cancel(num, k0, k0[3]))
+            return _keyed_sum([(v.key, v.num) for v in values])
+    num = _num_sum([v.num for v in values])
+    if not num:
+        return ZERO
+    if k0 == _ONE_KEY:
+        return QtRational._raw(num, _ONE_KEY)
+    return QtRational._raw(*_cancel(num, k0, k0[3]))
+
+
+def _keyed_sum(pairs):
+    """The reduced sum of the pairs (key, num), each num coprime to key's
+    factors: each key's numerators are added, and the groups reduced once
+    over their lcm (_parts_sum); a lone pair's group counts as reduced."""
     groups = {}
-    for v in values:
-        groups.setdefault(v.key, []).append(v)
+    for key, num in pairs:
+        groups.setdefault(key, []).append(num)
     parts = []
-    for key, g in groups.items():
-        num = _num_sum(g)
+    for key, nums in groups.items():
+        num = _num_sum(nums)
         if num:
-            parts.append((num, key, len(g) == 1))
+            parts.append((num, key, len(nums) == 1))
     return _parts_sum(parts)
 
 

@@ -39,12 +39,16 @@ def _binomial_fraction(a, b):
 
 scalar_strategy = st.one_of(
     st.just(ZERO), st.just(ONE),
-    st.builds(lambda a, b: QtRational.monomial(1, a, b),
+    # units: apply_T's multipliers then shift numerators, with signs and
+    # negative powers
+    st.builds(QtRational.monomial, st.sampled_from((1, -1)),
               st.integers(-2, 2), st.integers(-2, 2)),
     st.builds(_binomial_fraction, st.integers(1, 3), st.integers(0, 2)),
     # (2 + qt)/((1 - q)(1 + t^2))
     st.just(QtRational({(0, 0): 2, (1, 1): 1},
-                       {(0, 0): 1, (1, 0): -1, (0, 2): 1, (1, 2): -1})))
+                       {(0, 0): 1, (1, 0): -1, (0, 2): 1, (1, 2): -1})),
+    # (1 - t)/(2 (1 - q)): content 2 in the key
+    st.just(QtRational({(0, 0): 1, (0, 1): -1}, {(0, 0): 2, (1, 0): -2})))
 
 
 def poly_strategy(n):
@@ -144,6 +148,47 @@ class TestGenerators:
         # beta = -alpha t cancels the diagonal, alpha (T_i - t) f
         assert apply_T(f, i, alpha, -(alpha * T)) == \
             Tf.scale(alpha) - f.scale(alpha * T)
+
+
+    def test_inverse_generator_family(self):
+        # alpha = t^-1 reuses T_i^{-1}'s multipliers and takes g0 = 1 + beta
+        # as it comes: zero, a unit or a general value
+        tinv = T.inverse()
+        f = MultiPoly(3, {(2, 0, 1): QtRational.from_int(3),
+                          (0, 1, 1): _binomial_fraction(1, 1),
+                          (1, 3, 0): QtRational.monomial(-1, 0, -2)})
+        for i in (1, 2):
+            Tf = apply_T_by_definition(f, i)
+            for beta in (ZERO, -ONE, tinv - ONE, T - ONE, tinv * tinv,
+                         _binomial_fraction(2, 1)):
+                assert apply_T(f, i, tinv, beta) == \
+                    Tf.scale(tinv) + f.scale(beta)
+
+    def test_unit_multipliers_make_no_product(self, monkeypatch):
+        # T_i's and T_i^{-1}'s multipliers, omega's q-powers and a unit
+        # scale shift numerators and keys: with every product and qt_sum
+        # raising, they still give the results computed before
+        import msym.hecke_ops
+        import msym.polyring
+        import msym.qt_field
+        c = (ONE - T) / (ONE - Q * T * T) * QtRational.monomial(1, 0, -1)
+        f = MultiPoly(3, {(2, 0, 1): QtRational.from_int(3),
+                          (0, 1, 1): c, (1, 1, 0): -c,
+                          (0, 3, 0): QtRational.monomial(-2, 1, 0)})
+        unit = QtRational.monomial(1, 0, -2)
+        calls = [lambda: apply_T(f, 1), lambda: apply_T(f, 2),
+                 lambda: apply_Tbar(f, 1), lambda: apply_Tbar(f, 2),
+                 lambda: apply_omega(f), lambda: f.scale(unit)]
+        expected = [call() for call in calls]
+
+        def raising(*args):
+            raise AssertionError("product or qt_sum made")
+
+        monkeypatch.setattr(QtRational, "__mul__", raising)
+        monkeypatch.setattr(QtRational, "__rmul__", raising)
+        for module in (msym.qt_field, msym.polyring, msym.hecke_ops):
+            monkeypatch.setattr(module, "qt_sum", raising)
+        assert [call() for call in calls] == expected
 
 
 class TestOmega:

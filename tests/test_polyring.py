@@ -1,6 +1,7 @@
 """Sparse polynomial ring and variable operators."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +63,19 @@ class TestArithmetic:
         g = f.scale(c)
         assert g.coefficient_of((1, 0)) == c
         assert g.coefficient_of((0, 1)) == c
+
+    def test_scale_by_an_int(self):
+        # an int scales as QtRational * int does; anything else is refused
+        f = x(2, 1) + MultiPoly.one(2)
+        assert MultiPoly.one(2).scale(2) == MultiPoly.one(2).scale(
+            QtRational.from_int(2))
+        assert f.scale(-3) == f.scale(QtRational.from_int(-3))
+        assert f.scale(0) == MultiPoly.zero(2)
+        assert f.scale(1) is f
+        with pytest.raises(TypeError):
+            f.scale(0.5)
+        with pytest.raises(TypeError):
+            f.scale(Fraction(1, 2))
 
     def test_nvars_mismatch(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from msym.qt_field import (QtRational, ONE, ZERO, Q, T, parse_qt, qt_dot,
-                           qt_product, qt_sum, _pmul)
+                           qt_product, qt_sum, _pmul, _unit, _unit_times)
 from msym.macdonald import clear_caches
 from msym.qt_ring import _ONE_TERMS, _factor
 
@@ -789,6 +789,32 @@ class TestFactoredDenominators:
         # content with no sign, and the leftover -q - t
         assert _factor({(1, 0): -2, (0, 1): -2}) == (
             (2, 0, 0, ()), {(1, 0): -1, (0, 1): -1})
+
+
+# (1 - t)/(2 (1 - q)): a key whose content c is 2
+_CONTENT_VALUE = QtRational({(0, 0): 1, (0, 1): -1}, {(0, 0): 2, (1, 0): -2})
+
+
+class TestUnitTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(factored_leaf(), _factored_expr, max_leaves=3),
+           st.sampled_from((ONE, _CONTENT_VALUE,
+                            QtRational({(2, 1): 1, (3, 0): -2}))),
+           st.integers(-3, 3), st.integers(-3, 3),
+           st.sampled_from((1, -1)), st.integers(-3, 3), st.integers(-3, 3))
+    def test_matches_the_product(self, expr, y, i, j, s, a, b):
+        # x has a factored key, content in its key or its numerator, and
+        # a monomial in its key or its numerator (q^2 t - 2 q^3 has one
+        # for a negative power to cancel against)
+        x = _evaluate(expr)[0] * y * QtRational.monomial(1, i, j)
+        assert _unit_times(x, s, a, b) == x * QtRational.monomial(s, a, b)
+
+    def test_units_are_recognised(self):
+        for s, a, b in ((1, 0, 0), (-1, 2, -3), (1, -1, 0), (-1, 0, 4)):
+            assert _unit(QtRational.monomial(s, a, b)) == (s, a, b)
+        for x in (QtRational.from_int(2), T * 2, ONE - T, _CONTENT_VALUE,
+                  ONE / QtRational.from_int(3)):
+            assert _unit(x) is None
 
 
 def _counter(monkeypatch, module, name):
