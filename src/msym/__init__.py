@@ -13,8 +13,8 @@ from .structure import (Expansion, monomial_m, powersum_t, expand_in_basis,
                         scalar_product_m, norm_formula, inclusion_coeffs,
                         restriction, principal_specialization, evaluation_u,
                         sesquilinear_product)
-from .kernels import (BiPoly, k0_truncated, km_truncated, hl_kernel_cases,
-                      cauchy_cases, cauchy_identity_check, nonsym_cauchy_cases,
+from .kernels import (BiPoly, km_truncated, hl_kernel_cases, cauchy_cases,
+                      cauchy_identity_check, nonsym_cauchy_cases,
                       kernel_hecke_symmetry_cases)
 
 __version__ = "0.1.0"

@@ -5,127 +5,68 @@ operator Phi_q, the eigenoperator D, and the t-symmetrizer.
 All operators are pure maps MultiPoly -> MultiPoly.  T_i is computed per
 monomial through the closed divided-difference form, so no rational function
 in the x variables is ever materialized and every division is exact by
-construction.  T_i's and T_i^-1's multipliers are units, which shift
-numerators: a traced pass of the benchmark's operators workload makes 5,196
-products in Q(q,t), not 134,853.  Window arguments (lo, hi) let the same
-operators act on a contiguous block of variables, which the kernel module
-uses to act on the x or y alphabet of a two-alphabet polynomial.
+construction.  Every Hecke step is one pass of _T_with, T_i + (g0 - t), times
+1 or t^-1.  Window arguments (lo, hi) let the same operators act on a
+contiguous block of variables, which the kernel module uses to act on the x
+or y alphabet of a two-alphabet polynomial.
 """
 
 from __future__ import annotations
 
 from .polyring import MultiPoly, _bump, _relabel, _sum_polys
-from .qt_field import (QtRational, ONE, ZERO, T, _ONE_KEY, _keyed_sum,
-                       _num_sum, _unit, qt_sum)
-from .qt_ring import _cancel, _key
+from .qt_field import (QtRational, ONE, T, _multiplier, _settle_pairs,
+                       _times, qt_sum)
 
 _TINV = T.inverse()
-_TINV_1 = _TINV - ONE
+# T_i's multipliers off the diagonal, t, -t, 1 and -1, as numerator shifts
+_PLUS_T, _MINUS_T = (1, 0, 1), (-1, 0, 1)
+_PLUS_1, _MINUS_1 = (1, 0, 0), (-1, 0, 0)
 
 
-def _plan(g0, g1, alpha):
-    """apply_T's multipliers (shift, g0, g1, -g1, alpha, -alpha).  A unit
-    s q^a t^b is the numerator shift (s, a + i, b + j), shift = (i, j) the
-    least making all such shifts >= 0, added to the key (None for (0, 0)),
-    so a term's unit multiples share a key.  Zero is None."""
-    gs = (g0, g1, -g1, alpha, -alpha)
-    units = [_unit(g) for g in gs]
-    i = max([0] + [-u[1] for u in units if u])
-    j = max([0] + [-u[2] for u in units if u])
-    ms = [(u[0], u[1] + i, u[2] + j) if u else g or None
-          for g, u in zip(gs, units)]
-    if g0 == g1:
-        ms[0] = ms[1]
-    return ((i, j) if i or j else None, *ms)
-
-
-_T_PLAN, _TBAR_PLAN = _plan(T, T, ONE), _plan(_TINV, ONE, _TINV)
-
-
-def _times(c, m, shift, keys):
-    """The pair (key, num) of the nonzero c times the multiplier m of a
-    plan with this shift; keys holds the call's shifted keys.  A unit's
-    monomial is cancelled when the output is settled."""
-    if m.__class__ is not tuple:
-        p = c * m
-        return p.key, p.num
-    s, a, b = m
-    num = c.num
-    if a or b or s < 0:
-        num = {(e0 + a, e1 + b): s * v for (e0, e1), v in num.items()}
-    if not shift:
-        return c.key, num
-    key = keys.get(c.key)
-    if key is None:
-        kc, ki, kj, fac = c.key
-        key = keys[c.key] = _key(kc, ki + shift[0], kj + shift[1], fac)
-    return key, num
-
-
-def apply_T(f, i, alpha=ONE, beta=ZERO):
-    """alpha T_i f + beta f, collected in one accumulation, where
+def _T_with(f, i, g0):
+    """T_i f + (g0 - t) f in one pass, where
     T_i f = t f + (t x_i - x_{i+1}) (K_{i,i+1} f - f)/(x_i - x_{i+1}).
 
-    Each term c x^e contributes c (alpha t + beta) to x^e and, unless
-    e_i = e_{i+1}, c alpha t or -c alpha to the monomials between x^e and
-    its exchange, as (key, numerator) pairs (_times).  Of an output's
-    pairs, a lone one is a unit multiple of a reduced value, so only its
-    monomial can cancel; pairs over one key add their numerators and
-    cancel over its factors; others go to _keyed_sum."""
+    Each term c x^e contributes c g0 to x^e and, unless e_i = e_{i+1},
+    c t or -c t, and -c or c, to the monomials between x^e and its
+    exchange, as qt_field._times pairs settled once (_settle_pairs).  T_i
+    is g0 = t; by (T_i - t)(T_i + 1) = 0, t T_i^{-1} is g0 = 1, and the
+    E_eta step's T_i - c is g0 = t - c."""
     n = f.nvars
     if not 1 <= i <= n - 1:
         raise IndexError("T_%d undefined for %d variables" % (i, n))
     i -= 1
-    if alpha == ONE and not beta:
-        plan = _T_PLAN
-    elif alpha == _TINV and beta == _TINV_1:
-        plan = _TBAR_PLAN
-    elif alpha == _TINV:
-        # alpha t = 1: the E_eta step's g0 = 1 + beta is its only new value
-        plan = (_TBAR_PLAN[0], ONE + beta) + _TBAR_PLAN[2:]
-    else:
-        plan = _plan(alpha * T + beta, alpha * T, alpha)
-    shift, m0, m1, m1neg, ma, maneg = plan
-    keys, out = {}, {}
+    m0 = _multiplier(g0)
+    # for g0 = t the diagonal pair is also the exchange's t multiple
+    mt = m0 if _PLUS_T == m0 else _PLUS_T
+    out = {}
     for e, c in f.terms.items():
-        if m0 is not None:
-            p0 = _times(c, m0, shift, keys)
-            _bump(out, e, p0)
+        p0 = _times(c, m0)
+        _bump(out, e, p0)
         a, b = e[i], e[i + 1]
-        if a == b or ma is None:
+        if a == b:
             continue
-        hi, lo, mu, mv = (b, a, m1, maneg) if b > a else (a, b, m1neg, ma)
-        u = p0 if mu is m0 else _times(c, mu, shift, keys)
-        v = _times(c, mv, shift, keys)
+        hi, lo, mu, mv = ((b, a, mt, _MINUS_1) if b > a
+                          else (a, b, _MINUS_T, _PLUS_1))
+        u = p0 if mu is m0 else _times(c, mu)
+        v = _times(c, mv)
         le = list(e)
         for k in range(hi - lo):
             le[i], le[i + 1] = hi - k, lo + k
             _bump(out, tuple(le), u)
             le[i], le[i + 1] = hi - 1 - k, lo + 1 + k
             _bump(out, tuple(le), v)
-    res = {}
-    for e, v in out.items():
-        if v.__class__ is tuple:
-            (key, num), cands = v, ()
-        else:
-            key = v[0][0]
-            for k, _ in v:
-                if k != key:
-                    x = _keyed_sum(v)
-                    key, num, cands = x.key, x.num, None
-                    break
-            else:
-                num, cands = _num_sum([p[1] for p in v]), key[3]
-        if num:
-            if cands is not None and key != _ONE_KEY:
-                num, key = _cancel(num, key, cands)
-            res[e] = QtRational._raw(num, key)
-    return MultiPoly._raw(n, res)
+    return MultiPoly._raw(n, _settle_pairs(out))
+
+
+def apply_T(f, i):
+    """The Demazure-Lusztig generator T_i."""
+    return _T_with(f, i, T)
 
 
 def apply_Tbar(f, i):
-    """Inverse generator: T_i^{-1} = t^{-1} T_i + t^{-1} - 1."""
-    return apply_T(f, i, _TINV, _TINV_1)
+    """Inverse generator: T_i^{-1} = t^{-1} (T_i + 1 - t)."""
+    return _T_with(f, i, ONE).scale(_TINV)
 
 
 def apply_T_word(f, word):
@@ -136,9 +77,11 @@ def apply_T_word(f, word):
 
 
 def apply_Tbar_word(f, word):
+    """Apply T_{word[0]}^{-1} T_{word[1]}^{-1} ...: the passes
+    t T_j^{-1}, then one scale by t^-len(word)."""
     for j in reversed(word):
-        f = apply_Tbar(f, j)
-    return f
+        f = _T_with(f, j, ONE)
+    return f.scale(QtRational.monomial(1, 0, -len(word)))
 
 
 def apply_omega(f, lo=1, hi=None):

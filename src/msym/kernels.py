@@ -175,12 +175,6 @@ def _k0_reps(Nx, Ny, maxdeg):
     return out
 
 
-def k0_truncated(Nx, Ny, maxdeg):
-    """K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y),
-    truncated to degree maxdeg."""
-    return _orbit_pairs(Nx, Ny, 0, _k0_reps(Nx, Ny, maxdeg))
-
-
 def _k0_times(k0, maxdeg, m, bracket):
     """K_0 times bracket, truncated, at its pairs of m-representatives, as
     {(a, b): c}, for K_0's table k0 (_k0_reps, which callers build before
@@ -240,7 +234,8 @@ def _km_reps(m, Nx, Ny, maxdeg):
 
 
 def km_truncated(m, Nx, Ny, maxdeg):
-    """K_m, truncated, written out to every monomial (_orbit_pairs)."""
+    """K_m, truncated, written out to every monomial (_orbit_pairs); at
+    m = 0, K_0(x,y) = sum_lambda z_lambda(q,t)^{-1} p_lambda(x) p_lambda(y)."""
     return _orbit_pairs(Nx, Ny, m, _km_reps(m, Nx, Ny, maxdeg))
 
 

@@ -30,7 +30,7 @@ from . import combinatorics, qt_ring
 from .qt_field import QtRational, _unit_times, qt_product, qt_sum
 from .polyring import MultiPoly, _check_degree
 from .combinatorics import MPartition, circle_rows, inversions, bruhat_less
-from .hecke_ops import (_TINV, apply_Lprime, apply_T, apply_Y,
+from .hecke_ops import (_TINV, _T_with, apply_Lprime, apply_T, apply_Y,
                         apply_tau_K_Tbar)
 
 
@@ -115,10 +115,11 @@ def _E_step(eta):
         nu = eta[:desc] + (eta[desc + 1], eta[desc]) + eta[desc + 2:]
         r = circle_rows(nu)
         # E_eta = t^{-1} (T_i - c) E_nu, i = desc + 1, c = (t-1)/(1-q^a t^b),
-        # q^a t^b = eta_bar(nu, i+1)/eta_bar(nu, i), a, b > 0; beta = -c/t
-        beta = qt_product(1, 0, -1, [(0, 1)],
-                          [(nu[desc + 1] - nu[desc], r[desc] - r[desc + 1])])
-        return nu, lambda ev: apply_T(ev, desc + 1, _TINV, beta)
+        # q^a t^b = eta_bar(nu, i+1)/eta_bar(nu, i), a, b > 0: one _T_with
+        # pass with g0 = t - c = (1 - q^a t^{b+1})/(1 - q^a t^b)
+        a, b = nu[desc + 1] - nu[desc], r[desc] - r[desc + 1]
+        g0 = qt_product(1, 0, 0, [(a, b + 1)], [(a, b)])
+        return nu, lambda ev: _T_with(ev, desc + 1, g0).scale(_TINV)
     if any(eta):
         # the raising step as a substitution (Knop-Sahi):
         # E_eta = q^-s x_N E_theta(q x_N, x_1, .., x_{N-1}), s = theta_1

@@ -44,7 +44,8 @@ def _bump(acc, e, v):
     more holds their list.  Nothing is added here.  An accumulation of
     values ends with _settle(acc), which reduces once per denominator
     group of each output coefficient, to the canonical form that adding
-    term by term gives; hecke_ops.apply_T collects pairs and settles them."""
+    term by term gives; a Hecke pass collects (key, numerator) pairs and
+    ends with qt_field._settle_pairs."""
     prev = acc.get(e)
     if prev is None:
         acc[e] = v

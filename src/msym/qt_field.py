@@ -59,6 +59,8 @@ sum_L f_L g_L <p_L, p_L>: each product is its numerators' product over the
 merged key, with no trial division, and the sum is reduced once, by the
 same tail as qt_sum's, so a sum that is 0 makes no trial division at all.
 _unit_times is the one product by a unit s q^a t^b: only monomials move.
+A Hecke pass (hecke_ops._T_with) multiplies each term by _times, as a
+(key, numerator) pair, and settles its output once, by _settle_pairs.
 """
 
 from __future__ import annotations
@@ -316,6 +318,55 @@ def _unit_times(x, s, a, b):
     if dq or dt or s < 0:
         num = {(e0 + dq, e1 + dt): s * v for (e0, e1), v in num.items()}
     return QtRational._raw(num, _key(c, dq - a, dt - b, fac))
+
+
+def _multiplier(g):
+    """g as a multiplier of _times: (s, a, b) when g is the unit s q^a t^b
+    with a, b >= 0, which shifts numerators; g itself otherwise."""
+    u = _unit(g)
+    return u if u and u[1] >= 0 and u[2] >= 0 else g
+
+
+def _times(c, m):
+    """The pair (key, num) of the nonzero c times the multiplier m
+    (_multiplier): a unit shifts c's numerator over c's key, and the
+    monomial it may then share with the key is cancelled by _settle_pairs;
+    any other m is a product."""
+    if m.__class__ is not tuple:
+        p = c * m
+        return p.key, p.num
+    s, a, b = m
+    num = c.num
+    if a or b or s < 0:
+        num = {(e0 + a, e1 + b): s * v for (e0, e1), v in num.items()}
+    return c.key, num
+
+
+def _settle_pairs(acc):
+    """The values of an accumulation of _times pairs made by
+    polyring._bump, as a new dict without the sums that cancel.  A lone
+    pair is a reduced value times a unit, or a reduced product, so only its
+    content and monomial can cancel; pairs over one key add their
+    numerators and cancel over the key's factors; mixed keys go to
+    _keyed_sum."""
+    res = {}
+    for e, v in acc.items():
+        if v.__class__ is tuple:
+            (key, num), cands = v, ()
+        else:
+            key = v[0][0]
+            for k, _ in v:
+                if k != key:
+                    x = _keyed_sum(v)
+                    key, num, cands = x.key, x.num, None
+                    break
+            else:
+                num, cands = _num_sum([p[1] for p in v]), key[3]
+        if num:
+            if cands is not None and key != _ONE_KEY:
+                num, key = _cancel(num, key, cands)
+            res[e] = QtRational._raw(num, key)
+    return res
 
 
 def _num_sum(nums):

@@ -65,7 +65,8 @@ def monomial_m(mpart, N):
 
 def _powersum_counts(lam, N):
     """The integer counts [x^mu] p_lambda(x_1..x_N), one part at a time: the
-    one expansion of p_lambda, for powersum_t and kernels.k0_truncated."""
+    one expansion of p_lambda, for powersum_t and kernels' K_0 table
+    (_k0_reps)."""
     counts = {(0,) * N: 1}
     for part in lam:
         nxt = {}

@@ -8,7 +8,7 @@ from msym.combinatorics import circle_rows, partitions_of
 from msym.hecke_ops import (apply_Lprime, apply_Phi, apply_T, apply_Tbar,
                             symmetrize_t)
 from msym.kernels import (BiPoly, _pair_reps, _sym_bracket,
-                          _times_pair_series, _z_qt_inverse, k0_truncated)
+                          _times_pair_series, _z_qt_inverse, km_truncated)
 from msym.macdonald import _chain_scale, _E_step, _walk, eta_for, nonsym_E
 from msym.polyring import MultiPoly, _relabel
 from msym.qt_field import QtRational, ONE, T, ZERO, qt_product, qt_sum
@@ -62,7 +62,8 @@ def km_by_full_product(m, Nx, Ny, maxdeg):
     2m variables embedded as x_1..x_m, y_1..y_m of the alphabets."""
     src = [*range(m), *[-1] * (Nx - m), *range(m, 2 * m), *[-1] * (Ny - m)]
     bracket = _relabel(_sym_bracket(m, maxdeg, qinv=True), src, ())
-    return k0_truncated(Nx, Ny, maxdeg).mul(BiPoly(Nx, Ny, bracket), maxdeg)
+    return km_truncated(0, Nx, Ny, maxdeg).mul(BiPoly(Nx, Ny, bracket),
+                                               maxdeg)
 
 
 def cauchy_lhs_by_full_product(m, N, maxdeg):
@@ -71,7 +72,7 @@ def cauchy_lhs_by_full_product(m, N, maxdeg):
     q, as a BiPoly: every monomial of K_0 times every term of the bracket,
     itself one series in x_i y_j per pair."""
     ratio = [ONE] + [ONE - T] * maxdeg
-    k0 = _relabel(k0_truncated(N, N, maxdeg).poly, range(2 * N),
+    k0 = _relabel(km_truncated(0, N, N, maxdeg).poly, range(2 * N),
                   [(j, 1) for j in range(N, N + m)])
     return BiPoly(N, N, k0).mul(_times_pair_series(N, N, [
         (i, j, ratio if j > i else [ONE] * (maxdeg + 1))

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from msym.polyring import MultiPoly
 from msym.qt_field import QtRational, ONE, ZERO, Q, T, qt_product
 from msym.combinatorics import bruhat_less, circle_rows
-from msym.hecke_ops import (apply_T, apply_Tbar, apply_omega, apply_Y,
-                            apply_Phi, apply_D, apply_R, apply_L,
-                            apply_Lprime, apply_T_word, symmetrize_t,
-                            reduced_word, longest_word)
+from msym.hecke_ops import (_T_with, apply_T, apply_Tbar, apply_omega,
+                            apply_Y, apply_Phi, apply_D, apply_R, apply_L,
+                            apply_Lprime, apply_T_word, apply_Tbar_word,
+                            symmetrize_t, reduced_word, longest_word)
 from oracles import apply_omega_inv, apply_T_by_definition, apply_Y_inv
 
 
@@ -39,8 +39,8 @@ def _binomial_fraction(a, b):
 
 scalar_strategy = st.one_of(
     st.just(ZERO), st.just(ONE),
-    # units: apply_T's multipliers then shift numerators, with signs and
-    # negative powers
+    # units: a diagonal multiplier that shifts numerators, and signed ones
+    # and negative powers, which are products
     st.builds(QtRational.monomial, st.sampled_from((1, -1)),
               st.integers(-2, 2), st.integers(-2, 2)),
     st.builds(_binomial_fraction, st.integers(1, 3), st.integers(0, 2)),
@@ -115,7 +115,7 @@ class TestGenerators:
     def test_T_matches_its_definition(self, data):
         # the exchange loop against T_i's defining quotient, on an f that
         # holds exponents with e_i <, = and > e_{i+1}, alone and as
-        # alpha T_i f + beta f
+        # T_i f + (g0 - t) f
         n = data.draw(st.integers(2, 4))
         i = data.draw(st.integers(1, n - 1))
         terms = dict(data.draw(poly_strategy(n)).terms)
@@ -128,41 +128,63 @@ class TestGenerators:
         f = MultiPoly(n, terms)
         Tf = apply_T_by_definition(f, i)
         assert apply_T(f, i) == Tf
-        alpha = data.draw(scalar_strategy)
-        beta = data.draw(scalar_strategy)
-        assert apply_T(f, i, alpha, beta) == Tf.scale(alpha) + f.scale(beta)
+        g0 = data.draw(scalar_strategy)
+        assert _T_with(f, i, g0) == Tf + f.scale(g0 - T)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_linear_combination_matches_scale_and_add(self, data):
-        # the one-pass alpha T_i f + beta f against its definition, with
-        # alpha and beta zero, one, monomials, binomial fractions and a
-        # fraction whose denominator does not factor (the gcd path)
+        # the one-pass T_i f + (g0 - t) f against its definition, with g0
+        # zero, one, monomials, binomial fractions and a fraction whose
+        # denominator does not factor (the gcd path)
         n = data.draw(st.integers(2, 4))
         i = data.draw(st.integers(1, n - 1))
         f = data.draw(poly_strategy(n))
-        alpha = data.draw(scalar_strategy)
-        beta = data.draw(scalar_strategy)
-        Tf = apply_T(f, i)
-        assert apply_T(f, i, alpha, beta) == Tf.scale(alpha) + f.scale(beta)
-        # beta = -alpha t cancels the diagonal, alpha (T_i - t) f
-        assert apply_T(f, i, alpha, -(alpha * T)) == \
-            Tf.scale(alpha) - f.scale(alpha * T)
-
+        g0 = data.draw(scalar_strategy)
+        Tf = apply_T_by_definition(f, i)
+        assert _T_with(f, i, g0) == Tf + f.scale(g0 - T)
+        # g0 = 0 cancels the diagonal, (T_i - t) f
+        assert _T_with(f, i, ZERO) == Tf - f.scale(T)
 
     def test_inverse_generator_family(self):
-        # alpha = t^-1 reuses T_i^{-1}'s multipliers and takes g0 = 1 + beta
-        # as it comes: zero, a unit or a general value
+        # the family T_i + (g0 - t): g0 = t is T_i, g0 = 1 is t T_i^{-1},
+        # and g0 = t - c the E_eta step's T_i - c; zero, units and general
+        # values as they come
         tinv = T.inverse()
         f = MultiPoly(3, {(2, 0, 1): QtRational.from_int(3),
                           (0, 1, 1): _binomial_fraction(1, 1),
                           (1, 3, 0): QtRational.monomial(-1, 0, -2)})
         for i in (1, 2):
             Tf = apply_T_by_definition(f, i)
-            for beta in (ZERO, -ONE, tinv - ONE, T - ONE, tinv * tinv,
-                         _binomial_fraction(2, 1)):
-                assert apply_T(f, i, tinv, beta) == \
-                    Tf.scale(tinv) + f.scale(beta)
+            assert _T_with(f, i, ONE).scale(tinv) == apply_Tbar(f, i)
+            for g0 in (ZERO, ONE, -ONE, T, -T, tinv, T - ONE, tinv * tinv,
+                       _binomial_fraction(2, 1),
+                       qt_product(1, 0, 0, [(2, 2)], [(2, 1)])):
+                assert _T_with(f, i, g0) == Tf + f.scale(g0 - T)
+
+    def test_E_step_g0_closed_form(self):
+        # t - c for the E_eta step's c = (t - 1)/(1 - q^a t^b) is one
+        # qt_product, (1 - q^a t^{b+1})/(1 - q^a t^b)
+        for a in range(1, 4):
+            for b in range(4):
+                assert qt_product(1, 0, 0, [(a, b + 1)], [(a, b)]) == \
+                    T - _binomial_fraction(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_inverse_on_keyed_coefficients(self, data):
+        # T_i^{-1} is T_i's two-sided inverse on coefficients with keys,
+        # and a word of inverses is its letters applied one by one
+        n = data.draw(st.integers(2, 4))
+        f = data.draw(poly_strategy(n))
+        i = data.draw(st.integers(1, n - 1))
+        assert apply_Tbar(apply_T(f, i), i) == f
+        assert apply_T(apply_Tbar(f, i), i) == f
+        word = data.draw(st.lists(st.integers(1, n - 1), max_size=4))
+        g = f
+        for j in reversed(word):
+            g = apply_Tbar(g, j)
+        assert apply_Tbar_word(f, word) == g
 
     def test_unit_multipliers_make_no_product(self, monkeypatch):
         # T_i's and T_i^{-1}'s multipliers, omega's q-powers and a unit

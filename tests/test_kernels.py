@@ -12,7 +12,7 @@ from msym.macdonald import msym_P
 from msym.structure import norm_formula, scalar_product_m, z_lambda_qt
 from msym import kernels, polyring
 from msym.kernels import (BiPoly, b_coefficient, cauchy_cases,
-                          cauchy_identity_check, hl_kernel_cases, k0_truncated,
+                          cauchy_identity_check, hl_kernel_cases,
                           kernel_eigen_symmetry_cases,
                           kernel_hecke_symmetry_cases,
                           kernel_xy_symmetry_cases, km_expansion_cases,
@@ -50,7 +50,7 @@ class TestBiPoly:
 
 class TestK0:
     def test_degree_zero_and_one(self):
-        k = k0_truncated(1, 1, 1)
+        k = km_truncated(0, 1, 1, 1)
         assert k.poly.coefficient_of((0, 0)).is_one()
         assert k.poly.coefficient_of((1, 1)) == (ONE - T) / (ONE - Q)
 
@@ -59,7 +59,8 @@ class TestK0:
         for (nx, ny, d) in [(1, 1, 3), (2, 2, 3), (2, 3, 2), (4, 4, 3),
                             (3, 2, 4), (1, 4, 4), (5, 5, 2), (0, 2, 3),
                             (2, 0, 3), (3, 3, 0)]:
-            assert k0_truncated(nx, ny, d) == k0_product_truncated(nx, ny, d)
+            assert (km_truncated(0, nx, ny, d)
+                    == k0_product_truncated(nx, ny, d))
 
     def test_closed_form_inverse_of_z_lambda(self):
         # the closed form's canonical num and key are the inverse's
@@ -70,13 +71,13 @@ class TestK0:
                 assert (c.num, c.key) == (z_inv.num, z_inv.key)
 
     def test_bihomogeneous(self):
-        k = k0_truncated(2, 2, 3)
+        k = km_truncated(0, 2, 2, 3)
         assert all(sum(e[:2]) == sum(e[2:]) for e in k.poly.terms)
 
     def test_orbit_shares_one_coefficient(self):
         # K_0 is symmetric in each alphabet: every monomial of an orbit pair
         # holds the one coefficient object of its representatives
-        k = k0_truncated(3, 3, 3)
+        k = km_truncated(0, 3, 3, 3)
         first = {}
         for e, c in k.poly.terms.items():
             orbit = (tuple(sorted(e[:3])), tuple(sorted(e[3:])))
@@ -111,6 +112,11 @@ def _pair_reps_by_products(maxdeg, m, terms):
     return {(e[:nx], e[nx:]): c for e, c in _at_rep_pairs(full, nx, m).items()}
 
 
+def k0_truncated(Nx, Ny, maxdeg):
+    """K_0, truncated: K_m at m = 0, named for the parametrized cases."""
+    return km_truncated(0, Nx, Ny, maxdeg)
+
+
 def _cauchy_rhs(m, maxdeg):
     """The P-basis side of cauchy_cases(m, maxdeg)."""
     return next(cauchy_cases(m, maxdeg))[2]
@@ -141,7 +147,7 @@ def _no_bracket(*args):
 
 
 @pytest.mark.parametrize("build,args", [
-    (k0_truncated, (2, 2, 4)), (km_truncated, (0, 2, 2, 4)),
+    (k0_truncated, (3, 2, 4)), (km_truncated, (0, 2, 2, 4)),
     (km_truncated, (2, 3, 3, 4)), (kernels._kbar, (2, 3, 4))])
 def test_kernels_obey_the_degree_guard(monkeypatch, build, args):
     # K_0's table checks maxdeg against the guard before any sum, and is
@@ -165,7 +171,7 @@ def test_bench_kernel_outputs_unchanged():
     for m, nx, ny, d in specs:
         h.update(("%d %d %d %d\n%s\n"
                   % (m, nx, ny, d, km_truncated(m, nx, ny, d))).encode())
-    h.update(str(k0_truncated(5, 5, 4)).encode())
+    h.update(str(km_truncated(0, 5, 5, 4)).encode())
     assert h.hexdigest() == ("0690a48cfad3de0cf9586b15491d5781"
                              "72f9b46bedf465b82a0795ae35aca221")
 
@@ -200,8 +206,10 @@ def test_km_matches_full_product_oracle_at_k2_664():
 
 
 class TestKm:
-    def test_m0_is_k0(self):
-        assert km_truncated(0, 2, 2, 2) == k0_truncated(2, 2, 2)
+    def test_m0_is_k0(self, monkeypatch):
+        # at m = 0 K_m is K_0's table, with no bracket built
+        monkeypatch.setattr(kernels, "_sym_bracket", _no_bracket)
+        assert km_truncated(0, 2, 2, 2) == k0_product_truncated(2, 2, 2)
 
     def test_b_coefficient_degree_one(self):
         # coefficient of p_1(x)p_1(y)-type term: b = (1-t)/(1-q) at m=0
@@ -311,9 +319,9 @@ class TestCauchy:
                             == _at_rep_pairs(full, N, m)), (m, N, d)
 
     def test_lhs_never_expands_k0(self, monkeypatch):
-        def no_k0(*args):
-            raise AssertionError("k0_truncated called")
-        monkeypatch.setattr(kernels, "k0_truncated", no_k0)
+        def no_write_out(*args):
+            raise AssertionError("a kernel written out to every monomial")
+        monkeypatch.setattr(kernels, "_orbit_pairs", no_write_out)
         (_, lhs, rhs), = cauchy_cases(2, 3)
         assert len(lhs.terms) == 255  # 1,476 in the full product
         assert lhs == rhs
@@ -354,7 +362,7 @@ class TestOperatorSymmetry:
                 reps = kernels._k0_times(kernels._k0_reps(m, m, d), d, m,
                                          bracket.poly)
                 assert kernels._at_reps(2 * m, reps) == \
-                    k0_truncated(m, m, d).mul(bracket, d).poly, (m, d)
+                    km_truncated(0, m, m, d).mul(bracket, d).poly, (m, d)
 
     def test_hecke_symmetry(self):
         assert holds(kernel_hecke_symmetry_cases(2, 2))

@@ -44,3 +44,23 @@ def test_every_import_is_read():
         unused += ["%s:%d %s" % (path.name, node.lineno, name)
                    for name, node in imported.items() if name not in read]
     assert not unused
+
+
+def test_only_the_field_layers_import_qt_ring():
+    # Z[q,t] sits under Q(q,t): qt_field builds on it, polyring prints
+    # through its term printer and macdonald clears its caches; every
+    # other module sees scalars only through qt_field
+    importers = set()
+    for path in sorted((ROOT / "src" / "msym").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += ["%s.%s" % (node.module or "", alias.name)
+                          for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "qt_ring" for name in names):
+                importers.add(path.stem)
+    assert importers == {"qt_field", "polyring", "macdonald"}
